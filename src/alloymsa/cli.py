@@ -65,7 +65,8 @@ CONFIG_SCHEMA = {
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        # float() first: numpy scalars subclass float but repr as np.float64(...)
+        return repr(float(x))
     return str(x)
 
 
@@ -336,7 +337,7 @@ def _run_decay(u, model, params, seed, trials, threads, out_dir, summary,
     box = make_box((0,) * u.dimension, l)
     domain = make_box((0,) * u.dimension, l + u.truncation_radius + 0.25)
 
-    def worker(_i, rng):
+    def worker(i, rng):
         cfg = Configuration(domain, model.sample(rng, domain.count), 0.0)
         op = restrict_hamiltonian(u, cfg, box)
         res = eigensolve(op, want_vectors=True)
@@ -347,25 +348,23 @@ def _run_decay(u, model, params, seed, trials, threads, out_dir, summary,
             fits.append((rate, r2))
             if rate <= rate_max and r2 >= r2_min:
                 good += 1
-        return good == n_lowest, fits
+        # only trial 0's ground state is plotted; keep that column alone
+        psi = np.abs(res.eigenvectors[:, 0]) if i == 0 else None
+        return good == n_lowest, fits, psi
 
     results = mc.run_trials(trials, worker, seed, threads)
-    frac = sum(1.0 for ok, _ in results if ok) / max(len(results), 1)
+    frac = sum(1.0 for ok, _, _ in results if ok) / max(len(results), 1)
     summary["constants"]["fraction_localized"] = frac
     _contract(summary, "decay_regression", frac >= frac_min,
               f"fraction={frac:.3f} threshold={frac_min}")
     rows = []
-    for t, (_ok, fits) in enumerate(results):
+    for t, (_ok, fits, _psi) in enumerate(results):
         for j, (rate, r2) in enumerate(fits):
             rows.append([t, j, rate, r2])
     csv = out_dir / "decay.csv"
     write_csv(csv, ["trial", "eigenvector", "rate", "r2"], rows)
     files["decay"] = csv
-    first_cfg = Configuration(domain, model.sample(mc.trial_rng(seed, 0),
-                                                   domain.count), 0.0)
-    op = restrict_hamiltonian(u, first_cfg, box)
-    res = eigensolve(op, want_vectors=True)
-    psi = np.abs(res.eigenvectors[:, 0])
+    psi = results[0][2]
     center = box.points[int(np.argmax(psi))]
     radii = np.max(np.abs(box.points - center), axis=1)
     shell = {}

@@ -137,6 +137,11 @@ class Box:
             counts += (pts[:, r] < self.hi[r]).astype(int)
         return pts[counts < 2 * self.dimension]
 
+    @cached_property
+    def interior_boundary_indices(self) -> np.ndarray:
+        """Flat indices of `interior_boundary`, in the same order."""
+        return self.flat_indices(self.interior_boundary)
+
     def disjoint_from(self, other: "Box") -> bool:
         return any(
             self.hi[r] < other.lo[r] or other.hi[r] < self.lo[r]
@@ -333,7 +338,9 @@ class DisorderModel:
         for p in pieces:
             if p.hi <= p.lo:
                 raise ParameterError("density piece has empty interval")
-            grid = np.linspace(p.lo, p.hi, 513)
+            # a grid alone misses a dip between its nodes: add the critical points
+            grid = np.concatenate([np.linspace(p.lo, p.hi, 513),
+                                   _critical_points(p)])
             if np.min(p(grid)) < -1e-10:
                 raise ParameterError("density must be nonnegative")
         for a, b in zip(pieces, pieces[1:]):
@@ -422,10 +429,20 @@ def _bisect_cdf(piece: PolynomialPiece, target: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _critical_points(piece: PolynomialPiece) -> list[float]:
+    """Endpoints and real derivative roots inside the piece, ascending."""
+    deriv = np.polynomial.polynomial.polyder(np.asarray(piece.coeffs))
+    crit = [piece.lo, piece.hi]
+    if len(deriv) > 1:
+        roots = np.polynomial.polynomial.polyroots(deriv)
+        crit += [float(r.real) for r in roots
+                 if abs(r.imag) < 1e-12 and piece.lo < r.real < piece.hi]
+    return sorted(set(crit))
+
+
 def _bv_norm(pieces) -> float:
     """Total variation: boundary jumps (against 0 or the adjacent piece)
     plus the variation of each polynomial piece."""
-    pv = np.polynomial.polynomial.polyval
     total = 0.0
     for i, p in enumerate(pieces):
         left_outside = 0.0
@@ -434,15 +451,7 @@ def _bv_norm(pieces) -> float:
         total += abs(float(p(p.lo)) - left_outside)
         if i == len(pieces) - 1 or abs(pieces[i + 1].lo - p.hi) > 1e-12:
             total += abs(float(p(p.hi)))
-        deriv = np.polynomial.polynomial.polyder(np.asarray(p.coeffs))
-        crit = [p.lo, p.hi]
-        if len(deriv) > 1:
-            roots = np.polynomial.polynomial.polyroots(deriv)
-            crit += [float(r.real) for r in roots
-                     if abs(r.imag) < 1e-12 and p.lo < r.real < p.hi]
-        elif len(deriv) == 1 and deriv[0] == 0.0:
-            continue
-        crit = sorted(set(crit))
+        crit = _critical_points(p)
         for a, b in zip(crit, crit[1:]):
             total += abs(float(p(b)) - float(p(a)))
     return total
@@ -483,17 +492,6 @@ class Configuration:
             out[inside] = self.values[flat]
         return out
 
-    def replace_on(self, box: Box, new_values: np.ndarray) -> "Configuration":
-        """New configuration with the couplings on `box` overwritten."""
-        mask = self.domain.contains_points(self.domain.points)
-        mask &= box.contains_points(self.domain.points)
-        arr = self.values.copy()
-        arr[mask] = new_values
-        return Configuration(self.domain, arr, self.exterior_value)
-
-    def domain_mask(self, box: Box) -> np.ndarray:
-        return box.contains_points(self.domain.points)
-
 
 def constant_configuration(box: Box, value: float,
                            exterior_value: float = 0.0) -> Configuration:
@@ -503,11 +501,6 @@ def constant_configuration(box: Box, value: float,
 def sample_configuration(model: DisorderModel, box: Box, seed: int) -> Configuration:
     """I.i.d. couplings on `box` via inverse-CDF; exterior value 0."""
     rng = np.random.default_rng(seed)
-    return Configuration(box, model.sample(rng, box.count), exterior_value=0.0)
-
-
-def sample_configuration_rng(model: DisorderModel, box: Box,
-                             rng: np.random.Generator) -> Configuration:
     return Configuration(box, model.sample(rng, box.count), exterior_value=0.0)
 
 

@@ -16,38 +16,39 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .errors import ParameterError, ScheduleError
+from .errors import ParameterError, ResonantEnergyError, ScheduleError
 from .genfun import LeadingIndexData, companion_radius, leaked_mass_bound
 from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
                       SingleSitePotential, density_bv_norm, make_box,
                       restrict_hamiltonian)
-from .resonance import perturbation_radius
+from .resonance import INDETERMINATE, perturbation_radius
 from .spectral import eigensolve, greens_column
 from .wegner import wegner_constant_chain
 from .tails import decay_tail_constant
 
 CERTIFIED_REGULAR = "certified_regular"
 CERTIFIED_IRREGULAR = "certified_irregular"
-INDETERMINATE = "indeterminate"
 
 
 # ---------------------------------------------------------------------------
 # deterministic predicates
 
 
+def _boundary_green(op: BoxOperator, center, E: float) -> np.ndarray | None:
+    """|G(E; center, w)| for the interior-boundary sites w of the box, in
+    `interior_boundary` order; None when E is resonant."""
+    try:
+        col = greens_column(op, E, tuple(center))
+    except ResonantEnergyError:
+        return None
+    return np.abs(col[op.box.interior_boundary_indices])
+
+
 def regularity_test(op: BoxOperator, center, m: float, E: float) -> bool:
     """(m,E)-regular: E off the spectrum and |G(E; center, w)| <= e^{-m l}
     for every interior-boundary site w.  Resonant E returns False."""
-    evals = eigensolve(op).eigenvalues
-    if np.min(np.abs(evals - E)) < 1e-12:
-        return False
-    col = greens_column(op, E, tuple(center))
-    l = op.box.half_side
-    threshold = math.exp(-m * l)
-    for w in op.box.interior_boundary:
-        if abs(col[op.box.flat_index(tuple(w))]) > threshold:
-            return False
-    return True
+    g = _boundary_green(op, center, E)
+    return g is not None and not np.any(g > math.exp(-m * op.box.half_side))
 
 
 def nonresonance_test(op: BoxOperator, E: float, zeta_nr: float, l: float) -> bool:
@@ -64,6 +65,7 @@ def uniform_regularity_test(
     m: float,
     E: float,
     delta: float | None = None,
+    op: BoxOperator | None = None,
 ) -> str:
     """Certify (m,E)-regularity simultaneously for every exterior completion
     of the couplings outside Lambda_{4l}(center).
@@ -72,6 +74,10 @@ def uniform_regularity_test(
     irregular the cube is certainly not uniformly regular.  Otherwise a
     first-order resolvent bracket (radius delta from the perturbation
     radius) either certifies all completions or stays indeterminate.
+
+    `op`, when given, must be that zeroed-exterior operator on `box`; a
+    caller testing many energies passes it so that one eigendecomposition
+    serves them all.
     """
     center = box.center
     l = box.half_side
@@ -79,9 +85,12 @@ def uniform_regularity_test(
     if tuple(config.domain.lo) != tuple(enlarged.lo) or \
             tuple(config.domain.hi) != tuple(enlarged.hi):
         raise ParameterError("configuration domain must be the 4l-enlarged box")
-    zeroed = Configuration(config.domain, config.values, exterior_value=0.0)
-    op = restrict_hamiltonian(u, zeroed, box)
-    if not regularity_test(op, center, m, E):
+    if op is None:
+        zeroed = Configuration(config.domain, config.values, exterior_value=0.0)
+        op = restrict_hamiltonian(u, zeroed, box)
+    g = _boundary_green(op, center, E)
+    threshold = math.exp(-m * l)
+    if g is None or np.any(g > threshold):
         return CERTIFIED_IRREGULAR
     if delta is None:
         delta = perturbation_radius(u, model, l, box=box)
@@ -93,11 +102,8 @@ def uniform_regularity_test(
         return INDETERMINATE
     g_norm = 1.0 / d_base
     slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
-    col = greens_column(op, E, tuple(center))
-    threshold = math.exp(-m * l)
-    for w in box.interior_boundary:
-        if abs(col[box.flat_index(tuple(w))]) + slack > threshold:
-            return INDETERMINATE
+    if np.any(g + slack > threshold):
+        return INDETERMINATE
     return CERTIFIED_REGULAR
 
 
@@ -138,12 +144,12 @@ def estimate_singularity_probability(
 
     def worker(_i: int, rng: np.random.Generator):
         cfg = Configuration(enlarged, model.sample(rng, enlarged.count), 0.0)
-        bad = []
-        for E in grid:
-            verdict = uniform_regularity_test(u, model, cfg, box, m, E,
-                                              delta=delta)
-            bad.append(verdict != CERTIFIED_REGULAR)
-        return bad
+        # H does not depend on E: the eigendecomposition cached on op by the
+        # first energy's Green's column serves every later energy
+        op = restrict_hamiltonian(u, cfg, box)
+        return [uniform_regularity_test(u, model, cfg, box, m, E, delta=delta,
+                                        op=op) != CERTIFIED_REGULAR
+                for E in grid]
 
     results = mc.run_trials(trials, worker, seed, threads)
     singular = [any(bad) for bad in results]

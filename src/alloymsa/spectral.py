@@ -1,6 +1,11 @@
 """Dense symmetric eigensolves, eigenvalue counting, lattice Green's
 functions and the resolvent identities consumed by the multiscale
-analysis."""
+analysis.
+
+One eigendecomposition per operator answers every energy query: the
+spectrum (and, when asked for, the eigenvectors) is cached on the
+`BoxOperator`, and Green's functions at any off-spectrum energy come from
+the cached eigenpairs, G(E) = V diag(1/(lambda - E)) V^T."""
 
 from __future__ import annotations
 
@@ -59,23 +64,21 @@ def count_eigenvalues_in(op: BoxOperator, interval: tuple[float, float]) -> int:
     return int(right - left)
 
 
-def _check_off_spectrum(op: BoxOperator, E: float) -> None:
-    evals = eigensolve(op).eigenvalues
-    if np.min(np.abs(evals - E)) < RESONANCE_GUARD:
-        raise ResonantEnergyError(
-            f"E={E!r} within 1e-12 of an eigenvalue of the box operator"
-        )
-
-
 def greens_column(op: BoxOperator, E: float, source: Point) -> np.ndarray:
-    """Column G(E; ., source) of (H - E)^{-1}, via a factorized solve."""
-    _check_off_spectrum(op, E)
-    n = op.box.count
-    rhs = np.zeros(n)
-    rhs[op.index_of(tuple(source))] = 1.0
-    A = op.matrix - E * np.eye(n)
-    lu, piv = scipy.linalg.lu_factor(A)
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    """Column G(E; ., source) of (H - E)^{-1} from the cached eigenpairs:
+    V (V[source, :] / (lambda - E)).  The first call on an operator runs
+    the vector eigensolve; later calls at any energy reuse it.
+
+    E within RESONANCE_GUARD of an eigenvalue raises ResonantEnergyError.
+    """
+    res = eigensolve(op, want_vectors=True)
+    gaps = res.eigenvalues - E
+    if np.min(np.abs(gaps)) < RESONANCE_GUARD:
+        raise ResonantEnergyError(
+            f"E={E!r} within {RESONANCE_GUARD:g} of an eigenvalue of the box operator"
+        )
+    V = res.eigenvectors
+    return V @ (V[op.index_of(tuple(source))] / gaps)
 
 
 def greens_function(op: BoxOperator, E: float, source: Point,
@@ -154,7 +157,8 @@ def boundary_reconstruct(op: BoxOperator, E: float, psi) -> float:
     col = greens_column(op, E, x0)
     total = 0.0
     d = op.box.dimension
-    for i_pt in op.box.interior_boundary:
+    for i_pt, i_flat in zip(op.box.interior_boundary,
+                            op.box.interior_boundary_indices):
         outer = 0.0
         for r in range(d):
             for sign in (-1, 1):
@@ -164,7 +168,7 @@ def boundary_reconstruct(op: BoxOperator, E: float, psi) -> float:
                 if not op.box.contains(y_t):
                     outer += float(psi.get(y_t, 0.0))
         if outer != 0.0:
-            total += float(col[op.box.flat_index(tuple(i_pt))]) * outer
+            total += float(col[i_flat]) * outer
     return total
 
 
@@ -198,10 +202,3 @@ def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(r2)
-
-
-def spectrum_to_csv(result: SpectrumResult) -> str:
-    lines = ["index,eigenvalue"]
-    for i, ev in enumerate(result.eigenvalues):
-        lines.append(f"{i},{ev!r}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,14 @@
 """cli: config dispatch, reproducibility, exit codes, plot data."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from alloymsa.cli import main, run_experiment
+from alloymsa import (Configuration, eigensolve, make_box, mc,
+                      restrict_hamiltonian)
+from alloymsa.cli import load_model, main, run_experiment
 
 DELTA0_MODEL = {
     "d": 1,
@@ -101,6 +105,25 @@ class TestScheduleKind:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+class TestSingularityKind:
+    def test_energy_column_plain_floats(self, tmp_path):
+        cfg = write_config(tmp_path, "m.json", {
+            "model": DELTA0_MODEL,
+            "params": {"l": 2.0, "m": 0.3, "interval": [0.4, 0.6],
+                       "energy_grid": 11},
+            "seed": 3, "trials": 4,
+        })
+        blobs = []
+        for sub, threads in (("t1", "1"), ("t2", "2")):
+            rc = main(["msa-probe", "--config", str(cfg), "--threads", threads,
+                       "--out", str(tmp_path / sub)])
+            assert rc == 0
+            blobs.append((tmp_path / sub / "singularity.csv").read_text())
+        assert blobs[0] == blobs[1]
+        energies = [line.split(",")[0] for line in blobs[0].splitlines()[1:]]
+        assert energies == [repr(float(E)) for E in np.linspace(0.4, 0.6, 11)]
+
+
 class TestErrorPaths:
     def test_schema_violation_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"model": {"d": 1}})
@@ -132,6 +155,29 @@ class TestDecayKind:
         plot = (tmp_path / "o" / "decay_plot.csv").read_text().splitlines()
         assert plot[0] == "dist_inf,log_abs_psi"
         assert len(plot) > 3
+
+    def test_plot_is_trial_zero_ground_state(self, tmp_path):
+        model_cfg = {**DELTA0_MODEL, "rho": {"uniform": [0.0, 50.0]}}
+        cfg = write_config(tmp_path, "d.json", {
+            "model": model_cfg,
+            "params": {"l": 8.0, "n_lowest": 2, "frac_min": 0.0},
+            "seed": 4, "trials": 3,
+        })
+        rc = main(["decay", "--config", str(cfg), "--threads", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        u, model = load_model(model_cfg)
+        box = make_box((0,), 8.0)
+        domain = make_box((0,), 8.0 + u.truncation_radius + 0.25)
+        values = model.sample(mc.trial_rng(4, 0), domain.count)
+        op = restrict_hamiltonian(u, Configuration(domain, values), box)
+        psi = np.abs(eigensolve(op, want_vectors=True).eigenvectors[:, 0])
+        dist = np.abs(box.points[:, 0] - box.points[int(np.argmax(psi)), 0])
+        shells = [(r, psi[dist == r].max()) for r in range(int(dist.max()) + 1)]
+        expect = ["dist_inf,log_abs_psi"] + [
+            f"{r},{math.log(a)!r}" for r, a in shells if a > 1e-14]
+        plot = (tmp_path / "o" / "decay_plot.csv").read_text().splitlines()
+        assert plot == expect
 
 
 class TestRunExperimentAPI:

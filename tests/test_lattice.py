@@ -45,6 +45,11 @@ class TestMakeBox:
         assert (2, 2) in ring and (-2, 0) in ring
         assert len(ring) == 25 - 9
 
+    def test_interior_boundary_indices(self):
+        box = make_box((1, -2), 2.0)
+        expect = [box.flat_index(tuple(p)) for p in box.interior_boundary]
+        assert box.interior_boundary_indices.tolist() == expect
+
 
 class TestSampleConfiguration:
     def test_support_containment(self):
@@ -151,6 +156,17 @@ class TestDensityBVNorm:
     def test_normalization_enforced(self):
         with pytest.raises(ParameterError):
             DisorderModel((PolynomialPiece(0.0, 1.0, (0.5,)),))
+
+    def test_negative_dip_between_grid_nodes(self):
+        # a(x - x0)^2 + c with unit mass: its minimum c = -5e-6 sits midway
+        # between two nodes of a 513-point grid, where the density is positive
+        x0, c = 100.5 / 512, -5e-6
+        a = 3.0 * (1.0 - c) / ((1.0 - x0) ** 3 + x0 ** 3)
+        piece = PolynomialPiece(0.0, 1.0, (a * x0 * x0 + c, -2.0 * a * x0, a))
+        grid = np.linspace(0.0, 1.0, 513)
+        assert np.min(piece(grid)) > 0.0
+        with pytest.raises(ParameterError, match="nonnegative"):
+            DisorderModel((piece,))
 
 
 class TestSpectralSanity:

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from alloymsa import (Configuration, eigensolve, exact_potential,
-                      find_leading_index, free_operator, make_box,
-                      nonresonance_test, regularity_test, restrict_hamiltonian,
-                      scale_schedule, truncated_exponential_potential,
-                      uniform_density, validate_parameters)
+                      find_leading_index, free_operator, make_box, mc,
+                      nonresonance_test, perturbation_radius, regularity_test,
+                      restrict_hamiltonian, scale_schedule,
+                      truncated_exponential_potential, uniform_density,
+                      validate_parameters)
 from alloymsa.errors import ScheduleError
 from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
                           INDETERMINATE, MSAParameters,
@@ -173,6 +175,65 @@ class TestSingularityProbability:
         p_pair = np.mean(pairs)
         sigma = math.sqrt(max(p_pair * (1 - p_pair), 1e-12) / trials)
         assert p_pair <= p_single**2 + 3 * sigma + 1e-12
+
+
+# sign-changing, exponentially decaying, truncated: perturbation radius > 0
+EXP_TAIL = truncated_exponential_potential(
+    1, 1.0, 1.0, 8, lambda k: (-0.5) ** abs(k[0]) * np.exp(-abs(k[0])))
+
+
+def _one_shot_verdicts(u, model, l, m, grid, trials, seed):
+    """Verdicts of the estimator's trials, one fresh operator per energy."""
+    box = make_box((0,), l)
+    enlarged = make_box((0,), 4 * l)
+    out = []
+    for i in range(trials):
+        rng = mc.trial_rng(seed, i)
+        cfg = Configuration(enlarged, model.sample(rng, enlarged.count), 0.0)
+        out.append([uniform_regularity_test(u, model, cfg, box, m, E)
+                    for E in grid])
+    return out
+
+
+class TestSingularityEstimatorReusesSpectrum:
+    @pytest.mark.parametrize("u, model, interval", [
+        (EXP_TAIL, UNIFORM, (0.5, 2.5)),   # delta > 0: bracket path
+        (DELTA0, UNIFORM, (0.0, 3.0)),     # delta = 0
+    ])
+    def test_per_energy_matches_one_shot(self, u, model, interval):
+        l, m, trials, seed = 3.0, 0.2, 12, 41
+        delta = perturbation_radius(u, model, l, box=make_box((0,), l))
+        assert (delta > 0.0) == (u is EXP_TAIL)
+        grid = list(np.linspace(*interval, 31))
+        rep = estimate_singularity_probability(u, model, l, m, interval, 31,
+                                               trials, seed)
+        verdicts = _one_shot_verdicts(u, model, l, m, grid, trials, seed)
+        expect = {E: sum(v[j] != CERTIFIED_REGULAR for v in verdicts)
+                  for j, E in enumerate(grid)}
+        assert rep.per_energy == expect
+        seen = {x for v in verdicts for x in v}
+        assert {CERTIFIED_REGULAR, CERTIFIED_IRREGULAR} <= seen
+        assert (INDETERMINATE in seen) == (delta > 0.0)
+
+    def test_one_eigh_per_trial_and_no_lu(self, monkeypatch):
+        calls = {"eigh": [], "lu_factor": 0}
+        eigh, lu_factor = scipy.linalg.eigh, scipy.linalg.lu_factor
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"].append(kwargs.get("eigvals_only", False))
+            return eigh(*args, **kwargs)
+
+        def counting_lu_factor(*args, **kwargs):
+            calls["lu_factor"] += 1
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu_factor)
+        trials = 7
+        estimate_singularity_probability(EXP_TAIL, UNIFORM, 3.0, 0.2,
+                                         (0.5, 2.5), 21, trials, seed=42)
+        assert calls["eigh"] == [False] * trials  # vectors, once per trial
+        assert calls["lu_factor"] == 0
 
 
 U_LEAD = find_leading_index(DELTA0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alloymsa import (DIRICHLET, NEUMANN, Configuration, boundary_reconstruct,
                       count_eigenvalues_in, decay_fit, eigensolve,
@@ -127,6 +129,28 @@ class TestGreensFunction:
         G = np.column_stack([greens_column(op, E, tuple(p))
                              for p in op.box.points])
         assert np.max(np.abs((op.matrix - E * np.eye(n)) @ G - np.eye(n))) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2]), l=st.integers(1, 4),
+           w=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1),
+           gap_index=st.integers(0, 1000), source_index=st.integers(0, 1000))
+    def test_matches_dense_solve(self, d, l, w, seed, gap_index, source_index):
+        # E sits midway between neighbouring eigenvalues (or one unit past
+        # an end of the spectrum), so it stays off the spectrum
+        l = float(2 * l if d == 1 else l)
+        op = random_operator(np.random.default_rng(seed), l=l, d=d, w=w)
+        n = op.box.count
+        evals = np.linalg.eigvalsh(op.matrix)
+        edges = np.concatenate([[evals[0] - 2.0], evals, [evals[-1] + 2.0]])
+        k = gap_index % (n + 1)
+        E = 0.5 * (edges[k] + edges[k + 1])
+        assume(np.min(np.abs(evals - E)) > 1e-3)
+        src = source_index % n
+        rhs = np.zeros(n)
+        rhs[src] = 1.0
+        expect = np.linalg.solve(op.matrix - E * np.eye(n), rhs)
+        col = greens_column(op, E, tuple(op.box.points[src]))
+        assert np.linalg.norm(col - expect) <= 1e-9 * np.linalg.norm(expect)
 
     def test_resonant_energy(self):
         op = free_operator(make_box((0,), 1.0))
