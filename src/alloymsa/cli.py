@@ -19,20 +19,18 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import __version__, mc, msa
+from . import __version__, mc
 from .errors import AlloyMSAError, ParameterError
 from .genfun import (companion_radius, find_leading_index,
                      positivity_certificate, tail_bound)
 from .initial_scale import (admissible_lengths, large_disorder_probe,
-                            lifshitz_parameters, lifshitz_probe,
-                            small_coupling_implication)
+                            lifshitz_parameters, lifshitz_probe)
 from .lattice import (Configuration, DisorderModel, SingleSitePotential,
-                      density_bv_norm, make_box, restrict_hamiltonian,
-                      uniform_density)
+                      make_box, restrict_hamiltonian, uniform_density)
 from .msa import (MSAParameters, estimate_singularity_probability,
                   scale_schedule, schedule_to_json_dict, validate_parameters)
-from .resonance import estimate_resonance_probability, perturbation_radius
-from .spectral import decay_fit, eigensolve
+from .resonance import estimate_resonance_probability
+from .spectral import decay_fit, eigensolve, shell_maxima
 from .wegner import run_wegner_cell
 
 KINDS = (
@@ -365,11 +363,7 @@ def _run_decay(u, model, params, seed, trials, threads, out_dir, summary,
     write_csv(csv, ["trial", "eigenvector", "rate", "r2"], rows)
     files["decay"] = csv
     psi = results[0][2]
-    center = box.points[int(np.argmax(psi))]
-    radii = np.max(np.abs(box.points - center), axis=1)
-    shell = {}
-    for r, a in zip(radii, psi):
-        shell[int(r)] = max(shell.get(int(r), 0.0), float(a))
+    shell = shell_maxima(psi, box, box.points[int(np.argmax(psi))])
     prows = [[r, math.log(v)] for r, v in sorted(shell.items()) if v > 1e-14]
     p = out_dir / "decay_plot.csv"
     write_csv(p, ["dist_inf", "log_abs_psi"], prows)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from . import mc
 from .errors import ParameterError, TempleInapplicableError
 from .genfun import LeadingIndexData, companion_radius, tail_bound
 from .lattice import (NEUMANN, Box, Configuration, DisorderModel,
-                      SingleSitePotential, density_bv_norm, free_operator,
-                      make_box, restrict_hamiltonian)
+                      SingleSitePotential, density_bv_norm, make_box,
+                      restrict_hamiltonian)
 from .resonance import perturbation_radius
 from .spectral import eigensolve
 from .wegner import wegner_constant_chain
@@ -33,25 +32,19 @@ from .wegner import wegner_constant_chain
 # Neumann gap
 
 
-@lru_cache(maxsize=None)
-def _neumann_path_lambda2(n_sites: int) -> float:
-    if n_sites < 2:
-        return 0.0
-    op = free_operator(make_box((0,), (n_sites - 1) / 2.0 + 0.25), NEUMANN)
-    return float(eigensolve(op).eigenvalues[1])
-
-
 def free_neumann_lambda2(box: Box) -> float:
-    """Exact second eigenvalue of the free Neumann operator on a box.
+    """Second eigenvalue of the free Neumann operator on a box, in closed form.
 
-    The operator is the tensor sum of one-dimensional Neumann paths, so
-    lambda_2 is the smallest nonzero 1-d value over the axes.
+    The operator is the tensor sum of one-dimensional Neumann paths, and
+    the path on n sites has lambda_2 = 2 - 2cos(pi/n); the value is the
+    smallest of these over the axes, 0 when an axis has a single site.
     """
-    return min(_neumann_path_lambda2(s) for s in box.shape)
+    return min(2.0 - 2.0 * math.cos(math.pi / n) if n > 1 else 0.0
+               for n in box.shape)
 
 
 def neumann_gap(l: float, d: int) -> tuple[float, float]:
-    """(formula, exact): 2 - 2cos(pi/l) against the eigensolved lambda_2 of
+    """(formula, exact): 2 - 2cos(pi/l) against the closed-form lambda_2 of
     the free Neumann operator on Lambda_l (2 floor(l) + 1 sites per side).
 
     The two differ by a site-count convention; the formula dominates
@@ -67,6 +60,20 @@ def neumann_gap(l: float, d: int) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Temple machinery
+
+
+def certified_mean(u: SingleSitePotential) -> float:
+    """u-bar = sum_k u(k) less the truncation residual: a certified lower
+    bound on the mean of u, which the small-negative-part route needs > 0."""
+    ubar = u.mean_value - u.truncation_residual
+    if ubar <= 0:
+        raise ParameterError("small-negative-part route needs certified u-bar > 0")
+    return ubar
+
+
+def beta_floor(u: SingleSitePotential) -> float:
+    """beta_0 = 65/32 + 8 ||u||_1 / u-bar."""
+    return 65.0 / 32.0 + 8.0 * u.l1_norm / certified_mean(u)
 
 
 def temple_lower_bound(
@@ -89,12 +96,15 @@ def temple_lower_bound(
     needs the small-negative-part decomposition at delta = l^{-2}/(8 beta w+).
     """
     d = u.dimension
-    if u.mean_value - u.truncation_residual <= 0:
-        raise ParameterError("Temple route needs certified u-bar > 0")
+    certified_mean(u)
     if beta <= 0 or omega_plus <= 0:
         raise ParameterError("beta and omega_plus must be positive")
     delta = l ** (-2.0) / (8.0 * beta * omega_plus)
-    u.small_negative_decomposition(delta)  # raises if Assumption 3 fails
+    if u.negative_mass > delta:
+        raise ParameterError(
+            f"negative mass {u.negative_mass:.3e} exceeds delta={delta:.3e}: "
+            "Assumption-3 decomposition u = u+ - delta*u- unavailable"
+        )
     cutoff = 8.0 * l ** (-2.0) / (beta * u.l1_norm)
     truncated = Configuration(config.domain, np.minimum(config.values, cutoff),
                               min(config.exterior_value, cutoff))
@@ -139,9 +149,7 @@ def prop_first_constants(u: SingleSitePotential, l_for_gap: float | None = None
     presumes an l-sites-per-side convention).
     """
     d = u.dimension
-    ubar = u.mean_value - u.truncation_residual
-    if ubar <= 0:
-        raise ParameterError("prop-first constants need certified u-bar > 0")
+    ubar = certified_mean(u)
     l1 = u.l1_norm
     c_hat = tail_bound(u, 0.0, 0.0)  # C_hat e^0
     bracket = 16.0 / l1 + ubar / (4.0 * l1 * l1)
@@ -155,7 +163,7 @@ def prop_first_constants(u: SingleSitePotential, l_for_gap: float | None = None
         l10 += 1.0
         if l10 > 1e7:
             raise ParameterError("l10* search failed")
-    beta0 = 65.0 / 32.0 + 8.0 * u.l1_norm / ubar
+    beta0 = beta_floor(u)
     beta_gap = None
     if l_for_gap is not None:
         gap = free_neumann_lambda2(make_box((0,) * d, l_for_gap))
@@ -194,7 +202,7 @@ def small_coupling_implication(
     """
     d = u.dimension
     consts = prop_first_constants(u, l_for_gap=l)
-    ubar = u.mean_value - u.truncation_residual
+    ubar = certified_mean(u)
     omega_plus = model.omega_plus
     violations = []
     if beta < consts.beta0:
@@ -207,7 +215,7 @@ def small_coupling_implication(
             "(printed gap 4 l^-2 presumes l sites per side)"
         )
     delta = l ** (-2.0) / (8.0 * beta * omega_plus)
-    if u.negative_mass + u.truncation_residual > delta:
+    if u.negative_mass > delta:
         violations.append(
             f"Assumption-3 decomposition unavailable at delta={delta:.3e}"
         )
@@ -285,10 +293,7 @@ def lifshitz_parameters(
 ) -> LifshitzParameters:
     """Auto-derived parameter set: beta0 from u, delta = l^{zeta-2} / (8 w+),
     with the P(w0 < eps0) <= 1/12 check against the model CDF."""
-    ubar = u.mean_value - u.truncation_residual
-    if ubar <= 0:
-        raise ParameterError("Lifshitz probe needs certified u-bar > 0")
-    beta0 = 65.0 / 32.0 + 8.0 * u.l1_norm / ubar
+    beta0 = beta_floor(u)
     delta = l ** (zeta_lif - 2.0) / (8.0 * model.omega_plus)
     if model.cdf(epsilon0) > 1.0 / 12.0 + 1e-12:
         raise ParameterError(
@@ -331,7 +336,7 @@ def lifshitz_probe(
     l_int = int(l)
     if l_int not in admissible_lengths(zeta, params.beta0, l - 0.5, l + 0.5):
         raise ParameterError(f"l={l} violates the odd-tiling condition")
-    if u.negative_mass + u.truncation_residual > params.delta:
+    if u.negative_mass > params.delta:
         raise ParameterError("Assumption-3 decomposition unavailable at the "
                              f"probe's delta={params.delta:.3e}")
     l_tilde = l ** (1.0 - zeta / 2.0) / math.sqrt(params.beta0)

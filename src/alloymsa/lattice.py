@@ -34,10 +34,8 @@ DIRICHLET = "dirichlet_truncation"
 NEUMANN = "neumann"
 
 
-def capacity_cap(override: int | None = None) -> int:
+def capacity_cap() -> int:
     """Dense-matrix point cap; ALLOYMSA_CAPACITY overrides the default."""
-    if override is not None:
-        return int(override)
     env = os.environ.get("ALLOYMSA_CAPACITY")
     if env:
         return int(env)
@@ -130,12 +128,7 @@ class Box:
     @cached_property
     def interior_boundary(self) -> np.ndarray:
         """Points with fewer than 2d neighbors inside the box."""
-        pts = self.points
-        counts = np.zeros(len(pts), dtype=int)
-        for r in range(self.dimension):
-            counts += (pts[:, r] > self.lo[r]).astype(int)
-            counts += (pts[:, r] < self.hi[r]).astype(int)
-        return pts[counts < 2 * self.dimension]
+        return self.points[neighbor_counts(self) < 2 * self.dimension]
 
     @cached_property
     def interior_boundary_indices(self) -> np.ndarray:
@@ -217,24 +210,11 @@ class SingleSitePotential:
 
     @cached_property
     def negative_mass(self) -> float:
-        return float(np.abs(self.support_values[self.support_values < 0]).sum())
-
-    def small_negative_decomposition(self, delta: float):
-        """Split u = u_plus - delta*u_minus with ||u_minus||_1 <= 1.
-
-        Valid whenever the tabulated negative mass plus the truncation
-        residual does not exceed delta.
-        """
-        if delta <= 0:
-            raise ParameterError("delta must be positive")
-        if self.negative_mass + self.truncation_residual > delta * (1 + 1e-12):
-            raise ParameterError(
-                f"negative mass {self.negative_mass + self.truncation_residual:.3e} "
-                f"exceeds delta={delta:.3e}: decomposition u = u+ - delta*u- unavailable"
-            )
-        plus = {tuple(k): v for k, v in self.values.items() if v > 0}
-        minus = {tuple(k): -v / delta for k, v in self.values.items() if v < 0}
-        return plus, minus
+        """Tabulated negative mass plus the truncation residual.  Assumption 3
+        at delta (u = u_+ - delta u_- with u_+ >= 0, ||u_-||_1 <= 1) holds
+        when negative_mass <= delta; callers reject negative_mass > delta."""
+        negative = self.support_values[self.support_values < 0]
+        return float(np.abs(negative).sum()) + self.truncation_residual
 
     def to_json_dict(self) -> dict:
         return {
@@ -479,11 +459,6 @@ class Configuration:
             )
         vals.flags.writeable = False
 
-    def value_at(self, point: Point) -> float:
-        if self.domain.contains(point):
-            return float(self.values[self.domain.flat_index(point)])
-        return self.exterior_value
-
     def values_at(self, pts: np.ndarray) -> np.ndarray:
         inside = self.domain.contains_points(pts)
         out = np.full(len(pts), self.exterior_value)
@@ -546,10 +521,9 @@ def neighbor_counts(box: Box) -> np.ndarray:
     return counts
 
 
-def free_box_matrix(box: Box, boundary_kind: str,
-                    capacity: int | None = None) -> np.ndarray:
+def free_box_matrix(box: Box, boundary_kind: str) -> np.ndarray:
     n = box.count
-    cap = capacity_cap(capacity)
+    cap = capacity_cap()
     if n > cap:
         raise CapacityError(f"box has {n} points, dense cap is {cap}")
     d = box.dimension
@@ -578,16 +552,14 @@ def restrict_hamiltonian(
     config: Configuration,
     box: Box,
     boundary_kind: str = DIRICHLET,
-    capacity: int | None = None,
 ) -> BoxOperator:
     """Dirichlet-truncated or Neumann restriction of h0 + v to `box`."""
-    M = free_box_matrix(box, boundary_kind, capacity)
+    M = free_box_matrix(box, boundary_kind)
     v = assemble_potential(u, config, box)
     M[np.arange(box.count), np.arange(box.count)] += v
     return BoxOperator(box=box, matrix=M, boundary_kind=boundary_kind)
 
 
-def free_operator(box: Box, boundary_kind: str = DIRICHLET,
-                  capacity: int | None = None) -> BoxOperator:
-    return BoxOperator(box=box, matrix=free_box_matrix(box, boundary_kind, capacity),
+def free_operator(box: Box, boundary_kind: str = DIRICHLET) -> BoxOperator:
+    return BoxOperator(box=box, matrix=free_box_matrix(box, boundary_kind),
                        boundary_kind=boundary_kind)

@@ -17,14 +17,14 @@ import numpy as np
 
 from . import mc
 from .errors import ParameterError, ResonantEnergyError, ScheduleError
-from .genfun import LeadingIndexData, companion_radius, leaked_mass_bound
+from .genfun import LeadingIndexData
 from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
                       SingleSitePotential, density_bv_norm, make_box,
                       restrict_hamiltonian)
-from .resonance import INDETERMINATE, perturbation_radius
+from .resonance import INDETERMINATE, perturbation_radius, zeroed_exterior
 from .spectral import eigensolve, greens_column
-from .wegner import wegner_constant_chain
 from .tails import decay_tail_constant
+from .wegner import chain_formula
 
 CERTIFIED_REGULAR = "certified_regular"
 CERTIFIED_IRREGULAR = "certified_irregular"
@@ -81,12 +81,8 @@ def uniform_regularity_test(
     """
     center = box.center
     l = box.half_side
-    enlarged = make_box(center, 4 * l)
-    if tuple(config.domain.lo) != tuple(enlarged.lo) or \
-            tuple(config.domain.hi) != tuple(enlarged.hi):
-        raise ParameterError("configuration domain must be the 4l-enlarged box")
+    zeroed = zeroed_exterior(config, box)  # checks the domain even when op is given
     if op is None:
-        zeroed = Configuration(config.domain, config.values, exterior_value=0.0)
         op = restrict_hamiltonian(u, zeroed, box)
     g = _boundary_green(op, center, E)
     threshold = math.exp(-m * l)
@@ -286,12 +282,6 @@ def induction_thresholds(
     c_hat = decay_tail_constant(u.decay_C, alpha, d)
     gamma = 0.5 * ((1.0 - beta) / kappa + (1.0 - 1.0 / kappa))
 
-    def chain(scale: float) -> float:
-        from .wegner import _abs_monomial_box_sum
-        R = companion_radius(u, lead, scale)
-        count = (2 * math.floor(scale) + 1) ** d
-        return (2.0 / abs(lead.c_u)) * count * _abs_monomial_box_sum(R, d, lead.leading)
-
     def pred1(l: float) -> bool:
         L = l**kappa
         return 2.0 ** (4 * d) * L ** (4 * (d - xi / kappa) + 2 * xi) <= 1.0 / 3.0
@@ -303,7 +293,7 @@ def induction_thresholds(
         L = l**kappa
         prob = 16.0 * (2 * L + 1) ** (2 * d) * (2 * L + 1) ** d * bv \
             * (l ** (-zeta) + 2.0 * omega_plus * c_hat * math.exp(-12.0 * l * alpha)) \
-            * chain(L)
+            * chain_formula(u, lead, L)
         return prob <= (1.0 / 3.0) * L ** (-2 * xi)
 
     def pred4(l: float) -> bool:

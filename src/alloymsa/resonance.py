@@ -48,6 +48,16 @@ def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
     return omega_plus * min(analytic, exact)
 
 
+def zeroed_exterior(config: Configuration, box: Box) -> Configuration:
+    """The completion of `config` by zero couplings outside its domain,
+    which must be the 4l-enlarged box Lambda_{4l}(center) of `box`."""
+    enlarged = make_box(box.center, 4.0 * box.half_side)
+    if tuple(config.domain.lo) != tuple(enlarged.lo) or \
+            tuple(config.domain.hi) != tuple(enlarged.hi):
+        raise ParameterError("configuration domain must equal the 4l-enlarged box")
+    return Configuration(config.domain, config.values, exterior_value=0.0)
+
+
 @dataclass(frozen=True)
 class SpectrumBracket:
     """Base spectrum at the zeroed exterior plus a certified radius: every
@@ -67,17 +77,11 @@ def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
     `radius` short-circuits the perturbation-radius computation when the
     caller has already evaluated it for this geometry.
     """
-    l = box.half_side
-    enlarged = make_box(box.center, 4.0 * l)
-    if tuple(config.domain.lo) != tuple(enlarged.lo) or \
-            tuple(config.domain.hi) != tuple(enlarged.hi):
-        raise ParameterError("configuration domain must equal the 4l-enlarged box")
-    zeroed = Configuration(config.domain, config.values, exterior_value=0.0)
-    op = restrict_hamiltonian(u, zeroed, box)
-    spectrum = eigensolve(op).eigenvalues
+    zeroed = zeroed_exterior(config, box)
+    spectrum = eigensolve(restrict_hamiltonian(u, zeroed, box)).eigenvalues
     if radius is None:
-        radius = perturbation_radius(u, model, l, box=box)
-    return SpectrumBracket(box=box, enlarged=enlarged,
+        radius = perturbation_radius(u, model, box.half_side, box=box)
+    return SpectrumBracket(box=box, enlarged=zeroed.domain,
                            base_spectrum=spectrum, radius=radius)
 
 

@@ -172,6 +172,15 @@ def boundary_reconstruct(op: BoxOperator, E: float, psi) -> float:
     return total
 
 
+def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:
+    """r -> max |psi(x)| over the sites x of `box` with ||x - center||_inf = r."""
+    radii = np.max(np.abs(box.points - np.asarray(center)), axis=1)
+    shells: dict[int, float] = {}
+    for r, a in zip(radii, np.abs(psi)):
+        shells[int(r)] = max(shells.get(int(r), 0.0), float(a))
+    return shells
+
+
 def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None
               ) -> tuple[float, float]:
     """Least-squares slope of log shell-max |psi| against ||x - center||_inf.
@@ -180,13 +189,9 @@ def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None
     are dropped; fewer than 3 usable shells is a fit error.
     """
     psi = np.asarray(psi, dtype=float)
-    pts = box.points
     if center is None:
-        center = tuple(int(c) for c in pts[int(np.argmax(np.abs(psi)))])
-    radii = np.max(np.abs(pts - np.asarray(center)), axis=1)
-    shells = {}
-    for r, a in zip(radii, np.abs(psi)):
-        shells[int(r)] = max(shells.get(int(r), 0.0), float(a))
+        center = tuple(int(c) for c in box.points[int(np.argmax(np.abs(psi)))])
+    shells = shell_maxima(psi, box, center)
     xs, ys = [], []
     for r in sorted(shells):
         if shells[r] > 1e-14:

@@ -11,6 +11,7 @@ computed exactly rather than hidden in an opaque C_W.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,16 @@ def _abs_monomial_box_sum(radius: float, d: int, index) -> float:
     return total
 
 
+def chain_formula(u: SingleSitePotential, lead: LeadingIndexData,
+                  l: float) -> float:
+    """The chain of `wegner_constant_chain` without its positivity
+    certificate: arithmetic only, so defined at any scale."""
+    d = u.dimension
+    count = (2 * math.floor(l) + 1) ** d
+    R = companion_radius(u, lead, l)
+    return (2.0 / abs(lead.c_u)) * count * _abs_monomial_box_sum(R, d, lead.leading)
+
+
 def wegner_constant_chain(u: SingleSitePotential, lead: LeadingIndexData,
                           l: float) -> float:
     """sum_{j in Lambda_l} ||t_{j,l}||_1 = (2/|c_u|) |Lambda_l| sum_{Lambda_{R_l}} |k^{I0}|."""
@@ -60,10 +71,7 @@ def wegner_constant_chain(u: SingleSitePotential, lead: LeadingIndexData,
             f"positivity certificate fails at l={l}: min={cert.min_value:.6f} "
             f"(slack {cert.slack:.2e}) at x={cert.worst_x}"
         )
-    d = u.dimension
-    box_l = make_box((0,) * d, l)
-    R = companion_radius(u, lead, l)
-    return (2.0 / abs(lead.c_u)) * box_l.count * _abs_monomial_box_sum(R, d, lead.leading)
+    return chain_formula(u, lead, l)
 
 
 def estimate_partial_expectation(

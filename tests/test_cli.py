@@ -180,6 +180,96 @@ class TestDecayKind:
         assert plot == expect
 
 
+P2_MODEL = {
+    "d": 2,
+    "u": {"d": 2, "values": [[[0, 0], 1.0], [[1, 0], -0.6], [[0, 1], -0.3],
+                             [[1, 1], 0.05]],
+          "C": 2.0, "alpha": 1.0, "truncation_radius": 1,
+          "truncation_residual": 0.0},
+    "rho": {"uniform": [0.0, 1.0]},
+}
+
+
+def neg_tail_model(mass: float, alpha: float = 4.0, radius: int = 6) -> dict:
+    """1-d delta_0 with a negative tail of total mass `mass`."""
+    weights = {k: math.exp(-alpha * abs(k))
+               for k in range(-radius, radius + 1) if k}
+    Z = sum(weights.values())
+    values = [[[0], 1.0]] + [[[k], -mass * w / Z] for k, w in weights.items()]
+    return {"d": 1,
+            "u": {"d": 1, "values": values, "C": 1.0, "alpha": alpha,
+                  "truncation_radius": radius, "truncation_residual": 0.0},
+            "rho": {"uniform": [0.0, 1.0]}}
+
+
+def run_both_thread_counts(tmp_path, command, payload, expect_rc):
+    """Run at --threads 1 and 2; return the output files of the first run
+    after checking both exit codes and that every file is byte-identical."""
+    cfg = write_config(tmp_path, "c.json", payload)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        rc = main([command, "--config", str(cfg), "--threads", threads,
+                   "--out", str(out)])
+        assert rc == expect_rc
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[0] == outs[1]
+    return outs[0]
+
+
+class TestResonanceKind:
+    def test_run(self, tmp_path):
+        files = run_both_thread_counts(tmp_path, "resonance", {
+            "model": P2_MODEL,
+            "params": {"y": [200, 0], "l1": 3, "l2": 10},
+            "seed": 11, "trials": 20,
+        }, expect_rc=0)
+        assert set(files) == {"resonance.csv", "resonance_summary.json"}
+        lines = files["resonance.csv"].decode().splitlines()
+        assert lines[0] == ("x,y,l1,l2,eps,trials,p_lo,p_hi,theory_bound,"
+                            "delta1,delta2")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[4]) for r in rows] == [1e-3, 1e-2, 1e-1]
+        assert all(float(r[6]) <= float(r[7]) <= float(r[8]) for r in rows)
+
+
+class TestLifshitzKind:
+    def test_run(self, tmp_path):
+        files = run_both_thread_counts(tmp_path, "lifshitz", {
+            "model": neg_tail_model(1e-6),
+            "params": {"zeta": 1.0, "xi": 2.0, "l_range": [15, 45]},
+            "seed": 11, "trials": 20,
+        }, expect_rc=0)
+        assert set(files) == {"lifshitz.csv", "lifshitz_summary.json"}
+        summary = json.loads(files["lifshitz_summary.json"])
+        l = 16.0  # the first admissible length in [15, 45]
+        assert summary["constants"]["delta"] == l ** -1.0 / 8.0
+
+    def test_negative_mass_above_delta_exit_3(self, tmp_path):
+        # delta = l^{zeta-2} / (8 w+) = 1/128 at l = 16
+        cfg = write_config(tmp_path, "c.json", {
+            "model": neg_tail_model(1.0 / 64.0),
+            "params": {"zeta": 1.0, "xi": 2.0, "l": 16},
+            "seed": 11, "trials": 2,
+        })
+        assert main(["lifshitz", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
+class TestLargeDisorderKind:
+    def test_run(self, tmp_path):
+        files = run_both_thread_counts(tmp_path, "large-disorder", {
+            "model": {**P2_MODEL, "rho": {"uniform": [0.0, 50.0]}},
+            "params": {"l0": 6, "m0": 5.0, "xi": 3.0},
+            "seed": 11,
+        }, expect_rc=0)
+        assert set(files) == {"large_disorder.json",
+                              "large_disorder_summary.json"}
+        constants = json.loads(files["large_disorder.json"])
+        assert constants["rhs_negative_exponent"] <= constants["target"]
+        assert constants["rhs_printed"] > constants["target"]
+
+
 class TestRunExperimentAPI:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(Exception):

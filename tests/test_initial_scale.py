@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from alloymsa import (NEUMANN, Configuration, eigensolve, exact_potential,
-                      find_leading_index, make_box, neumann_gap,
+from alloymsa import (NEUMANN, Box, Configuration, eigensolve, exact_potential,
+                      find_leading_index, free_operator, make_box, neumann_gap,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import ParameterError, TempleInapplicableError
 from alloymsa.initial_scale import (admissible_lengths, free_neumann_lambda2,
@@ -15,7 +15,7 @@ from alloymsa.initial_scale import (admissible_lengths, free_neumann_lambda2,
                                     prop_first_constants,
                                     small_coupling_implication,
                                     temple_lower_bound)
-from alloymsa.lattice import constant_configuration
+from alloymsa.lattice import SingleSitePotential, constant_configuration
 
 UNIFORM = uniform_density(0.0, 1.0)
 
@@ -59,6 +59,14 @@ class TestNeumannGap:
         assert free_neumann_lambda2(make_box((0, 0), 2.0)) == pytest.approx(
             free_neumann_lambda2(make_box((0,), 2.0)))
 
+    @pytest.mark.parametrize("box", [
+        *(Box(((n - 1) / 2.0,), (n - 1) / 2.0 + 0.25) for n in range(2, 61)),
+        Box((0.5, 0), 1.0),
+    ], ids=lambda b: "x".join(map(str, b.shape)))
+    def test_closed_form_matches_dense_eigensolve(self, box):
+        dense = eigensolve(free_operator(box, NEUMANN)).eigenvalues[1]
+        assert free_neumann_lambda2(box) == pytest.approx(dense, abs=1e-12)
+
 
 class TestTempleLowerBound:
     def test_zero_potential(self):
@@ -91,6 +99,25 @@ class TestTempleLowerBound:
         # coupling cutoff keeps <h> small, so engineer a tiny beta instead
         with pytest.raises((TempleInapplicableError, ParameterError)):
             temple_lower_bound(u, cfg, l, beta=1e-6, omega_plus=1.0)
+
+    def test_assumption3_boundary_is_strict(self):
+        # l = 2, beta = 2, omega_plus = 1: delta = l^-2 / (8 beta) = 1/64
+        l, beta, delta = 2.0, 2.0, 1.0 / 64.0
+        dom = make_box((0,), l + 1.25)
+        cfg = constant_configuration(dom, 0.0)
+        at_delta = exact_potential({(0,): 1.0, (1,): -delta}, 1.0, 1.0)
+        assert at_delta.negative_mass == delta
+        temple_lower_bound(at_delta, cfg, l, beta, omega_plus=1.0)
+        above = exact_potential({(0,): 1.0, (1,): -delta * (1 + 5e-13)},
+                                1.0, 1.0)
+        with pytest.raises(ParameterError, match="exceeds delta"):
+            temple_lower_bound(above, cfg, l, beta, omega_plus=1.0)
+
+    def test_negative_mass_includes_residual(self):
+        u = neg_tail_potential(1e-6)
+        cut = SingleSitePotential(dict(u.values), u.decay_C, u.decay_alpha,
+                                  u.truncation_radius, 1e-5)
+        assert cut.negative_mass == pytest.approx(1e-6 + 1e-5, rel=1e-12)
 
     def test_truncation_shift_bound(self):
         # replacing w by min(w, cutoff) moves v by at most l^-2/(8 beta)

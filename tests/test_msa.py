@@ -12,7 +12,7 @@ from alloymsa import (Configuration, eigensolve, exact_potential,
                       restrict_hamiltonian, scale_schedule,
                       truncated_exponential_potential, uniform_density,
                       validate_parameters)
-from alloymsa.errors import ScheduleError
+from alloymsa.errors import ParameterError, ScheduleError
 from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
                           INDETERMINATE, MSAParameters,
                           estimate_singularity_probability, l_bar, l_bar_sharp,
@@ -75,6 +75,14 @@ class TestUniformRegularity:
             op = restrict_hamiltonian(DELTA0, cfg, box)
             plain = regularity_test(op, (0,), 0.4, E)
             assert verdict == (CERTIFIED_REGULAR if plain else CERTIFIED_IRREGULAR)
+
+    def test_domain_checked_when_op_given(self):
+        box = make_box((0,), 2.0)
+        cfg = Configuration(make_box((0,), 5.0), np.zeros(11))
+        op = restrict_hamiltonian(DELTA0, cfg, box)
+        with pytest.raises(ParameterError, match="4l-enlarged"):
+            uniform_regularity_test(DELTA0, UNIFORM, cfg, box, 0.4, -1.0,
+                                    op=op)
 
     def test_indeterminate_when_bracket_collapses(self):
         u = truncated_exponential_potential(1, 1.0, 0.4, 60,

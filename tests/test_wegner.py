@@ -11,7 +11,7 @@ from alloymsa import (Configuration, estimate_partial_expectation,
                       wegner_constant_chain)
 from alloymsa.errors import ParameterError
 from alloymsa.genfun import companion_radius
-from alloymsa.wegner import run_wegner_cell
+from alloymsa.wegner import chain_formula, run_wegner_cell
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)
@@ -45,6 +45,22 @@ class TestConstantChain:
         R = companion_radius(PAIR, lead, 1.0)
         assert chain == pytest.approx(
             2.0 * 3 * _abs_monomial_box_sum(R, 1, (1,)) / abs(lead.c_u))
+
+    @pytest.mark.parametrize("u,l", [(DELTA0, 2.0), (PAIR, 1.0), (PAIR, 2.5)])
+    def test_certified_chain_is_the_formula(self, u, l):
+        lead = find_leading_index(u)
+        assert wegner_constant_chain(u, lead, l) == chain_formula(u, lead, l)
+
+    def test_formula_at_unenumerable_scale(self):
+        # (2 L + 1)^2 ~ 4e14 sites: the formula stays arithmetic
+        u = exact_potential({(0, 0): 1.0, (1, 0): -0.6, (0, 1): -0.3,
+                             (1, 1): 0.05}, 2.0, 1.0)
+        lead = find_leading_index(u)
+        L = 1e7
+        R = companion_radius(u, lead, L)
+        expect = (2.0 / abs(lead.c_u)) * (2 * 10**7 + 1) ** 2 \
+            * (2 * math.floor(R) + 1) ** 2
+        assert chain_formula(u, lead, L) == pytest.approx(expect, rel=1e-12)
 
 
 class TestPartialExpectation:
