@@ -17,6 +17,7 @@ from .msa import (MSAParameters, ScaleSchedule, estimate_singularity_probability
                   nonresonance_test, regularity_test, scale_schedule,
                   uniform_regularity_test, validate_parameters)
 from .resonance import (SpectrumBracket, classify_resonance,
+                        estimate_resonance_probabilities,
                         estimate_resonance_probability, perturbation_radius,
                         spectrum_bracket)
 from .spectral import (SpectrumResult, boundary_reconstruct,

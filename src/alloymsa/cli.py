@@ -4,6 +4,8 @@ Every run embeds the config hash and the computed constants in its
 summary, and identical config+seed produce byte-identical outputs across
 reruns and thread counts.  Exit codes: 0 pass, 2 contract violation,
 3 precondition/parameter error, 4 capacity error.
+`--threads N` forks N Monte-Carlo worker processes, which inherit the
+trial closure (it is never pickled) and split the OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .lattice import (Configuration, DisorderModel, SingleSitePotential,
                       make_box, restrict_hamiltonian, uniform_density)
 from .msa import (MSAParameters, estimate_singularity_probability,
                   scale_schedule, schedule_to_json_dict, validate_parameters)
-from .resonance import estimate_resonance_probability
+from .resonance import estimate_resonance_probabilities
 from .spectral import decay_fit, eigensolve, shell_maxima
 from .wegner import run_wegner_cell
 
@@ -203,11 +205,12 @@ def _run_resonance(u, model, params, seed, trials, threads, out_dir, summary, fi
     y = tuple(params["y"])
     l1 = float(params["l1"])
     l2 = float(params["l2"])
+    eps_list = params.get("eps_list", [1e-3, 1e-2, 1e-1])
+    reports = estimate_resonance_probabilities(
+        u, lead, model, x, y, l1, l2, [float(eps) for eps in eps_list], trials,
+        seed, threads=threads)
     rows = []
-    for eps in params.get("eps_list", [1e-3, 1e-2, 1e-1]):
-        rep = estimate_resonance_probability(
-            u, lead, model, x, y, l1, l2, float(eps), trials, seed,
-            threads=threads)
+    for eps, rep in zip(eps_list, reports):
         rows.append([" ".join(map(str, x)), " ".join(map(str, y)), l1, l2,
                      eps, trials, rep.p_lo, rep.p_hi, rep.theory_bound,
                      rep.delta1, rep.delta2])

@@ -37,10 +37,13 @@ def free_neumann_lambda2(box: Box) -> float:
 
     The operator is the tensor sum of one-dimensional Neumann paths, and
     the path on n sites has lambda_2 = 2 - 2cos(pi/n); the value is the
-    smallest of these over the axes, 0 when an axis has a single site.
+    smallest of these over the axes with at least two sites (a one-site
+    axis adds only the eigenvalue 0).  A one-point box has no lambda_2.
     """
-    return min(2.0 - 2.0 * math.cos(math.pi / n) if n > 1 else 0.0
-               for n in box.shape)
+    gaps = [2.0 - 2.0 * math.cos(math.pi / n) for n in box.shape if n > 1]
+    if not gaps:
+        raise ParameterError("a one-point box has no second Neumann eigenvalue")
+    return min(gaps)
 
 
 def neumann_gap(l: float, d: int) -> tuple[float, float]:

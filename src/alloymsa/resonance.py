@@ -11,6 +11,7 @@ probability the Wegner chain bounds explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,24 +86,34 @@ def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
                            base_spectrum=spectrum, radius=radius)
 
 
+def spectral_distance(b1: SpectrumBracket, b2: SpectrumBracket) -> float:
+    """d0 = min distance of the base spectra of two brackets whose
+    4l-enlarged boxes are disjoint."""
+    if not b1.enlarged.disjoint_from(b2.enlarged):
+        raise GeometryError("4l-enlarged boxes overlap: independence broken")
+    return float(np.min(np.abs(b1.base_spectrum[:, None] - b2.base_spectrum[None, :])))
+
+
+def _classify_distance(d0: float, radius1: float, radius2: float,
+                       eps: float) -> str:
+    if d0 < eps:
+        return CERTIFIED_IN_A
+    if d0 - radius1 - radius2 >= eps:
+        return CERTIFIED_OUT_A
+    return INDETERMINATE
+
+
 def classify_resonance(b1: SpectrumBracket, b2: SpectrumBracket,
                        eps: float) -> str:
     """Certified membership in A(box1, box2, eps) via the spectrum brackets.
 
-    d0 = min distance of the base spectra.  d0 < eps puts the zeroed
-    completion inside A; d0 - delta1 - delta2 >= eps excludes every
-    completion; anything between stays indeterminate.
+    d0 < eps puts the zeroed completion inside A; d0 - delta1 - delta2 >= eps
+    excludes every completion; anything between stays indeterminate.
     """
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    if not b1.enlarged.disjoint_from(b2.enlarged):
-        raise GeometryError("4l-enlarged boxes overlap: independence broken")
-    d0 = float(np.min(np.abs(b1.base_spectrum[:, None] - b2.base_spectrum[None, :])))
-    if d0 < eps:
-        return CERTIFIED_IN_A
-    if d0 - b1.radius - b2.radius >= eps:
-        return CERTIFIED_OUT_A
-    return INDETERMINATE
+    return _classify_distance(spectral_distance(b1, b2), b1.radius, b2.radius,
+                              eps)
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,69 @@ def resonance_theory_bound(
     return bound, delta1, delta2
 
 
+def estimate_resonance_probabilities(
+    u: SingleSitePotential,
+    lead: LeadingIndexData,
+    model: DisorderModel,
+    x: tuple,
+    y: tuple,
+    l1: float,
+    l2: float,
+    eps_list: Sequence[float],
+    trials: int,
+    seed: int,
+    threads: int | None = 1,
+) -> list[ResonanceReport]:
+    """Monte-Carlo (p_lo, p_hi) for the events A(Lambda_{l1}(x), Lambda_{l2}(y), eps),
+    one report per eps of `eps_list`, against the explicit theory bound.
+
+    One pass samples the realizations and keeps each trial's d0, from which
+    every eps is classified.  p_lo counts certified_in_A; p_hi adds
+    indeterminate outcomes, so every comparison against the bound stays
+    conservative.
+    """
+    if any(eps < 0 for eps in eps_list):
+        raise ParameterError("eps must be nonnegative")
+    box1 = make_box(tuple(x), l1)
+    box2 = make_box(tuple(y), l2)
+    big1 = make_box(tuple(x), 4.0 * l1)
+    big2 = make_box(tuple(y), 4.0 * l2)
+    if not big1.disjoint_from(big2):
+        raise GeometryError("4l-enlarged boxes overlap")
+    if 4.0 * l2 < companion_radius(u, lead, l2):
+        raise ParameterError(
+            f"l2={l2} too small: 4 l2 < R_l2 = {companion_radius(u, lead, l2):.6g}"
+        )
+    bounds = [resonance_theory_bound(u, lead, model, l1, l2, eps)
+              for eps in eps_list]
+    if not bounds:
+        return []
+    _, delta1, delta2 = bounds[0]
+
+    def worker(_i: int, rng: np.random.Generator) -> float:
+        cfg1 = Configuration(big1, model.sample(rng, big1.count), 0.0)
+        cfg2 = Configuration(big2, model.sample(rng, big2.count), 0.0)
+        b1 = spectrum_bracket(u, model, cfg1, box1, radius=delta1)
+        b2 = spectrum_bracket(u, model, cfg2, box2, radius=delta2)
+        return spectral_distance(b1, b2)
+
+    distances = mc.run_trials(trials, worker, seed, threads)
+    reports = []
+    for eps, (bound, _, _) in zip(eps_list, bounds):
+        outcomes = [_classify_distance(d0, delta1, delta2, eps)
+                    for d0 in distances]
+        in_a = [1.0 if o == CERTIFIED_IN_A else 0.0 for o in outcomes]
+        hi = [1.0 if o != CERTIFIED_OUT_A else 0.0 for o in outcomes]
+        p_lo, _ = mc.mean_and_stderr(in_a)
+        p_hi, stderr = mc.mean_and_stderr(hi)
+        reports.append(ResonanceReport(
+            x=tuple(x), y=tuple(y), l1=l1, l2=l2, eps=eps, trials=trials,
+            p_lo=p_lo, p_hi=p_hi, theory_bound=bound,
+            delta1=delta1, delta2=delta2, std_error=stderr,
+        ))
+    return reports
+
+
 def estimate_resonance_probability(
     u: SingleSitePotential,
     lead: LeadingIndexData,
@@ -153,39 +227,6 @@ def estimate_resonance_probability(
     seed: int,
     threads: int | None = 1,
 ) -> ResonanceReport:
-    """Monte-Carlo (p_lo, p_hi) for the event A(Lambda_{l1}(x), Lambda_{l2}(y), eps)
-    against the explicit theory bound.
-
-    p_lo counts certified_in_A; p_hi adds indeterminate outcomes, so every
-    comparison against the bound stays conservative.
-    """
-    d = u.dimension
-    box1 = make_box(tuple(x), l1)
-    box2 = make_box(tuple(y), l2)
-    big1 = make_box(tuple(x), 4.0 * l1)
-    big2 = make_box(tuple(y), 4.0 * l2)
-    if not big1.disjoint_from(big2):
-        raise GeometryError("4l-enlarged boxes overlap")
-    if 4.0 * l2 < companion_radius(u, lead, l2):
-        raise ParameterError(
-            f"l2={l2} too small: 4 l2 < R_l2 = {companion_radius(u, lead, l2):.6g}"
-        )
-    bound, delta1, delta2 = resonance_theory_bound(u, lead, model, l1, l2, eps)
-
-    def worker(_i: int, rng: np.random.Generator) -> str:
-        cfg1 = Configuration(big1, model.sample(rng, big1.count), 0.0)
-        cfg2 = Configuration(big2, model.sample(rng, big2.count), 0.0)
-        b1 = spectrum_bracket(u, model, cfg1, box1, radius=delta1)
-        b2 = spectrum_bracket(u, model, cfg2, box2, radius=delta2)
-        return classify_resonance(b1, b2, eps)
-
-    outcomes = mc.run_trials(trials, worker, seed, threads)
-    in_a = [1.0 if o == CERTIFIED_IN_A else 0.0 for o in outcomes]
-    hi = [1.0 if o != CERTIFIED_OUT_A else 0.0 for o in outcomes]
-    p_lo, _ = mc.mean_and_stderr(in_a)
-    p_hi, stderr = mc.mean_and_stderr(hi)
-    return ResonanceReport(
-        x=tuple(x), y=tuple(y), l1=l1, l2=l2, eps=eps, trials=trials,
-        p_lo=p_lo, p_hi=p_hi, theory_bound=bound,
-        delta1=delta1, delta2=delta2, std_error=stderr,
-    )
+    """`estimate_resonance_probabilities` at the single value `eps`."""
+    return estimate_resonance_probabilities(
+        u, lead, model, x, y, l1, l2, [eps], trials, seed, threads)[0]

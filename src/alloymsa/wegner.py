@@ -38,16 +38,32 @@ class WegnerBoundReport:
     std_error: float
 
 
+def _power_sum(n: int, i: int) -> int:
+    """sum_{k=1}^n k^i in exact integers, in O(i^2) operations.
+
+    Summing (k+1)^{i+1} - k^{i+1} over k = 1..n telescopes to Pascal's
+    identity (n+1)^{i+1} - 1 = sum_{j<=i} C(i+1, j) S_j(n), solved for S_i.
+    """
+    sums = [n]
+    for p in range(1, i + 1):
+        rest = sum(math.comb(p + 1, j) * sums[j] for j in range(p))
+        sums.append(((n + 1) ** (p + 1) - 1 - rest) // (p + 1))
+    return sums[i]
+
+
 def _abs_monomial_box_sum(radius: float, d: int, index) -> float:
     """sum_{k in Lambda_radius} prod_r |k_r|^{i_r}, exact by factorization."""
-    R = int(np.floor(radius))
+    R = math.floor(radius)
     total = 1.0
     for r in range(d):
         i = index[r]
         if i == 0:
             axis = float(2 * R + 1)
         else:
-            axis = 2.0 * float(np.sum(np.arange(1, R + 1, dtype=float) ** i))
+            try:
+                axis = 2.0 * float(_power_sum(R, i))
+            except OverflowError:
+                axis = math.inf
         total *= axis
     return total
 

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alloymsa
 from alloymsa import (Configuration, eigensolve, make_box, mc,
                       restrict_hamiltonian)
 from alloymsa.cli import load_model, main, run_experiment
@@ -141,6 +146,44 @@ class TestErrorPaths:
         })
         assert main(["decay", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_capacity_error_in_worker_process_exit_4(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # Lambda_6 has 13 sites, over the cap: each worker process raises
+        monkeypatch.setenv("ALLOYMSA_CAPACITY", "10")
+        cfg = write_config(tmp_path, "w.json", {
+            "model": DELTA0_MODEL, "params": {"ls": [6]}, "seed": 1,
+            "trials": 4,
+        })
+        assert main(["wegner", "--config", str(cfg), "--threads", "2",
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_killed_worker_process_exit_4(self, tmp_path):
+        # every worker process kills itself at its first trial
+        script = (
+            "import os, signal, sys\n"
+            "from alloymsa import cli, wegner\n"
+            "parent = os.getpid()\n"
+            "def dying(op, interval):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "wegner.count_eigenvalues_in = dying\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        cfg = write_config(tmp_path, "w.json", {
+            "model": DELTA0_MODEL, "params": {"ls": [2]}, "seed": 1,
+            "trials": 8,
+        })
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(alloymsa.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "wegner", "--config", str(cfg),
+             "--threads", "2", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestDecayKind:

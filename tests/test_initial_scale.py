@@ -59,13 +59,24 @@ class TestNeumannGap:
         assert free_neumann_lambda2(make_box((0, 0), 2.0)) == pytest.approx(
             free_neumann_lambda2(make_box((0,), 2.0)))
 
+    # (1, 2) and (1, 1, 2) have one-site axes; no cube has shape (1, 1, 3),
+    # since a side 2l holding 3 integers holds at least 2 on every axis
     @pytest.mark.parametrize("box", [
         *(Box(((n - 1) / 2.0,), (n - 1) / 2.0 + 0.25) for n in range(2, 61)),
         Box((0.5, 0), 1.0),
+        Box((0, 0.5), 0.5),
+        Box((0, 0, 0.5), 0.5),
     ], ids=lambda b: "x".join(map(str, b.shape)))
     def test_closed_form_matches_dense_eigensolve(self, box):
         dense = eigensolve(free_operator(box, NEUMANN)).eigenvalues[1]
         assert free_neumann_lambda2(box) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("center", [(0,), (0, 0), (0, 0, 0)])
+    def test_one_point_box_has_no_lambda2(self, center):
+        box = Box(center, 0.5)
+        assert box.count == 1
+        with pytest.raises(ParameterError):
+            free_neumann_lambda2(box)
 
 
 class TestTempleLowerBound:

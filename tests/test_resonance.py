@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from alloymsa import (Configuration, classify_resonance, eigensolve,
+                      estimate_resonance_probabilities,
                       estimate_resonance_probability, exact_potential,
                       find_leading_index, make_box, perturbation_radius,
                       restrict_hamiltonian, spectrum_bracket,
                       truncated_exponential_potential, uniform_density)
 from alloymsa.errors import GeometryError, ParameterError
 from alloymsa.lattice import DisorderModel, PolynomialPiece
+from alloymsa import resonance
 from alloymsa.resonance import (CERTIFIED_IN_A, CERTIFIED_OUT_A, INDETERMINATE,
                                 SpectrumBracket)
 
@@ -166,3 +168,35 @@ class TestEstimateProbability:
         with pytest.raises(GeometryError):
             estimate_resonance_probability(
                 DELTA0, lead, UNIFORM, (0,), (10,), 3.0, 3.0, 0.1, 10, seed=6)
+
+
+class TestOnePassOverEps:
+    EPS = (0.0, 1e-3, 1e-2, 1e-1, 50.0)
+
+    def test_matches_one_estimate_per_eps(self):
+        lead = find_leading_index(DELTA0)
+        args = (DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0)
+        together = estimate_resonance_probabilities(*args, self.EPS, 60, 3)
+        assert together == [estimate_resonance_probability(*args, eps, 60, 3)
+                            for eps in self.EPS]
+
+    def test_two_solves_per_trial_for_all_eps(self, monkeypatch):
+        calls = []
+
+        def counting(op, *a, **kw):
+            calls.append(op)
+            return eigensolve(op, *a, **kw)
+
+        monkeypatch.setattr(resonance, "eigensolve", counting)
+        lead = find_leading_index(DELTA0)
+        estimate_resonance_probabilities(DELTA0, lead, UNIFORM, (0,), (100,),
+                                         3.0, 3.0, self.EPS, 10, 3)
+        assert len(calls) == 2 * 10
+
+    def test_negative_eps_rejected_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(resonance, "eigensolve", None)
+        lead = find_leading_index(DELTA0)
+        with pytest.raises(ParameterError):
+            estimate_resonance_probabilities(
+                DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [0.1, -1e-3],
+                10, 3)

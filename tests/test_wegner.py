@@ -1,6 +1,7 @@
 """wegner: constant chain, partial-expectation MC, bound validity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from alloymsa import (Configuration, estimate_partial_expectation,
                       wegner_constant_chain)
 from alloymsa.errors import ParameterError
 from alloymsa.genfun import companion_radius
-from alloymsa.wegner import chain_formula, run_wegner_cell
+from alloymsa.wegner import (_abs_monomial_box_sum, _power_sum, chain_formula,
+                             run_wegner_cell)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)
@@ -62,6 +64,37 @@ class TestConstantChain:
             * (2 * math.floor(R) + 1) ** 2
         assert chain_formula(u, lead, L) == pytest.approx(expect, rel=1e-12)
 
+
+
+class TestAbsMonomialBoxSum:
+    @pytest.mark.parametrize("i", range(5))
+    def test_matches_array_sum(self, i):
+        for R in range(2001):
+            got = _abs_monomial_box_sum(R + 0.5, 1, (i,))
+            if i == 0:
+                assert got == 2 * R + 1
+            else:
+                ref = 2.0 * np.sum(np.arange(1, R + 1, dtype=float) ** i)
+                assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+            if R <= 50:
+                assert _power_sum(R, i) == sum(k**i for k in range(1, R + 1))
+
+    def test_huge_radius_in_constant_memory(self):
+        n = 10**12
+        tracemalloc.start()
+        try:
+            got = _abs_monomial_box_sum(1e12, 2, (1, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        s1 = n * (n + 1) // 2
+        s4 = n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 30
+        assert got == pytest.approx(4.0 * s1 * s4, rel=1e-15)
+
+    def test_overflow_is_infinite(self):
+        # 2 sum k^30 over 1..1e12 is ~1e348, past the float range
+        assert _abs_monomial_box_sum(1e12, 1, (30,)) == math.inf
 
 class TestPartialExpectation:
     def test_interval_below_spectrum(self):
