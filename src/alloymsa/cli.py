@@ -4,8 +4,7 @@ Every run embeds the config hash and the computed constants in its
 summary, and identical config+seed produce byte-identical outputs across
 reruns and thread counts.  Exit codes: 0 pass, 2 contract violation,
 3 precondition/parameter error, 4 capacity error.
-`--threads N` forks N Monte-Carlo worker processes, which inherit the
-trial closure (it is never pickled) and split the OpenBLAS threads.
+`--threads N` forks N worker processes that inherit the closure (never pickled).
 """
 
 from __future__ import annotations
