@@ -18,7 +18,7 @@ class ParameterError(AlloyMSAError):
 
 
 class CapacityError(AlloyMSAError):
-    """Dense-matrix size exceeds the configured cap."""
+    """Box size exceeds the configured point cap."""
 
     exit_code = 4
 

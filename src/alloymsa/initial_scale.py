@@ -115,7 +115,7 @@ def temple_lower_bound(
     op = restrict_hamiltonian(u, truncated, box, NEUMANN)
     n = box.count
     psi = np.full(n, 1.0 / math.sqrt(n))
-    h_psi = op.matrix @ psi
+    h_psi = op @ psi
     mean_h = float(psi @ h_psi)
     mean_h2 = float(h_psi @ h_psi)
     xi = free_neumann_lambda2(box) - l ** (-2.0) / (8.0 * beta)

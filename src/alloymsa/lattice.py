@@ -8,6 +8,8 @@ u is a (possibly sign-changing) single-site potential with certificate
 |u(k)| <= C exp(-alpha ||k||_1).  Finite boxes are [-l, l]^d + center
 intersected with Z^d; restrictions are either Dirichlet truncations
 (free diagonal 2d) or Neumann (free diagonal = interior neighbor count).
+A box operator is stored as its stencil: the diagonal, with -1 implied
+on every bond inside the box.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -35,7 +37,8 @@ NEUMANN = "neumann"
 
 
 def capacity_cap() -> int:
-    """Dense-matrix point cap; ALLOYMSA_CAPACITY overrides the default."""
+    """Largest box, in points, that an operator may be built on (the dense
+    eigensolve needs n x n doubles); ALLOYMSA_CAPACITY overrides the default."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
     if env:
         return int(env)
@@ -334,6 +337,10 @@ class DisorderModel:
     def support(self) -> tuple[float, float]:
         return (self.pieces[0].lo, self.pieces[-1].hi)
 
+    def in_support(self, x: float) -> bool:
+        """Whether x lies in one of the density's closed pieces."""
+        return any(p.lo <= x <= p.hi for p in self.pieces)
+
     @property
     def omega_plus(self) -> float:
         """Largest coupling value in the support."""
@@ -495,12 +502,28 @@ def assemble_potential(u: SingleSitePotential, config: Configuration,
 
 @dataclass
 class BoxOperator:
-    """Finite-box Hamiltonian as a dense symmetric matrix."""
+    """Finite-box Hamiltonian h0 + v stored as its stencil.
+
+    `diagonal` holds, per site in lexicographic order, the free diagonal
+    (2d for a Dirichlet truncation, the in-box neighbour count for
+    Neumann) plus v.  The off-diagonal entries are implied: -1 on every
+    nearest-neighbour bond inside the box, so H is banded with bandwidth
+    `box.strides[0]`.  `op @ X` applies H with one pass per axis,
+    `upper_band()` gives LAPACK band storage, and `matrix` builds the
+    dense n x n reference on demand.
+    """
 
     box: Box
-    matrix: np.ndarray
+    diagonal: np.ndarray
     boundary_kind: str
     _spectrum_cache: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.diagonal = np.asarray(self.diagonal, dtype=float)
+        if self.diagonal.shape != (self.box.count,):
+            raise ParameterError(
+                f"operator diagonal needs {self.box.count} entries, "
+                f"got shape {self.diagonal.shape}")
 
     @property
     def dimension(self) -> int:
@@ -510,6 +533,41 @@ class BoxOperator:
         if not self.box.contains(point):
             raise ParameterError(f"point {point} not in operator box")
         return self.box.flat_index(point)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense symmetric matrix of the operator, a fresh n x n array."""
+        M = free_box_matrix(self.box, self.boundary_kind)
+        np.fill_diagonal(M, self.diagonal)
+        return M
+
+    def __matmul__(self, x) -> np.ndarray:
+        """H x for a vector of length n or an (n, k) block of columns, with
+        one pass per axis over the box-shaped view of x."""
+        rows = np.asarray(x, dtype=float).T  # sites on the last axis
+        lead = (slice(None),) * (rows.ndim - 1)
+        xs = rows.reshape(rows.shape[:-1] + self.box.shape)
+        ys = self.diagonal.reshape(self.box.shape) * xs
+        for r in range(self.dimension):
+            lower = lead + (slice(None),) * r + (slice(None, -1),)
+            upper = lead + (slice(None),) * r + (slice(1, None),)
+            ys[lower] -= xs[upper]
+            ys[upper] -= xs[lower]
+        return ys.reshape(rows.shape).T
+
+    def upper_band(self) -> np.ndarray:
+        """Upper band storage of H, shape (w + 1, n) with w = box.strides[0]:
+        row w holds the diagonal and row w - s the s-th superdiagonal, so
+        entry H[i, j] (i <= j) sits at [w + i - j, j]."""
+        box = self.box
+        w = box.strides[0]
+        band = np.zeros((w + 1, box.count))
+        band[w] = self.diagonal
+        for r, s in enumerate(box.strides):
+            # H[j - s, j] = -1 where site j has an axis-r neighbour below it
+            row = band[w - s].reshape(box.shape)
+            row[(slice(None),) * r + (slice(1, None),)] = -1.0
+        return band
 
 
 def neighbor_counts(box: Box) -> np.ndarray:
@@ -521,24 +579,31 @@ def neighbor_counts(box: Box) -> np.ndarray:
     return counts
 
 
-def free_box_matrix(box: Box, boundary_kind: str) -> np.ndarray:
+def free_diagonal(box: Box, boundary_kind: str) -> np.ndarray:
+    """Diagonal of the free box operator: 2d (Dirichlet truncation) or the
+    in-box neighbour count (Neumann).  Enforces the point cap."""
     n = box.count
     cap = capacity_cap()
     if n > cap:
         raise CapacityError(f"box has {n} points, dense cap is {cap}")
-    d = box.dimension
-    M = np.zeros((n, n))
     if boundary_kind == DIRICHLET:
-        np.fill_diagonal(M, 2.0 * d)
-    elif boundary_kind == NEUMANN:
-        M[np.arange(n), np.arange(n)] = neighbor_counts(box)
-    else:
-        raise ParameterError(f"unknown boundary kind {boundary_kind!r}")
+        return np.full(n, 2.0 * box.dimension)
+    if boundary_kind == NEUMANN:
+        return neighbor_counts(box)
+    raise ParameterError(f"unknown boundary kind {boundary_kind!r}")
+
+
+def free_box_matrix(box: Box, boundary_kind: str) -> np.ndarray:
+    """Dense n x n matrix of the free box operator."""
+    diagonal = free_diagonal(box, boundary_kind)
+    n = box.count
+    M = np.zeros((n, n))
+    M[np.arange(n), np.arange(n)] = diagonal
     pts = box.points
     lo = np.asarray(box.lo)
     strides = np.asarray(box.strides)
     flat = (pts - lo) @ strides
-    for r in range(d):
+    for r in range(box.dimension):
         has_up = pts[:, r] < box.hi[r]
         rows = flat[has_up]
         cols = rows + box.strides[r]
@@ -554,12 +619,11 @@ def restrict_hamiltonian(
     boundary_kind: str = DIRICHLET,
 ) -> BoxOperator:
     """Dirichlet-truncated or Neumann restriction of h0 + v to `box`."""
-    M = free_box_matrix(box, boundary_kind)
-    v = assemble_potential(u, config, box)
-    M[np.arange(box.count), np.arange(box.count)] += v
-    return BoxOperator(box=box, matrix=M, boundary_kind=boundary_kind)
+    diagonal = free_diagonal(box, boundary_kind)
+    diagonal += assemble_potential(u, config, box)
+    return BoxOperator(box=box, diagonal=diagonal, boundary_kind=boundary_kind)
 
 
 def free_operator(box: Box, boundary_kind: str = DIRICHLET) -> BoxOperator:
-    return BoxOperator(box=box, matrix=free_box_matrix(box, boundary_kind),
+    return BoxOperator(box=box, diagonal=free_diagonal(box, boundary_kind),
                        boundary_kind=boundary_kind)

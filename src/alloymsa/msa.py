@@ -70,10 +70,13 @@ def uniform_regularity_test(
     """Certify (m,E)-regularity simultaneously for every exterior completion
     of the couplings outside Lambda_{4l}(center).
 
-    The zeroed-exterior operator is computable exactly; if it is already
-    irregular the cube is certainly not uniformly regular.  Otherwise a
-    first-order resolvent bracket (radius delta from the perturbation
-    radius) either certifies all completions or stays indeterminate.
+    The zeroed-exterior operator is computable exactly.  If it is
+    irregular, the cube is certainly not uniformly regular when the zeroed
+    exterior is an admissible completion (0 in supp rho) or when no
+    exterior coupling reaches the box (delta = 0); otherwise the verdict
+    is indeterminate.  If it is regular, a first-order resolvent bracket
+    (radius delta from the perturbation radius) either certifies all
+    completions or stays indeterminate.
 
     `op`, when given, must be that zeroed-exterior operator on `box`; a
     caller testing many energies passes it so that one eigendecomposition
@@ -86,12 +89,16 @@ def uniform_regularity_test(
         op = restrict_hamiltonian(u, zeroed, box)
     g = _boundary_green(op, center, E)
     threshold = math.exp(-m * l)
-    if g is None or np.any(g > threshold):
+    irregular = g is None or np.any(g > threshold)
+    if irregular and model.in_support(0.0):
         return CERTIFIED_IRREGULAR
     if delta is None:
         delta = perturbation_radius(u, model, l, box=box)
     if delta == 0.0:
-        return CERTIFIED_REGULAR
+        # every completion restricts to op on the box
+        return CERTIFIED_IRREGULAR if irregular else CERTIFIED_REGULAR
+    if irregular:
+        return INDETERMINATE
     evals = eigensolve(op).eigenvalues
     d_base = float(np.min(np.abs(evals - E)))
     if delta >= d_base:

@@ -141,6 +141,45 @@ class TestUniformRegularity:
         assert found > 0
 
 
+    def test_irregular_witness_needs_zero_in_support(self):
+        # under uniform[1, 2] the zeroed exterior is no admissible completion:
+        # with exterior influence (delta > 0) its irregularity certifies nothing
+        shifted = uniform_density(1.0, 2.0)
+        l = 3.0
+        box = make_box((0,), l)
+        assert perturbation_radius(EXP_TAIL, shifted, l, box=box) > 0.0
+        rng = np.random.default_rng(36)
+        found = 0
+        for _ in range(40):
+            cfg = _enlarged_config(rng, l, shifted)
+            E = rng.uniform(0.5, 3.0)
+            base = uniform_regularity_test(EXP_TAIL, UNIFORM, cfg, box, 0.4, E)
+            verdict = uniform_regularity_test(EXP_TAIL, shifted, cfg, box, 0.4, E)
+            if base == CERTIFIED_IRREGULAR:
+                found += 1
+                assert verdict == INDETERMINATE
+            else:
+                assert verdict != CERTIFIED_IRREGULAR
+        assert found > 0
+
+    def test_irregular_without_exterior_influence(self):
+        # u = delta_0 (delta = 0): every completion gives the same box operator
+        shifted = uniform_density(1.0, 2.0)
+        l = 3.0
+        box = make_box((0,), l)
+        rng = np.random.default_rng(37)
+        found = 0
+        for _ in range(40):
+            cfg = _enlarged_config(rng, l, shifted)
+            E = rng.uniform(0.5, 3.0)
+            verdict = uniform_regularity_test(DELTA0, shifted, cfg, box, 0.4, E)
+            plain = regularity_test(restrict_hamiltonian(DELTA0, cfg, box),
+                                    (0,), 0.4, E)
+            found += not plain
+            assert verdict == (CERTIFIED_REGULAR if plain else CERTIFIED_IRREGULAR)
+        assert found > 0
+
+
 class TestSingularityProbability:
     def test_empty_grid(self):
         rep = estimate_singularity_probability(

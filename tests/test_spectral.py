@@ -162,8 +162,7 @@ class TestGreensFunction:
         op = random_operator(rng, l=5.0, w=2.0)
         s = 0.3
         bump = rng.uniform(-s, s, op.box.count)
-        shifted = BoxOperator(op.box, op.matrix + np.diag(bump),
-                              op.boundary_kind)
+        shifted = BoxOperator(op.box, op.diagonal + bump, op.boundary_kind)
         a = eigensolve(op).eigenvalues
         b = eigensolve(shifted).eigenvalues
         assert np.max(np.abs(a - b)) <= s + 1e-12

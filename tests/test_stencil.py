@@ -1,0 +1,170 @@
+"""Stencil-stored box operators against their dense reference matrix."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from alloymsa import (DIRICHLET, NEUMANN, Configuration, count_eigenvalues_in,
+                      eigensolve, exact_potential, free_operator, make_box,
+                      restrict_hamiltonian)
+from alloymsa.errors import ParameterError, SolverError
+from alloymsa.lattice import Box, BoxOperator
+from alloymsa.spectral import RESIDUAL_BLOCK, sub_operator
+
+# twice the largest half side per dimension: boxes have at most 512 sites
+MAX_HALF = {1: 200, 2: 20, 3: 6}
+
+
+@st.composite
+def operators(draw):
+    """Random operator on a d = 1..3 box.  Half-integer centre coordinates
+    give axes of even length, so the shapes are not all cubes; half side
+    1/2 at an integer centre gives a one-point axis."""
+    d = draw(st.integers(1, 3))
+    center = tuple(draw(st.sampled_from([0, 0.5])) for _ in range(d))
+    half = draw(st.integers(1, MAX_HALF[d])) / 2.0
+    kind = draw(st.sampled_from([DIRICHLET, NEUMANN]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    box = Box(center, half)
+    domain = Box(center, half + 1.0)
+    rng = np.random.default_rng(seed)
+    cfg = Configuration(domain, rng.uniform(-2.0, 3.0, domain.count))
+    u = exact_potential({(0,) * d: 1.0}, 1.0, 1.0)
+    return restrict_hamiltonian(u, cfg, box, kind), rng
+
+
+def _adjacency(box):
+    pts = box.points
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return (dist == 1).astype(float)
+
+
+class TestStencilAgainstDense:
+    @settings(max_examples=80, deadline=None)
+    @given(operators())
+    def test_matrix_is_diagonal_minus_adjacency(self, op_rng):
+        op, _ = op_rng
+        expect = np.diag(op.diagonal) - _adjacency(op.box)
+        assert np.array_equal(op.matrix, expect)
+
+    @settings(max_examples=80, deadline=None)
+    @given(operators(), st.integers(1, 5))
+    def test_product(self, op_rng, k):
+        op, rng = op_rng
+        n = op.box.count
+        X = rng.standard_normal((n, k))
+        assert np.allclose(op @ X, op.matrix @ X, rtol=1e-13, atol=1e-13)
+        x = X[:, 0]
+        assert (op @ x).shape == (n,)
+        assert np.allclose(op @ x, op.matrix @ x, rtol=1e-13, atol=1e-13)
+
+    @settings(max_examples=80, deadline=None)
+    @given(operators())
+    def test_band_storage(self, op_rng):
+        op, _ = op_rng
+        band = op.upper_band()
+        w = op.box.strides[0]
+        M = op.matrix
+        assert band.shape == (w + 1, op.box.count)
+        for s in range(w + 1):
+            assert np.array_equal(band[w - s, s:], np.diagonal(M, s))
+            assert not band[w - s, :s].any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(operators(), st.integers(0, 10**6), st.integers(0, 10))
+    def test_sub_operator(self, op_rng, where, size):
+        op, _ = op_rng
+        box = op.box
+        p = box.points[where % box.count]
+        room = min(min(p - np.asarray(box.lo)), min(np.asarray(box.hi) - p))
+        sub = make_box(tuple(p), 0.5 + min(size, room))
+        idx = box.flat_indices(sub.points)
+        restricted = sub_operator(op, sub)
+        assert restricted.boundary_kind == op.boundary_kind
+        assert np.array_equal(restricted.matrix, op.matrix[np.ix_(idx, idx)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(operators(), st.floats(-3.0, 10.0), st.floats(0.0, 8.0))
+    def test_banded_count(self, op_rng, e1, width):
+        op, _ = op_rng
+        e2 = e1 + width
+        evals = scipy.linalg.eigh(op.matrix, eigvals_only=True)
+        # bisection and QR round differently: keep the ends off the spectrum
+        assume(np.min(np.abs(evals - e1)) > 1e-9)
+        assume(np.min(np.abs(evals - e2)) > 1e-9)
+        dense = np.searchsorted(evals, e2, side="right") - \
+            np.searchsorted(evals, e1, side="left")
+        assert count_eigenvalues_in(op, (e1, e2)) == dense
+
+    @settings(max_examples=40, deadline=None)
+    @given(operators())
+    def test_in_place_eigenpairs_bitwise(self, op_rng):
+        op, _ = op_rng
+        evals, evecs = scipy.linalg.eigh(op.matrix)
+        values_only = scipy.linalg.eigh(op.matrix, eigvals_only=True)
+        res = eigensolve(op, want_vectors=True)
+        assert np.array_equal(res.eigenvalues, evals)
+        assert np.array_equal(res.eigenvectors, evecs)
+        op._spectrum_cache = None
+        assert np.array_equal(eigensolve(op).eigenvalues, values_only)
+
+
+def test_diagonal_length_checked():
+    box = make_box((0, 0), 1.0)
+    with pytest.raises(ParameterError, match="9 entries"):
+        BoxOperator(box, np.zeros(8), DIRICHLET)
+
+
+class TestClosedInterval:
+    def test_single_site_endpoints(self):
+        op = free_operator(make_box((0,), 0.5))  # spectrum {2}
+        assert count_eigenvalues_in(op, (2.0, 2.0)) == 1
+        assert count_eigenvalues_in(op, (1.0, 2.0)) == 1
+        assert count_eigenvalues_in(op, (2.0, 3.0)) == 1
+        assert count_eigenvalues_in(op, (np.nextafter(2.0, 3.0), 3.0)) == 0
+        assert count_eigenvalues_in(op, (1.0, np.nextafter(2.0, 1.0))) == 0
+
+    def test_empty_interval(self):
+        op = free_operator(make_box((0, 0), 3.0))
+        assert count_eigenvalues_in(op, (-5.0, -1.0)) == 0
+
+
+class TestResidualContract:
+    def test_corrupt_last_eigenvector_raises(self, monkeypatch):
+        op = free_operator(make_box((0,), 100.0))
+        assert op.box.count > RESIDUAL_BLOCK  # the last column is in a later block
+        real_eigh = scipy.linalg.eigh
+
+        def corrupt(*args, **kwargs):
+            evals, evecs = real_eigh(*args, **kwargs)
+            evecs[:, -1] = np.roll(evecs[:, -1], 1)
+            return evals, evecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", corrupt)
+        with pytest.raises(SolverError):
+            eigensolve(op, want_vectors=True)
+
+    def test_clean_eigenpairs_pass(self):
+        op = free_operator(make_box((0, 0), 8.0), NEUMANN)
+        assert eigensolve(op, want_vectors=True).residual <= 1e-10
+
+
+class TestBuildMemory:
+    def test_restrict_hamiltonian_allocates_no_dense_matrix(self):
+        # n = 1681: a dense matrix alone would take 22.6 MB
+        u = exact_potential({(0, 0): 1.0, (1, 0): -0.5}, 2.0, 1.0)
+        domain = make_box((0, 0), 22.0)
+        cfg = Configuration(domain, np.random.default_rng(0).uniform(
+            0, 1, domain.count))
+        tracemalloc.start()
+        try:
+            op = restrict_hamiltonian(u, cfg, make_box((0, 0), 20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.box.count == 1681
+        assert peak < 1_000_000
