@@ -162,7 +162,7 @@ def _run_genfun(u, model, params, seed, trials, threads, out_dir, summary, files
 
 def _run_wegner(u, model, params, seed, trials, threads, out_dir, summary, files):
     lead = find_leading_index(u)
-    interval = tuple(params.get("interval", [1.9, 2.1]))
+    interval = params.get("interval", [1.9, 2.1])  # checked by the estimator
     n_ext = int(params.get("exteriors", 0))
     rows = []
     plot = []

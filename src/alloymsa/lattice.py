@@ -37,8 +37,11 @@ NEUMANN = "neumann"
 
 
 def capacity_cap() -> int:
-    """Largest box, in points, that an operator may be built on (the dense
-    eigensolve needs n x n doubles); ALLOYMSA_CAPACITY overrides the default."""
+    """Largest box, in points, that an operator may be built on;
+    ALLOYMSA_CAPACITY overrides the default.  One cap serves every path,
+    though their costs differ: a dense solve (spectra, eigenvectors,
+    Green's functions) needs n x n doubles, an eigenvalue count O(w^2)
+    doubles at d >= 2 and (w + 1) n doubles of band storage at d = 1."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
     if env:
         return int(env)
@@ -508,9 +511,12 @@ class BoxOperator:
     (2d for a Dirichlet truncation, the in-box neighbour count for
     Neumann) plus v.  The off-diagonal entries are implied: -1 on every
     nearest-neighbour bond inside the box, so H is banded with bandwidth
-    `box.strides[0]`.  `op @ X` applies H with one pass per axis,
-    `upper_band()` gives LAPACK band storage, and `matrix` builds the
-    dense n x n reference on demand.
+    w = `box.strides[0]`, and block tridiagonal along axis 0: L slices of
+    w sites, coupled by -I.  `op @ X` applies H with one pass per axis;
+    `slice_block()` gives the in-slice part of the diagonal blocks (the
+    eigenvalue counts at d >= 2 use it, O(w^2) memory), `upper_band()`
+    gives LAPACK band storage (counts at w = 1, (w + 1) n doubles), and
+    `matrix` builds the dense n x n reference on demand (vector solves).
     """
 
     box: Box
@@ -554,6 +560,23 @@ class BoxOperator:
             ys[lower] -= xs[upper]
             ys[upper] -= xs[lower]
         return ys.reshape(rows.shape).T
+
+    def slice_block(self) -> np.ndarray:
+        """The off-diagonal part of the diagonal blocks of H along axis 0,
+        shape (w, w) with w = box.strides[0]: -1 on every bond inside one
+        slice (the axes after the first).  It is the same for every slice:
+        block k of H is diag(diagonal[k w:(k + 1) w]) + slice_block(), and
+        neighbouring slices are coupled by -I."""
+        box = self.box
+        w = box.strides[0]
+        block = np.zeros((w, w))
+        sites = np.arange(w).reshape(box.shape[1:])
+        for r, s in enumerate(box.strides[1:]):
+            # site j and j - s are neighbours where j is not first on axis r + 1
+            j = sites[(slice(None),) * r + (slice(1, None),)].ravel()
+            block[j, j - s] = -1.0
+            block[j - s, j] = -1.0
+        return block
 
     def upper_band(self) -> np.ndarray:
         """Upper band storage of H, shape (w + 1, n) with w = box.strides[0]:

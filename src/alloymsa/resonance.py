@@ -62,12 +62,15 @@ def zeroed_exterior(config: Configuration, box: Box) -> Configuration:
 @dataclass(frozen=True)
 class SpectrumBracket:
     """Base spectrum at the zeroed exterior plus a certified radius: every
-    completion's j-th eigenvalue lies within `radius` of base j-th."""
+    completion's j-th eigenvalue lies within `radius` of base j-th.
+    `base_attained` says whether the zeroed exterior is itself a completion
+    (0 in supp rho), so that some realization has the base spectrum."""
 
     box: Box
     enlarged: Box
     base_spectrum: np.ndarray
     radius: float
+    base_attained: bool = False
 
 
 def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
@@ -83,7 +86,8 @@ def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
     if radius is None:
         radius = perturbation_radius(u, model, box.half_side, box=box)
     return SpectrumBracket(box=box, enlarged=zeroed.domain,
-                           base_spectrum=spectrum, radius=radius)
+                           base_spectrum=spectrum, radius=radius,
+                           base_attained=model.in_support(0.0))
 
 
 def spectral_distance(b1: SpectrumBracket, b2: SpectrumBracket) -> float:
@@ -95,8 +99,10 @@ def spectral_distance(b1: SpectrumBracket, b2: SpectrumBracket) -> float:
 
 
 def _classify_distance(d0: float, radius1: float, radius2: float,
-                       eps: float) -> str:
-    if d0 < eps:
+                       eps: float, attained: bool) -> str:
+    """`attained`: some completion has both base spectra, so d0 < eps
+    certifies A."""
+    if d0 < eps and attained:
         return CERTIFIED_IN_A
     if d0 - radius1 - radius2 >= eps:
         return CERTIFIED_OUT_A
@@ -107,13 +113,16 @@ def classify_resonance(b1: SpectrumBracket, b2: SpectrumBracket,
                        eps: float) -> str:
     """Certified membership in A(box1, box2, eps) via the spectrum brackets.
 
-    d0 < eps puts the zeroed completion inside A; d0 - delta1 - delta2 >= eps
-    excludes every completion; anything between stays indeterminate.
+    d0 < eps puts the zeroed completion inside A when each base spectrum
+    is attained (the zeroed exterior is a completion, or the radius is 0
+    and every completion has it); d0 - delta1 - delta2 >= eps excludes
+    every completion; anything between stays indeterminate.
     """
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
+    attained = all(b.base_attained or b.radius == 0.0 for b in (b1, b2))
     return _classify_distance(spectral_distance(b1, b2), b1.radius, b2.radius,
-                              eps)
+                              eps, attained)
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,8 @@ def estimate_resonance_probabilities(
     if not bounds:
         return []
     _, delta1, delta2 = bounds[0]
+    # the zeroed exterior is a completion, or nothing outside reaches either box
+    attained = model.in_support(0.0) or delta1 == delta2 == 0.0
 
     def worker(_i: int, rng: np.random.Generator) -> float:
         cfg1 = Configuration(big1, model.sample(rng, big1.count), 0.0)
@@ -200,7 +211,7 @@ def estimate_resonance_probabilities(
     distances = mc.run_trials(trials, worker, seed, threads)
     reports = []
     for eps, (bound, _, _) in zip(eps_list, bounds):
-        outcomes = [_classify_distance(d0, delta1, delta2, eps)
+        outcomes = [_classify_distance(d0, delta1, delta2, eps, attained)
                     for d0 in distances]
         in_a = [1.0 if o == CERTIFIED_IN_A else 0.0 for o in outcomes]
         hi = [1.0 if o != CERTIFIED_OUT_A else 0.0 for o in outcomes]

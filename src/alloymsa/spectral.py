@@ -2,14 +2,27 @@
 and the resolvent identities consumed by the multiscale analysis.
 
 Each query uses the cheapest exact form of the stencil-stored
-`BoxOperator`.  Eigenvalue counts run banded LAPACK bisection on the
-upper band storage and never form an n x n array.  Full spectra (and
-eigenvectors) come from the dense LAPACK driver working in place on one
-n x n buffer, and the eigenpair residual is checked with the stencil
-product.  One eigendecomposition per operator answers every energy
-query: the spectrum (and, when asked for, the eigenvectors) is cached on
-the `BoxOperator`, and Green's functions at any off-spectrum energy come
-from the cached eigenpairs, G(E) = V diag(1/(lambda - E)) V^T."""
+`BoxOperator` (n sites, w = `box.strides[0]` per slice along axis 0,
+L = n / w slices); none of the counts forms an n x n array.
+
+- Eigenvalue counts at d >= 2 (w > 1) run the slice recursion: a block
+  LDL^T of H - E along axis 0, whose inertia is that of H - E (its
+  S_k^{-1} are the left-connected Green's functions of the recursive
+  Green's function method).  It costs O(L w^3) flops and O(w^2) memory
+  per energy.  A Schur complement that is singular to working precision,
+  as when an endpoint sits on an eigenvalue, gets +0 eigenvalues, which
+  keeps the interval closed; one that is merely ill-conditioned hands the
+  count to the banded path.
+- Eigenvalue counts at d = 1 (w = 1), and the fallback above, run banded
+  LAPACK bisection on the upper band storage: O(n^2 w) flops for the
+  reduction to tridiagonal form and (w + 1) n doubles.
+- Full spectra (and eigenvectors) come from the dense LAPACK driver
+  working in place on one n x n buffer, O(n^3) flops, and the eigenpair
+  residual is checked with the stencil product.  One eigendecomposition
+  per operator answers every energy query: the spectrum (and, when asked
+  for, the eigenvectors) is cached on the `BoxOperator`, and Green's
+  functions at any off-spectrum energy come from the cached eigenpairs,
+  G(E) = V diag(1/(lambda - E)) V^T."""
 
 from __future__ import annotations
 
@@ -25,6 +38,12 @@ RESONANCE_GUARD = 1e-12
 RESIDUAL_CONTRACT = 1e-10
 # eigenvector columns per stencil product in the residual check
 RESIDUAL_BLOCK = 128
+# largest g * max|S_k^{-1}| the slice recursion accepts, g a bound on
+# ||H - E||; past it the rounding of S_{k+1} could decide the count
+SCHUR_GROWTH_LIMIT = 2.0 ** 20
+
+_sytrf = scipy.linalg.lapack.dsytrf
+_sytri = scipy.linalg.lapack.dsytri
 
 
 @dataclass(frozen=True)
@@ -76,17 +95,124 @@ def _residual(op: BoxOperator, evals: np.ndarray, evecs: np.ndarray) -> float:
     return worst / max(1.0, float(np.max(np.abs(evals))))
 
 
-def count_eigenvalues_in(op: BoxOperator, interval: tuple[float, float]) -> int:
-    """Number of eigenvalues in the closed interval = Tr P_[E1,E2], by banded
-    LAPACK bisection, which selects the half-open (vl, vu]; vl is the
-    double just below E1."""
-    e1, e2 = interval
+def checked_interval(interval) -> tuple[float, float]:
+    """The endpoints (E1, E2) of a closed energy interval, as floats.
+
+    Raises ParameterError unless `interval` holds exactly two finite real
+    numbers with E1 <= E2: a NaN endpoint fails every comparison, so a
+    count would silently find nothing."""
+    try:
+        e1, e2 = interval
+    except (TypeError, ValueError):
+        e1 = e2 = None
+    if not all(isinstance(e, (int, float, np.integer, np.floating))
+               for e in (e1, e2)):
+        raise ParameterError(f"interval must be two numbers, got {interval!r}")
+    e1, e2 = float(e1), float(e2)
+    if not (np.isfinite(e1) and np.isfinite(e2)):
+        raise ParameterError(f"interval endpoints must be finite, got {interval!r}")
     if e1 > e2:
         raise ParameterError("interval endpoints out of order")
+    return e1, e2
+
+
+def count_eigenvalues_in(op: BoxOperator, interval: tuple[float, float]) -> int:
+    """Number of eigenvalues in the closed interval [E1, E2] = Tr P_[E1,E2].
+
+    At d >= 2 (w = box.strides[0] > 1) it is n - #{lambda > E2} -
+    #{lambda < E1}, both strict counts from the slice recursion, at
+    O(L w^3) flops and O(w^2) memory.  At d = 1, or when the recursion
+    meets a Schur complement too close to singular to trust, it is banded
+    LAPACK bisection on the half-open (vl, vu] = (the double just below
+    E1, E2], at O(n^2 w) flops and (w + 1) n doubles."""
+    e1, e2 = checked_interval(interval)
+    if op.box.strides[0] > 1:
+        block = np.triu(op.slice_block())
+        below = _count_negative(op, block, e1, 1.0)
+        above = None if below is None else _count_negative(op, block, e2, -1.0)
+        if above is not None:
+            return int(op.box.count - above - below)
     evals = scipy.linalg.eigvals_banded(
         op.upper_band(), select="v",
         select_range=(np.nextafter(e1, -np.inf), e2))
     return len(evals)
+
+
+def _count_negative(op: BoxOperator, block: np.ndarray, E: float,
+                    sign: float) -> int | None:
+    """#{negative eigenvalues of sign (H - E)}, that is #{lambda < E} for
+    sign 1 and #{lambda > E} for sign -1, by block LDL^T along axis 0; None
+    when a Schur complement is too close to singular to trust.
+
+    With A_k the diagonal blocks and -I the couplings, the Schur
+    complements are S_0 = sign (A_0 - E) and S_k = sign (A_k - E) -
+    S_{k-1}^{-1}, and by Haynsworth's inertia additivity the count is the
+    sum over k of the negative eigenvalues of S_k.  Each S_k is factored
+    by Bunch-Kaufman (LAPACK sytrf on the upper triangle; `block`, the
+    in-slice part, is upper triangular, so the strict lower triangles stay
+    0): a 1x1 pivot carries its sign, a 2x2 pivot has a negative
+    determinant, so one eigenvalue of each sign.  S_k^{-1} comes from the
+    same factors (sytri).  The factorization is trusted when S_k is
+    nonsingular and g max|S_k^{-1}| <= SCHUR_GROWTH_LIMIT, with
+    g = max|diagonal - E| + 2d >= ||H - E||; otherwise `_singular_step`
+    redoes the slice.  The two signs run the same arithmetic negated, so a
+    zero pivot at E1 = E2 counts on neither side: the interval stays
+    closed."""
+    w = op.box.strides[0]
+    shifted = sign * (op.diagonal.reshape(-1, w) - E)
+    g = float(np.max(np.abs(shifted))) + 2.0 * op.dimension
+    signed_block = sign * block
+    sites = np.arange(w)
+    inverse = np.zeros((w, w), order="F")
+    null = np.zeros((w, 0))
+    negative = 0
+    for d_k in shifted:
+        S = np.subtract(signed_block, inverse, order="F")
+        S[sites, sites] += d_k
+        if not null.shape[1]:
+            factor, pivots, info = _sytrf(S)
+            if not info:
+                single = pivots > 0
+                n_negative = (w - np.count_nonzero(single)) // 2 + \
+                    np.count_nonzero(factor.diagonal()[single] < 0)
+                X, info = _sytri(factor, pivots, overwrite_a=1)
+                if not info and g * np.max(np.abs(X)) <= SCHUR_GROWTH_LIMIT:
+                    negative += n_negative
+                    inverse = X
+                    continue
+        step = _singular_step(S, null, g)
+        if step is None:
+            return None
+        n_negative, inverse, null = step
+        negative += n_negative
+    return negative
+
+
+def _singular_step(S: np.ndarray, null: np.ndarray, g: float):
+    """One slice of `_count_negative` by eigendecomposition, for an S_k
+    that is (nearly) singular or minus infinity along the orthonormal
+    columns of `null`.  Returns (negative eigenvalues, S_k^{-1}, null
+    directions of S_k), or None when S_k has an eigenvalue neither zero to
+    working precision nor larger than g / SCHUR_GROWTH_LIMIT in modulus.
+
+    A zero eigenvalue (|mu| <= w u max(g, |mu|)) is taken as +0: the count is
+    that of S_k + eps P for eps -> 0+, P the projector on its eigenvectors,
+    a semidefinite shift that keeps strict counts strict.  In that limit
+    S_k^{-1} is the inverse on the other eigenvectors, and S_{k+1} is minus
+    infinity along the zero ones: one negative eigenvalue each, the rest
+    of S_{k+1} being its compression to their complement."""
+    w = S.shape[0]
+    S = S + np.triu(S, 1).T  # the strict lower triangle of S is 0
+    m = null.shape[1]
+    basis = np.linalg.qr(null, mode="complete")[0][:, m:] if m else np.eye(w)
+    mu, vectors = np.linalg.eigh(basis.T @ S @ basis)
+    vectors = basis @ vectors
+    zero = np.abs(mu) <= w * np.finfo(float).eps * np.max(np.abs(mu), initial=g)
+    if np.any(~zero & (np.abs(mu) * SCHUR_GROWTH_LIMIT < g)):
+        return None
+    kept = vectors[:, ~zero]
+    inverse = np.triu((kept / mu[~zero]) @ kept.T)
+    return m + np.count_nonzero(mu[~zero] < 0), inverse, vectors[:, zero]
 
 
 def greens_column(op: BoxOperator, E: float, source: Point) -> np.ndarray:

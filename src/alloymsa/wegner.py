@@ -21,7 +21,7 @@ from .errors import ParameterError
 from .genfun import LeadingIndexData, companion_radius, positivity_certificate
 from .lattice import (Configuration, DisorderModel, SingleSitePotential,
                       density_bv_norm, make_box, restrict_hamiltonian)
-from .spectral import count_eigenvalues_in
+from .spectral import checked_interval, count_eigenvalues_in
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,11 @@ def estimate_partial_expectation(
     threads: int | None = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo mean of Tr P_I(h^l) resampling only the couplings in
-    Gamma = Lambda_{R_l}; couplings outside Gamma stay frozen to `exterior`."""
+    Gamma = Lambda_{R_l}; couplings outside Gamma stay frozen to `exterior`.
+    `interval` must be two finite numbers E1 <= E2 (ParameterError)."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    interval = checked_interval(interval)
     d = u.dimension
     box_l = make_box((0,) * d, l)
     R = companion_radius(u, lead, l)
@@ -143,9 +145,7 @@ def wegner_bound(
     std_error: float = 0.0,
 ) -> WegnerBoundReport:
     """Assemble the bound 1/2 ||rho||_Var |I| sum_j ||t_{j,l}||_1."""
-    e1, e2 = interval
-    if e1 > e2:
-        raise ParameterError("interval endpoints out of order")
+    e1, e2 = checked_interval(interval)
     chain = wegner_constant_chain(u, lead, l)
     bv = density_bv_norm(model)
     bound = 0.5 * bv * (e2 - e1) * chain

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import alloymsa
-from alloymsa import (Configuration, eigensolve, make_box, mc,
-                      restrict_hamiltonian)
+from alloymsa import (Configuration, companion_radius, eigensolve,
+                      find_leading_index, make_box, mc, restrict_hamiltonian)
 from alloymsa.cli import load_model, main, run_experiment
 
 DELTA0_MODEL = {
@@ -311,6 +312,61 @@ class TestLargeDisorderKind:
         constants = json.loads(files["large_disorder.json"])
         assert constants["rhs_negative_exponent"] <= constants["target"]
         assert constants["rhs_printed"] > constants["target"]
+
+
+DELTA0_3D = {  # alpha = 3 keeps R_l = 8, so Gamma holds 4913 couplings
+    "d": 3,
+    "u": {"d": 3, "values": [[[0, 0, 0], 1.0]], "C": 1.0, "alpha": 3.0,
+          "truncation_radius": 0, "truncation_residual": 0.0},
+    "rho": {"uniform": [0.0, 1.0]},
+}
+
+
+class TestWegnerAgainstBandedCounts:
+    @pytest.mark.parametrize("model,l,interval", [
+        (P2_MODEL, 3, [3.0, 5.0]),     # n = 49, 7 sites per slice
+        (DELTA0_3D, 2, [5.0, 7.0]),    # n = 125, 25 sites per slice
+    ])
+    def test_mean_of_per_trial_banded_counts(self, tmp_path, model, l,
+                                             interval):
+        seed, trials = 5, 12
+        files = run_both_thread_counts(tmp_path, "wegner", {
+            "model": model, "params": {"ls": [l], "interval": interval},
+            "seed": seed, "trials": trials,
+        }, expect_rc=0)
+        header, row = files["wegner.csv"].decode().splitlines()
+        mean = float(dict(zip(header.split(","), row.split(",")))["mean"])
+        # the trials of wegner.estimate_partial_expectation, counted banded
+        u, rho = load_model(model)
+        origin = (0,) * u.dimension
+        R = companion_radius(u, find_leading_index(u), l)
+        domain = make_box(origin, max(R, l + u.truncation_radius) + 0.25)
+        gamma = make_box(origin, R).contains_points(domain.points)
+        counts = []
+        for i in range(trials):
+            values = np.zeros(domain.count)
+            values[gamma] = rho.sample(mc.trial_rng(mc.splitmix64(seed, 0), i),
+                                       int(gamma.sum()))
+            op = restrict_hamiltonian(u, Configuration(domain, values),
+                                      make_box(origin, l))
+            counts.append(len(scipy.linalg.eigvals_banded(
+                op.upper_band(), select="v",
+                select_range=(np.nextafter(interval[0], -np.inf), interval[1]))))
+        assert mean > 0
+        assert mean == mc.mean_and_stderr(counts)[0]
+
+
+class TestWegnerIntervalChecked:
+    @pytest.mark.parametrize("interval", [[1.9, 2.1, 3.0], [math.nan, 2.1]])
+    def test_exit_3_one_line(self, tmp_path, capsys, interval):
+        cfg = write_config(tmp_path, "w.json", {
+            "model": DELTA0_MODEL, "params": {"ls": [2], "interval": interval},
+            "seed": 1, "trials": 4,
+        })
+        assert main(["wegner", "--config", str(cfg), "--threads", "2",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval") and err.count("\n") == 1
 
 
 class TestRunExperimentAPI:

@@ -1,5 +1,7 @@
 """resonance: perturbation radii, spectrum brackets, event classification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,46 @@ class TestOnePassOverEps:
             estimate_resonance_probabilities(
                 DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [0.1, -1e-3],
                 10, 3)
+
+
+class TestZeroOutsideSupport:
+    """Under rho = uniform[1, 2] the zeroed exterior is no completion, so
+    d0 < eps certifies nothing unless no exterior coupling reaches a box."""
+
+    OUTSIDE = uniform_density(1.0, 2.0)
+
+    def test_estimate_withholds_certified_in_a(self):
+        u = leaky_potential()
+        lead = find_leading_index(u)
+        args = ((0,), (100,), 3.0, 3.0, 50.0, 4)
+        inside = estimate_resonance_probability(u, lead, UNIFORM, *args, seed=1)
+        outside = estimate_resonance_probability(u, lead, self.OUTSIDE, *args,
+                                                 seed=1)
+        assert inside.delta1 > 0.0 and outside.delta1 > 0.0
+        assert inside.p_lo == 1.0
+        assert outside.p_lo == 0.0 and outside.p_hi == 1.0
+
+    def test_exact_verdict_when_nothing_reaches_the_boxes(self):
+        lead = find_leading_index(DELTA0)
+        rep = estimate_resonance_probability(
+            DELTA0, lead, self.OUTSIDE, (0,), (100,), 3.0, 3.0, 50.0, 4, seed=1)
+        assert rep.delta1 == rep.delta2 == 0.0
+        assert rep.p_lo == 1.0
+
+    def test_bracket_records_support(self):
+        u = leaky_potential()
+        box = make_box((0,), 2.0)
+        domain = make_box((0,), 8.0)
+        cfg = Configuration(domain, np.full(domain.count, 1.5))
+        assert spectrum_bracket(u, UNIFORM, cfg, box).base_attained
+        assert not spectrum_bracket(u, self.OUTSIDE, cfg, box).base_attained
+
+    def test_classify(self):
+        b1 = _bracket((0,), [1.0], 0.01)
+        b2 = _bracket((100,), [1.0], 0.01)
+        assert classify_resonance(b1, b2, 0.5) == INDETERMINATE
+        attained = [replace(b, base_attained=True) for b in (b1, b2)]
+        assert classify_resonance(*attained, 0.5) == CERTIFIED_IN_A
+        exact = replace(b2, radius=0.0)
+        assert classify_resonance(attained[0], exact, 0.5) == CERTIFIED_IN_A
+        assert classify_resonance(b1, exact, 0.5) == INDETERMINATE

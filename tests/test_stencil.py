@@ -1,6 +1,8 @@
 """Stencil-stored box operators against their dense reference matrix."""
 
+import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,20 @@ from alloymsa.spectral import RESIDUAL_BLOCK, sub_operator
 
 # twice the largest half side per dimension: boxes have at most 512 sites
 MAX_HALF = {1: 200, 2: 20, 3: 6}
+
+BANDED = scipy.linalg.eigvals_banded
+
+
+def banded_count(op, e1, e2):
+    """The banded reference: eigenvalues in (the double below E1, E2]."""
+    return len(BANDED(op.upper_band(), select="v",
+                      select_range=(np.nextafter(e1, -np.inf), e2)))
+
+
+def no_banded():
+    """Patch the banded path off: a count must come from the recursion."""
+    return mock.patch.object(scipy.linalg, "eigvals_banded",
+                             side_effect=AssertionError("banded path taken"))
 
 
 @st.composite
@@ -99,6 +115,7 @@ class TestStencilAgainstDense:
         dense = np.searchsorted(evals, e2, side="right") - \
             np.searchsorted(evals, e1, side="left")
         assert count_eigenvalues_in(op, (e1, e2)) == dense
+        assert banded_count(op, e1, e2) == dense
 
     @settings(max_examples=40, deadline=None)
     @given(operators())
@@ -168,3 +185,111 @@ class TestBuildMemory:
             tracemalloc.stop()
         assert op.box.count == 1681
         assert peak < 1_000_000
+
+
+def random_diagonal_operator(box, kind, seed):
+    rng = np.random.default_rng(seed)
+    return BoxOperator(box, free_operator(box, kind).diagonal
+                       + rng.uniform(-2.0, 3.0, box.count), kind)
+
+
+def off_spectrum_intervals(evals, rng, k):
+    """k intervals whose ends keep 1e-9 off the spectrum (bisection, QR
+    and the recursion round differently), with the dense count of each."""
+    out = []
+    while len(out) < k:
+        e1, e2 = np.sort(rng.uniform(evals[0] - 1.0, evals[-1] + 1.0, 2))
+        if min(np.min(np.abs(evals - e1)), np.min(np.abs(evals - e2))) > 1e-9:
+            out.append((e1, e2, np.searchsorted(evals, e2, side="right")
+                        - np.searchsorted(evals, e1, side="left")))
+    return out
+
+
+class TestSliceRecursion:
+    @settings(max_examples=80, deadline=None)
+    @given(operators())
+    def test_slice_block(self, op_rng):
+        op, _ = op_rng
+        w = op.box.strides[0]
+        M = op.matrix
+        block = op.slice_block()
+        for k in range(op.box.shape[0]):
+            here = slice(k * w, (k + 1) * w)
+            assert np.array_equal(M[here, here] - np.diag(op.diagonal[here]),
+                                  block)
+            if k:
+                assert np.array_equal(M[here, (k - 1) * w:k * w], -np.eye(w))
+
+    @pytest.mark.parametrize("center,half", [
+        ((0.5, 0), 0.5), ((0, 0.5), 0.5), ((0, 0, 0.5), 0.5),
+        ((0.5, 0.5, 0), 0.5), ((0, 0.5, 0.5), 0.5), ((0.5, 0), 1.0)])
+    @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
+    def test_one_site_axes(self, center, half, kind):
+        # shapes (2, 1), (1, 2), (1, 1, 2), (2, 2, 1), (1, 2, 2), (2, 3)
+        box = Box(center, half)
+        rng = np.random.default_rng(7)
+        for seed in range(10):
+            op = random_diagonal_operator(box, kind, seed)
+            evals = np.linalg.eigvalsh(op.matrix)
+            for e1, e2, dense in off_spectrum_intervals(evals, rng, 10):
+                assert count_eigenvalues_in(op, (e1, e2)) == dense
+                assert banded_count(op, e1, e2) == dense
+
+    def test_random_counts_run_the_recursion(self):
+        rng = np.random.default_rng(11)
+        for (center, half), seed in itertools.product(
+                [((0, 0), 6.0), ((0.5, 0), 4.0), ((0, 0, 0), 2.0),
+                 ((0, 0.5, 0), 2.0)], range(5)):
+            op = random_diagonal_operator(Box(center, half), DIRICHLET, seed)
+            evals = np.linalg.eigvalsh(op.matrix)
+            cases = off_spectrum_intervals(evals, rng, 10)
+            with no_banded():
+                assert [count_eigenvalues_in(op, (e1, e2))
+                        for e1, e2, _ in cases] == [c for _, _, c in cases]
+
+
+class TestSingularSchurComplement:
+    def test_singular_first_slice(self):
+        # H - 3 is nonsingular (spectrum {2, 4, 4, 6}), but S_0 = A_0 - 3
+        # is singular; 2 and 6 make later complements singular
+        op = BoxOperator(Box((0.5, 0.5), 1.0), [4.0] * 4, DIRICHLET)
+        with no_banded():
+            assert count_eigenvalues_in(op, (3.0, 3.0)) == 0
+            assert count_eigenvalues_in(op, (2.0, 3.0)) == 1
+            assert count_eigenvalues_in(op, (3.0, 6.0)) == 3
+
+    @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
+    def test_endpoints_on_the_spectrum(self, kind):
+        # free boxes have degenerate, partly integer spectra; ends on the
+        # computed eigenvalues, their 12-digit roundings and the integers
+        shapes = [((0, 0), 1.0), ((0.5, 0), 1.0), ((0, 0), 2.0),
+                  ((0.5, 0), 2.5), ((0, 0, 0), 1.0), ((0, 0.5, 0), 1.0)]
+        for center, half in shapes:
+            op = free_operator(Box(center, half), kind)
+            evals = np.linalg.eigvalsh(op.matrix)
+            ends = sorted(set(evals) | set(np.round(evals, 12))
+                          | set(range(13)))
+            for lo, hi in itertools.chain(zip(ends, ends), zip(ends, ends[1:])):
+                count = count_eigenvalues_in(op, (lo, hi))
+                inner = np.count_nonzero((evals > lo + 1e-9)
+                                         & (evals < hi - 1e-9))
+                outer = np.count_nonzero((evals >= lo - 1e-9)
+                                         & (evals <= hi + 1e-9))
+                assert 0 <= inner <= count <= outer
+
+
+class TestCountMemory:
+    def test_count_far_below_the_band(self):
+        u = exact_potential({(0, 0): 1.0, (1, 0): -0.5}, 2.0, 1.0)
+        domain = make_box((0, 0), 22.0)
+        cfg = Configuration(domain, np.random.default_rng(0).uniform(
+            0, 1, domain.count))
+        op = restrict_hamiltonian(u, cfg, make_box((0, 0), 20.0))
+        band_bytes = (op.box.strides[0] + 1) * op.box.count * 8  # 565 kB
+        tracemalloc.start()
+        try:
+            count_eigenvalues_in(op, (1.9, 2.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < band_bytes / 4

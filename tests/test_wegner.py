@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alloymsa import (Configuration, estimate_partial_expectation,
+from alloymsa import (Configuration, estimate_partial_expectation, mc,
                       exact_potential, exponent_fit, find_leading_index,
                       make_box, uniform_density, wegner_bound,
                       wegner_constant_chain)
@@ -126,6 +126,31 @@ class TestPartialExpectation:
                                          (1.9, 2.1), None, 60, seed=9,
                                          threads=4)
         assert a == b
+
+
+class TestIntervalChecked:
+    @pytest.mark.parametrize("interval", [
+        (1.0, 2.0, 3.0), (1.0,), 2.0, ("1", 2.0), (math.nan, 2.0),
+        (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0), (2.1, 1.9)])
+    def test_rejected_before_any_trial(self, interval, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(mc, "run_trials", no_trials)
+        lead = find_leading_index(DELTA0)
+        with pytest.raises(ParameterError):
+            estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0, interval,
+                                         None, 10, seed=1)
+        with pytest.raises(ParameterError):
+            wegner_bound(DELTA0, lead, UNIFORM, 2.0, interval)
+
+    def test_integer_endpoints_accepted(self):
+        lead = find_leading_index(DELTA0)
+        ints = estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0, [1, 3],
+                                            None, 20, seed=1)
+        floats = estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0,
+                                              (1.0, 3.0), None, 20, seed=1)
+        assert ints == floats
 
 
 class TestBound:
