@@ -15,7 +15,8 @@ from .lattice import (DIRICHLET, NEUMANN, Box, BoxOperator, Configuration,
                       uniform_density)
 from .msa import (MSAParameters, ScaleSchedule, estimate_singularity_probability,
                   nonresonance_test, regularity_test, scale_schedule,
-                  uniform_regularity_test, validate_parameters)
+                  uniform_regularity_test, uniform_regularity_verdicts,
+                  validate_parameters)
 from .resonance import (SpectrumBracket, classify_resonance,
                         estimate_resonance_probabilities,
                         estimate_resonance_probability, perturbation_radius,

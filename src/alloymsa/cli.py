@@ -259,8 +259,8 @@ def _run_msa_singularity(u, model, params, seed, trials, threads, out_dir,
                          summary, files):
     l = float(params["l"])
     m = float(params["m"])
-    interval = tuple(params.get("interval", [-0.1, 0.1]))
-    grid = int(params.get("energy_grid", 101))
+    interval = params.get("interval", [-0.1, 0.1])  # checked by the estimator
+    grid = params.get("energy_grid", 101)
     rep = estimate_singularity_probability(u, model, l, m, interval, grid,
                                            trials, seed, threads=threads)
     summary["constants"]["p_hi"] = rep.p_hi

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .errors import ParameterError, ResonantEnergyError, ScheduleError
+from .errors import ParameterError, ScheduleError
 from .genfun import LeadingIndexData
 from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
                       SingleSitePotential, density_bv_norm, make_box,
                       restrict_hamiltonian)
 from .resonance import INDETERMINATE, perturbation_radius, zeroed_exterior
-from .spectral import eigensolve, greens_column
+from .spectral import BoundaryGreens, boundary_greens, checked_interval, eigensolve
 from .tails import decay_tail_constant
 from .wegner import chain_formula
 
@@ -34,27 +34,72 @@ CERTIFIED_IRREGULAR = "certified_irregular"
 # deterministic predicates
 
 
-def _boundary_green(op: BoxOperator, center, E: float) -> np.ndarray | None:
-    """|G(E; center, w)| for the interior-boundary sites w of the box, in
-    `interior_boundary` order; None when E is resonant."""
-    try:
-        col = greens_column(op, E, tuple(center))
-    except ResonantEnergyError:
-        return None
-    return np.abs(col[op.box.interior_boundary_indices])
+def _irregular(green: BoundaryGreens, m: float, l: float) -> np.ndarray:
+    """Per energy: resonant, or |G(E; center, w)| > e^{-m l} for some
+    interior-boundary site w."""
+    return green.resonant | np.any(green.magnitude > math.exp(-m * l), axis=0)
 
 
 def regularity_test(op: BoxOperator, center, m: float, E: float) -> bool:
     """(m,E)-regular: E off the spectrum and |G(E; center, w)| <= e^{-m l}
     for every interior-boundary site w.  Resonant E returns False."""
-    g = _boundary_green(op, center, E)
-    return g is not None and not np.any(g > math.exp(-m * op.box.half_side))
+    green = boundary_greens(op, center, [E])
+    return not _irregular(green, m, op.box.half_side)[0]
 
 
 def nonresonance_test(op: BoxOperator, E: float, zeta_nr: float, l: float) -> bool:
     """E-NR: d(E, spectrum) >= (1/2) l^{-zeta} (closed inequality)."""
     evals = eigensolve(op).eigenvalues
     return bool(np.min(np.abs(evals - E)) >= 0.5 * l ** (-zeta_nr))
+
+
+def uniform_regularity_verdicts(
+    u: SingleSitePotential,
+    model: DisorderModel,
+    config: Configuration,
+    box: Box,
+    m: float,
+    energies,
+    delta: float | None = None,
+    op: BoxOperator | None = None,
+) -> np.ndarray:
+    """Certify (m,E)-regularity simultaneously for every exterior completion
+    of the couplings outside Lambda_{4l}(center), at every energy of
+    `energies`; returns one verdict string per energy.
+
+    The zeroed-exterior operator is computable exactly.  If it is
+    irregular, the cube is certainly not uniformly regular when the zeroed
+    exterior is an admissible completion (0 in supp rho) or when no
+    exterior coupling reaches the box (delta = 0); otherwise the verdict
+    is indeterminate.  If it is regular, a first-order resolvent bracket
+    (radius delta from the perturbation radius) either certifies all
+    completions or stays indeterminate: with d = d(E, spectrum), it needs
+    delta < d and |G| + delta/d^2/(1 - delta/d) <= e^{-m l}.
+
+    The domain is checked once, and one eigendecomposition with one
+    matrix product (`spectral.boundary_greens`) serves the whole grid.
+    `op`, when given, must be the zeroed-exterior operator on `box`.
+    """
+    l = box.half_side
+    zeroed = zeroed_exterior(config, box)  # checks the domain even when op is given
+    if op is None:
+        op = restrict_hamiltonian(u, zeroed, box)
+    if delta is None:
+        delta = perturbation_radius(u, model, l, box=box)
+    green = boundary_greens(op, box.center, energies)
+    irregular = _irregular(green, m, l)
+    if delta == 0.0:
+        # every completion restricts to op on the box
+        return np.where(irregular, CERTIFIED_IRREGULAR, CERTIFIED_REGULAR)
+    witness = CERTIFIED_IRREGULAR if model.in_support(0.0) else INDETERMINATE
+    # a resonant energy may have d = 0; it is irregular, so its slack is unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_norm = 1.0 / green.distance
+        slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
+    bracketed = (delta < green.distance) & \
+        ~np.any(green.magnitude + slack > math.exp(-m * l), axis=0)
+    return np.where(irregular, witness,
+                    np.where(bracketed, CERTIFIED_REGULAR, INDETERMINATE))
 
 
 def uniform_regularity_test(
@@ -67,47 +112,25 @@ def uniform_regularity_test(
     delta: float | None = None,
     op: BoxOperator | None = None,
 ) -> str:
-    """Certify (m,E)-regularity simultaneously for every exterior completion
-    of the couplings outside Lambda_{4l}(center).
+    """The verdict of `uniform_regularity_verdicts` at the one energy E."""
+    return str(uniform_regularity_verdicts(u, model, config, box, m, [E],
+                                           delta, op)[0])
 
-    The zeroed-exterior operator is computable exactly.  If it is
-    irregular, the cube is certainly not uniformly regular when the zeroed
-    exterior is an admissible completion (0 in supp rho) or when no
-    exterior coupling reaches the box (delta = 0); otherwise the verdict
-    is indeterminate.  If it is regular, a first-order resolvent bracket
-    (radius delta from the perturbation radius) either certifies all
-    completions or stays indeterminate.
 
-    `op`, when given, must be that zeroed-exterior operator on `box`; a
-    caller testing many energies passes it so that one eigendecomposition
-    serves them all.
-    """
-    center = box.center
-    l = box.half_side
-    zeroed = zeroed_exterior(config, box)  # checks the domain even when op is given
-    if op is None:
-        op = restrict_hamiltonian(u, zeroed, box)
-    g = _boundary_green(op, center, E)
-    threshold = math.exp(-m * l)
-    irregular = g is None or np.any(g > threshold)
-    if irregular and model.in_support(0.0):
-        return CERTIFIED_IRREGULAR
-    if delta is None:
-        delta = perturbation_radius(u, model, l, box=box)
-    if delta == 0.0:
-        # every completion restricts to op on the box
-        return CERTIFIED_IRREGULAR if irregular else CERTIFIED_REGULAR
-    if irregular:
-        return INDETERMINATE
-    evals = eigensolve(op).eigenvalues
-    d_base = float(np.min(np.abs(evals - E)))
-    if delta >= d_base:
-        return INDETERMINATE
-    g_norm = 1.0 / d_base
-    slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
-    if np.any(g + slack > threshold):
-        return INDETERMINATE
-    return CERTIFIED_REGULAR
+def _energy_grid(interval, energy_grid) -> list:
+    """K >= 1 equally spaced energies on the closed `interval` for an
+    integer K, or the given list of energies, which must be finite."""
+    e1, e2 = checked_interval(interval)
+    if isinstance(energy_grid, (list, tuple, np.ndarray)):
+        grid = list(energy_grid)
+        if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
+            raise ParameterError("energy_grid energies must be finite")
+        return grid
+    if isinstance(energy_grid, bool) or \
+            not isinstance(energy_grid, (int, np.integer)) or energy_grid < 1:
+        raise ParameterError("energy_grid must be an integer >= 1 or a list "
+                             f"of energies, got {energy_grid!r}")
+    return list(np.linspace(e1, e2, energy_grid))
 
 
 @dataclass(frozen=True)
@@ -132,27 +155,31 @@ def estimate_singularity_probability(
     """P(exists E in the grid: the box is not certified uniformly regular),
     counting indeterminate outcomes as singular (conservative side).
 
+    `energy_grid` is a number K >= 1 of equally spaced energies on the
+    closed `interval`, or an explicit list of finite energies.  Each trial
+    samples one configuration, makes one eigendecomposition of its
+    zeroed-exterior box operator and asks `uniform_regularity_verdicts`
+    for the whole grid at once.  l, m and the grid are checked before any
+    trial.
+
     Translation invariance turns this single-box estimate into the pair
     bound by squaring (disjoint enlarged boxes are independent).
     """
+    for name, value in (("l", l), ("m", m)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+    grid = _energy_grid(interval, energy_grid)
     d = u.dimension
-    if isinstance(energy_grid, int):
-        e1, e2 = interval
-        grid = list(np.linspace(e1, e2, energy_grid))
-    else:
-        grid = list(energy_grid)
     box = make_box((0,) * d, l)
     enlarged = make_box((0,) * d, 4 * l)
     delta = perturbation_radius(u, model, l, box=box)
 
     def worker(_i: int, rng: np.random.Generator):
         cfg = Configuration(enlarged, model.sample(rng, enlarged.count), 0.0)
-        # H does not depend on E: the eigendecomposition cached on op by the
-        # first energy's Green's column serves every later energy
         op = restrict_hamiltonian(u, cfg, box)
-        return [uniform_regularity_test(u, model, cfg, box, m, E, delta=delta,
-                                        op=op) != CERTIFIED_REGULAR
-                for E in grid]
+        verdicts = uniform_regularity_verdicts(u, model, cfg, box, m, grid,
+                                               delta=delta, op=op)
+        return (verdicts != CERTIFIED_REGULAR).tolist()
 
     results = mc.run_trials(trials, worker, seed, threads)
     singular = [any(bad) for bad in results]

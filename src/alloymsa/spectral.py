@@ -22,7 +22,10 @@ L = n / w slices); none of the counts forms an n x n array.
   per operator answers every energy query: the spectrum (and, when asked
   for, the eigenvectors) is cached on the `BoxOperator`, and Green's
   functions at any off-spectrum energy come from the cached eigenpairs,
-  G(E) = V diag(1/(lambda - E)) V^T."""
+  G(E) = V diag(1/(lambda - E)) V^T.  A whole grid of K energies costs
+  one matrix product: `boundary_greens` returns G(E_k; source, w) for
+  every interior-boundary site w and every E_k from
+  V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :]))."""
 
 from __future__ import annotations
 
@@ -230,6 +233,36 @@ def greens_column(op: BoxOperator, E: float, source: Point) -> np.ndarray:
         )
     V = res.eigenvectors
     return V @ (V[op.index_of(tuple(source))] / gaps)
+
+
+@dataclass(frozen=True)
+class BoundaryGreens:
+    """Boundary Green's functions of one operator on an energy grid.
+
+    `magnitude[j, k]` is |G(E_k; source, w_j)| for the interior-boundary
+    sites w_j (in `interior_boundary` order), `distance[k]` is
+    d(E_k) = min |lambda - E_k|, and `resonant[k]` says d(E_k) <
+    RESONANCE_GUARD; the column of a resonant energy holds 0."""
+
+    magnitude: np.ndarray
+    distance: np.ndarray
+    resonant: np.ndarray
+
+
+def boundary_greens(op: BoxOperator, source: Point, energies) -> BoundaryGreens:
+    """|G(E_k; source, w)| for every interior-boundary site w and every
+    energy E_k, from the cached eigenpairs in one matrix product:
+    V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :])).
+    The first call on an operator runs the vector eigensolve."""
+    res = eigensolve(op, want_vectors=True)
+    gaps = res.eigenvalues[:, None] - np.asarray(energies, dtype=float)[None, :]
+    distance = np.min(np.abs(gaps), axis=0)
+    resonant = distance < RESONANCE_GUARD
+    gaps[:, resonant] = np.inf
+    V = res.eigenvectors
+    coefficients = V[op.index_of(tuple(source))][:, None] / gaps
+    green = V[op.box.interior_boundary_indices] @ coefficients
+    return BoundaryGreens(np.abs(green), distance, resonant)
 
 
 def greens_function(op: BoxOperator, E: float, source: Point,

@@ -129,6 +129,52 @@ class TestSingularityKind:
         energies = [line.split(",")[0] for line in blobs[0].splitlines()[1:]]
         assert energies == [repr(float(E)) for E in np.linspace(0.4, 0.6, 11)]
 
+    @pytest.mark.parametrize("rho, m, interval", [
+        ([0.0, 1.0], 0.1, [-1.0, 6.0]),   # 0 in supp rho: zeroed witness
+        ([1.0, 2.0], 0.3, [1.0, 3.0]),    # 0 not in supp rho
+    ])
+    def test_bracket_path_thread_invariant(self, tmp_path, rho, m, interval):
+        # truncation_residual > 0 gives delta > 0, so the bracket decides
+        model = {"d": 2, "u": {**P2_MODEL["u"], "truncation_residual": 1e-6},
+                 "rho": {"uniform": rho}}
+        files = run_both_thread_counts(tmp_path, "msa-probe", {
+            "model": model,
+            "params": {"l": 2, "m": m, "interval": interval,
+                       "energy_grid": 21},
+            "seed": 3, "trials": 8,
+        }, expect_rc=0)
+        rows = files["singularity.csv"].decode().splitlines()[1:]
+        counts = [int(row.split(",")[1]) for row in rows]
+        assert len(counts) == 21
+        assert 0 in counts and any(0 < c < 8 for c in counts)
+
+    @pytest.mark.parametrize("params", [
+        {"m": math.nan},
+        {"m": 0.0},
+        {"l": math.nan},
+        {"l": -2.0},
+        {"interval": [math.nan, 0.6]},
+        {"interval": [0.6, 0.4]},
+        {"interval": 5},
+        {"energy_grid": 0},
+        {"energy_grid": 2.5},
+        {"energy_grid": [0.5, math.inf]},
+    ])
+    def test_bad_params_exit_3_before_any_trial(self, tmp_path, capsys,
+                                                monkeypatch, params):
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        cfg = write_config(tmp_path, "m.json", {
+            "model": DELTA0_MODEL,
+            "params": {"l": 2.0, "m": 0.3, "interval": [0.4, 0.6],
+                       "energy_grid": 11, **params},
+            "seed": 3, "trials": 4,
+        })
+        assert main(["msa-probe", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "singularity.csv").exists()
+
 
 class TestErrorPaths:
     def test_schema_violation_exit_3(self, tmp_path):

@@ -5,18 +5,23 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alloymsa import (Configuration, eigensolve, exact_potential,
-                      find_leading_index, free_operator, make_box, mc,
-                      nonresonance_test, perturbation_radius, regularity_test,
-                      restrict_hamiltonian, scale_schedule,
+from alloymsa import (Configuration, SingleSitePotential, eigensolve,
+                      exact_potential, find_leading_index, free_operator,
+                      make_box, mc, msa, nonresonance_test,
+                      perturbation_radius, regularity_test,
+                      restrict_hamiltonian, scale_schedule, spectral,
                       truncated_exponential_potential, uniform_density,
                       validate_parameters)
 from alloymsa.errors import ParameterError, ScheduleError
 from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
                           INDETERMINATE, MSAParameters,
                           estimate_singularity_probability, l_bar, l_bar_sharp,
-                          mass_loss_series, uniform_regularity_test)
+                          mass_loss_series, uniform_regularity_test,
+                          uniform_regularity_verdicts)
+from alloymsa.spectral import RESONANCE_GUARD
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -242,6 +247,55 @@ def _one_shot_verdicts(u, model, l, m, grid, trials, seed):
     return out
 
 
+def _reference_verdicts(u, model, cfg, box, m, energies, delta):
+    """The scalar rules of the uniform regularity test written out energy
+    by energy, with G(E; center, .) from a dense solve of (H - E) g =
+    e_center and d(E) from the eigenvalues alone.
+
+    Returns the verdicts and, per energy, whether a compared quantity lies
+    within the solve's error bound of its threshold, where rounding, not
+    the rules, decides the verdict."""
+    zeroed = Configuration(cfg.domain, cfg.values, 0.0)
+    H = restrict_hamiltonian(u, zeroed, box).matrix
+    n = box.count
+    evals = scipy.linalg.eigvalsh(H)
+    e_src = np.zeros(n)
+    e_src[box.flat_index(box.center)] = 1.0
+    threshold = math.exp(-m * box.half_side)
+    verdicts, tight = [], []
+    for E in energies:
+        dist = float(np.min(np.abs(evals - E)))
+        close = abs(dist - RESONANCE_GUARD) <= 1e-13
+        if dist < RESONANCE_GUARD:
+            irregular = True
+        else:
+            col = scipy.linalg.solve(H - E * np.eye(n), e_src, assume_a="sym")
+            g = np.abs(col[box.interior_boundary_indices])
+            cond = float(np.max(np.abs(evals - E))) / dist
+            tol = 1e3 * n * np.finfo(float).eps * cond * float(np.max(np.abs(col)))
+            irregular = bool(np.any(g > threshold))
+            close |= bool(np.any(np.abs(g - threshold) <= tol))
+        if irregular and model.in_support(0.0):
+            verdict = CERTIFIED_IRREGULAR
+        elif delta == 0.0:
+            verdict = CERTIFIED_IRREGULAR if irregular else CERTIFIED_REGULAR
+        elif irregular:
+            verdict = INDETERMINATE
+        else:
+            close |= abs(delta - dist) <= 1e-9 * dist
+            if delta >= dist:
+                verdict = INDETERMINATE
+            else:
+                slack = delta / dist**2 / (1.0 - delta / dist)
+                verdict = INDETERMINATE if np.any(g + slack > threshold) \
+                    else CERTIFIED_REGULAR
+                close |= bool(np.any(
+                    np.abs(g + slack - threshold) <= tol + 1e-9 * slack))
+        verdicts.append(verdict)
+        tight.append(close)
+    return verdicts, tight
+
+
 class TestSingularityEstimatorReusesSpectrum:
     @pytest.mark.parametrize("u, model, interval", [
         (EXP_TAIL, UNIFORM, (0.5, 2.5)),   # delta > 0: bracket path
@@ -249,7 +303,8 @@ class TestSingularityEstimatorReusesSpectrum:
     ])
     def test_per_energy_matches_one_shot(self, u, model, interval):
         l, m, trials, seed = 3.0, 0.2, 12, 41
-        delta = perturbation_radius(u, model, l, box=make_box((0,), l))
+        box = make_box((0,), l)
+        delta = perturbation_radius(u, model, l, box=box)
         assert (delta > 0.0) == (u is EXP_TAIL)
         grid = list(np.linspace(*interval, 31))
         rep = estimate_singularity_probability(u, model, l, m, interval, 31,
@@ -261,6 +316,16 @@ class TestSingularityEstimatorReusesSpectrum:
         seen = {x for v in verdicts for x in v}
         assert {CERTIFIED_REGULAR, CERTIFIED_IRREGULAR} <= seen
         assert (INDETERMINATE in seen) == (delta > 0.0)
+        # the same trials against the rules written out with dense solves
+        enlarged = make_box((0,), 4 * l)
+        reference = []
+        for i in range(trials):
+            rng = mc.trial_rng(seed, i)
+            cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
+            ref, tight = _reference_verdicts(u, model, cfg, box, m, grid, delta)
+            assert not any(tight)
+            reference.append(ref)
+        assert verdicts == reference
 
     def test_one_eigh_per_trial_and_no_lu(self, monkeypatch):
         calls = {"eigh": [], "lu_factor": 0}
@@ -281,6 +346,75 @@ class TestSingularityEstimatorReusesSpectrum:
                                          (0.5, 2.5), 21, trials, seed=42)
         assert calls["eigh"] == [False] * trials  # vectors, once per trial
         assert calls["lu_factor"] == 0
+
+    def test_one_green_product_per_trial(self, monkeypatch):
+        grids = []
+        boundary_greens = msa.boundary_greens
+
+        def counting_boundary_greens(op, source, energies):
+            grids.append(len(energies))
+            return boundary_greens(op, source, energies)
+
+        monkeypatch.setattr(msa, "boundary_greens", counting_boundary_greens)
+        monkeypatch.setattr(spectral, "greens_column", pytest.fail)
+        trials = 5
+        estimate_singularity_probability(EXP_TAIL, UNIFORM, 3.0, 0.2,
+                                         (0.5, 2.5), 21, trials, seed=43)
+        assert grids == [21] * trials
+
+
+# potentials with and without exterior influence on the box, d = 1 and 2
+P2_TAIL = SingleSitePotential({(0, 0): 1.0, (1, 0): -0.6, (0, 1): -0.3,
+                               (1, 1): 0.05}, 2.0, 1.0, 1, 1e-6)
+DELTA0_2D = exact_potential({(0, 0): 1.0}, 1.0, 1.0)
+# a large truncation residual: delta = 1 is comparable to level spacings
+WIDE_TAIL = SingleSitePotential({(0,): 1.0}, 1.0, 0.05, 0, 1.0)
+SHIFTED = uniform_density(1.0, 2.0)
+
+
+class TestBatchedVerdictsAgainstReference:
+    @pytest.mark.parametrize("u, model", [
+        (EXP_TAIL, UNIFORM), (EXP_TAIL, SHIFTED),      # d = 1, delta > 0
+        (WIDE_TAIL, UNIFORM), (WIDE_TAIL, SHIFTED),    # d = 1, delta = 1
+        (DELTA0, UNIFORM), (DELTA0, SHIFTED),          # d = 1, delta = 0
+        (P2_TAIL, UNIFORM), (P2_TAIL, SHIFTED),        # d = 2, delta > 0
+        (DELTA0_2D, UNIFORM), (DELTA0_2D, SHIFTED),    # d = 2, delta = 0
+    ])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), half=st.integers(1, 4),
+           m=st.floats(0.01, 0.6),
+           grid=st.lists(st.floats(-1.0, 10.0), min_size=1, max_size=12),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    def test_matches_reference(self, u, model, seed, half, m, grid, picks):
+        d = u.dimension
+        l = float(half if d == 1 else min(half, 2))
+        box = make_box((0,) * d, l)
+        delta = perturbation_radius(u, model, l, box=box)
+        assert (delta > 0.0) == (u in (EXP_TAIL, P2_TAIL, WIDE_TAIL))
+        enlarged = make_box((0,) * d, 4 * l)
+        rng = np.random.default_rng(seed)
+        cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
+        # energies on an eigenvalue and within RESONANCE_GUARD of one, from
+        # the same eigensolve as the code under test, and energies whose
+        # distance to the spectrum is near delta
+        evals = eigensolve(restrict_hamiltonian(u, cfg, box),
+                           want_vectors=True).eigenvalues
+        onto = [evals[p % len(evals)] for p in picks]
+        resonant = onto + [E + 0.5 * RESONANCE_GUARD for E in onto] \
+            + [E - 0.3 * RESONANCE_GUARD for E in onto]
+        bracket = [E + f * delta for E in onto
+                   for f in (-1.25, -0.75, 0.75, 1.25)]
+        energies = resonant + grid + bracket
+        got = uniform_regularity_verdicts(u, model, cfg, box, m, energies,
+                                          delta=delta)
+        assert list(got) == [uniform_regularity_test(u, model, cfg, box, m, E)
+                             for E in energies]
+        ref, tight = _reference_verdicts(u, model, cfg, box, m, energies, delta)
+        for g, r, t in zip(got, ref, tight):
+            assert g == r or t
+        witness = CERTIFIED_IRREGULAR if model.in_support(0.0) or delta == 0.0 \
+            else INDETERMINATE
+        assert list(got[:len(resonant)]) == [witness] * len(resonant)
 
 
 U_LEAD = find_leading_index(DELTA0)

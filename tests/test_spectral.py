@@ -14,7 +14,8 @@ from alloymsa import (DIRICHLET, NEUMANN, Configuration, boundary_reconstruct,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import FitError, ResonantEnergyError
 from alloymsa.lattice import BoxOperator, constant_configuration
-from alloymsa.spectral import greens_column, sub_operator
+from alloymsa.spectral import (RESONANCE_GUARD, boundary_greens, greens_column,
+                               sub_operator)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 
@@ -151,6 +152,42 @@ class TestGreensFunction:
         expect = np.linalg.solve(op.matrix - E * np.eye(n), rhs)
         col = greens_column(op, E, tuple(op.box.points[src]))
         assert np.linalg.norm(col - expect) <= 1e-9 * np.linalg.norm(expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2]), l=st.integers(1, 3),
+           w=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1),
+           source_index=st.integers(0, 1000))
+    def test_boundary_grid_matches_columns(self, d, l, w, seed, source_index):
+        # one product over the grid equals a Green's column per energy on
+        # the interior boundary; energies on or within RESONANCE_GUARD of an
+        # eigenvalue are flagged and their columns zeroed
+        op = random_operator(np.random.default_rng(seed), l=float(l), d=d, w=w)
+        evals = eigensolve(op, want_vectors=True).eigenvalues
+        source = tuple(op.box.points[source_index % op.box.count])
+        mid = 0.5 * (evals[:-1] + evals[1:]) if len(evals) > 1 else evals + 1.0
+        near = [evals[0], evals[-1] + 0.5 * RESONANCE_GUARD,
+                evals[-1] - 0.5 * RESONANCE_GUARD]
+        energies = np.concatenate([[evals[0] - 1.0], mid, near])
+        green = boundary_greens(op, source, energies)
+        nb = len(op.box.interior_boundary_indices)
+        assert green.magnitude.shape == (nb, len(energies))
+        expect_distance = np.min(np.abs(evals[:, None] - energies), axis=0)
+        assert np.array_equal(green.distance, expect_distance)
+        assert np.array_equal(green.resonant,
+                              expect_distance < RESONANCE_GUARD)
+        assert green.resonant[-3:].all()
+        assert np.all(green.magnitude[:, green.resonant] == 0.0)
+        for k in np.flatnonzero(~green.resonant):
+            col = greens_column(op, energies[k], source)
+            expect = np.abs(col[op.box.interior_boundary_indices])
+            assert green.magnitude[:, k] == pytest.approx(expect, rel=1e-12,
+                                                          abs=1e-14)
+
+    def test_boundary_grid_empty(self):
+        op = free_operator(make_box((0, 0), 2.0))
+        green = boundary_greens(op, (0, 0), [])
+        assert green.magnitude.shape == (16, 0)
+        assert green.distance.shape == green.resonant.shape == (0,)
 
     def test_resonant_energy(self):
         op = free_operator(make_box((0,), 1.0))
