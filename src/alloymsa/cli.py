@@ -135,6 +135,14 @@ def run_experiment(config: dict, out_dir: Path) -> ReportBundle:
     return ReportBundle(kind=kind, summary=summary, files=files)
 
 
+def _scales(params: dict, default: list) -> list:
+    """params["ls"], or `default`; an empty list would leave no contract."""
+    ls = params.get("ls", default)
+    if not ls:
+        raise ParameterError("ls must list at least one scale")
+    return ls
+
+
 def _contract(summary: dict, name: str, passed: bool, detail: str = "") -> None:
     summary["contracts"].append({"name": name, "passed": bool(passed),
                                  "detail": detail})
@@ -149,7 +157,7 @@ def _run_genfun(u, model, params, seed, trials, threads, out_dir, summary, files
     path.write_text(json.dumps(lead.to_json_dict(), sort_keys=True, indent=2) + "\n")
     files["leading_index"] = path
     rows = []
-    for l in params.get("ls", [2.0, 4.0]):
+    for l in _scales(params, [2.0, 4.0]):
         cert = positivity_certificate(u, lead, float(l))
         rows.append([l, cert.radius, cert.min_value, cert.slack,
                      int(cert.holds), " ".join(map(str, cert.worst_x))])
@@ -166,7 +174,7 @@ def _run_wegner(u, model, params, seed, trials, threads, out_dir, summary, files
     n_ext = int(params.get("exteriors", 0))
     rows = []
     plot = []
-    for l in params.get("ls", [2, 4, 6, 8]):
+    for l in _scales(params, [2, 4, 6, 8]):
         l = float(l)
         dom = make_box((0,) * u.dimension,
                        max(companion_radius(u, lead, l), l + u.truncation_radius) + 0.25)
@@ -335,6 +343,9 @@ def _run_decay(u, model, params, seed, trials, threads, out_dir, summary,
     r2_min = float(params.get("r2_min", 0.8))
     frac_min = float(params.get("frac_min", 0.9))
     box = make_box((0,) * u.dimension, l)
+    if not 1 <= n_lowest <= box.count:
+        raise ParameterError(
+            f"n_lowest must lie in [1, {box.count}], got {n_lowest}")
     domain = make_box((0,) * u.dimension, l + u.truncation_radius + 0.25)
 
     def worker(i, rng):

@@ -53,13 +53,5 @@ class FitError(AlloyMSAError):
     exit_code = 3
 
 
-class TempleInapplicableError(ParameterError):
-    """Temple's inequality precondition <psi, H psi> < xi failed."""
-
-
 class SolverError(AlloyMSAError):
     """Eigensolver or linear solver did not meet its residual contract."""
-
-
-class ContractViolation(AlloyMSAError):
-    """A numerically checked contract of an operation failed."""

@@ -259,10 +259,3 @@ def leaked_mass_bound(u: SingleSitePotential, box: Box, outer_radius: float) -> 
             leak = float(np.abs(u.support_values[mask]).sum())
             worst = max(worst, leak)
     return worst + u.truncation_residual
-
-
-def nexp_check(M: float, alpha: float, n: float) -> bool:
-    """True iff n >= 8 M^2 / alpha^2, in which case n^M < e^{alpha n / 2}."""
-    if M <= 0 or alpha <= 0 or n <= 0:
-        raise ParameterError("M, alpha, n must be positive")
-    return n >= 8.0 * M * M / (alpha * alpha)

@@ -4,10 +4,9 @@ Two routes are probed at desk scale:
   * large disorder: the resonance-control bound closes once the density's
     BV norm is small enough (explicit right-hand side, both printed and
     sign-corrected exponent variants are reported);
-  * small negative part: Neumann decomposition, gap of the free Neumann
-    box, Temple's inequality for a rigorous ground-state lower bound, the
-    small-coupling counting implication, and the Bernstein/counting
-    Lifshitz-tail probability probe.
+  * small negative part: the Bernstein/counting Lifshitz-tail probability
+    probe on the Dirichlet-truncated box, with beta_0 from the certified
+    mean of u and the Assumption-3 check at the probe's delta.
 """
 
 from __future__ import annotations
@@ -18,51 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .errors import ParameterError, TempleInapplicableError
-from .genfun import LeadingIndexData, companion_radius, tail_bound
-from .lattice import (NEUMANN, Box, Configuration, DisorderModel,
-                      SingleSitePotential, density_bv_norm, make_box,
-                      restrict_hamiltonian)
+from .errors import ParameterError
+from .genfun import LeadingIndexData, companion_radius
+from .lattice import (Configuration, DisorderModel, SingleSitePotential,
+                      make_box, restrict_hamiltonian)
 from .resonance import perturbation_radius
 from .spectral import eigensolve
 from .wegner import wegner_constant_chain
 
 
 # ---------------------------------------------------------------------------
-# Neumann gap
-
-
-def free_neumann_lambda2(box: Box) -> float:
-    """Second eigenvalue of the free Neumann operator on a box, in closed form.
-
-    The operator is the tensor sum of one-dimensional Neumann paths, and
-    the path on n sites has lambda_2 = 2 - 2cos(pi/n); the value is the
-    smallest of these over the axes with at least two sites (a one-site
-    axis adds only the eigenvalue 0).  A one-point box has no lambda_2.
-    """
-    gaps = [2.0 - 2.0 * math.cos(math.pi / n) for n in box.shape if n > 1]
-    if not gaps:
-        raise ParameterError("a one-point box has no second Neumann eigenvalue")
-    return min(gaps)
-
-
-def neumann_gap(l: float, d: int) -> tuple[float, float]:
-    """(formula, exact): 2 - 2cos(pi/l) against the closed-form lambda_2 of
-    the free Neumann operator on Lambda_l (2 floor(l) + 1 sites per side).
-
-    The two differ by a site-count convention; the formula dominates
-    4 l^{-2} (with equality at l = 1), the exact value does not.
-    """
-    if l < 1:
-        raise ParameterError("l must be >= 1")
-    formula = 2.0 - 2.0 * math.cos(math.pi / l)
-    box = make_box((0,) * d, l)
-    exact = free_neumann_lambda2(box)
-    return formula, exact
-
-
-# ---------------------------------------------------------------------------
-# Temple machinery
+# Lifshitz probe
 
 
 def certified_mean(u: SingleSitePotential) -> float:
@@ -77,183 +42,6 @@ def certified_mean(u: SingleSitePotential) -> float:
 def beta_floor(u: SingleSitePotential) -> float:
     """beta_0 = 65/32 + 8 ||u||_1 / u-bar."""
     return 65.0 / 32.0 + 8.0 * u.l1_norm / certified_mean(u)
-
-
-def temple_lower_bound(
-    u: SingleSitePotential,
-    config: Configuration,
-    l: float,
-    beta: float,
-    omega_plus: float,
-) -> float:
-    """Rigorous lower bound on lambda_1 of the Neumann Hamiltonian on Lambda_l.
-
-    Couplings are truncated at 8 l^{-2} / (beta ||u||_1); Temple's inequality
-    with the constant test vector and xi = lambda_2(free) - l^{-2}/(8 beta)
-    gives
-
-        lambda_hat = <h> - <h^2> / (xi - <h>) - l^{-2} / (8 beta)
-
-    (the printed chain keeps <h^2> in place of the variance, which only
-    weakens the bound).  The final subtraction undoes the truncation and
-    needs the small-negative-part decomposition at delta = l^{-2}/(8 beta w+).
-    """
-    d = u.dimension
-    certified_mean(u)
-    if beta <= 0 or omega_plus <= 0:
-        raise ParameterError("beta and omega_plus must be positive")
-    delta = l ** (-2.0) / (8.0 * beta * omega_plus)
-    if u.negative_mass > delta:
-        raise ParameterError(
-            f"negative mass {u.negative_mass:.3e} exceeds delta={delta:.3e}: "
-            "Assumption-3 decomposition u = u+ - delta*u- unavailable"
-        )
-    cutoff = 8.0 * l ** (-2.0) / (beta * u.l1_norm)
-    truncated = Configuration(config.domain, np.minimum(config.values, cutoff),
-                              min(config.exterior_value, cutoff))
-    box = make_box((0,) * d, l)
-    op = restrict_hamiltonian(u, truncated, box, NEUMANN)
-    n = box.count
-    psi = np.full(n, 1.0 / math.sqrt(n))
-    h_psi = op @ psi
-    mean_h = float(psi @ h_psi)
-    mean_h2 = float(h_psi @ h_psi)
-    xi = free_neumann_lambda2(box) - l ** (-2.0) / (8.0 * beta)
-    if mean_h >= xi:
-        raise TempleInapplicableError(
-            f"<psi, h psi> = {mean_h:.6g} >= xi = {xi:.6g}: Temple inapplicable"
-        )
-    return mean_h - mean_h2 / (xi - mean_h) - l ** (-2.0) / (8.0 * beta)
-
-
-@dataclass(frozen=True)
-class PropFirstConstants:
-    """R(u), beta_0 and the scale thresholds of the counting implication."""
-
-    R: int
-    beta0: float
-    beta_gap: float | None
-    l8_star: float
-    l9_star: float
-    l10_star: float
-
-
-def prop_first_constants(u: SingleSitePotential, l_for_gap: float | None = None
-                         ) -> PropFirstConstants:
-    """Numeric evaluation of the displayed threshold inequalities.
-
-    R is the smallest integer with
-    C_hat e^{-alpha R / 2} (16/||u||_1 + u_bar/(4 ||u||_1^2)) <= 1/8;
-    l10* makes the boundary-shell term small:
-    256 d R (l+R)^{d-1} <= |Lambda_l|; l8* = max(2R, l10*).
-
-    beta_gap is the beta floor obtained when the printed gap 4 l^{-2} is
-    replaced by the exact Neumann gap of Lambda_l (the printed beta_0
-    presumes an l-sites-per-side convention).
-    """
-    d = u.dimension
-    ubar = certified_mean(u)
-    l1 = u.l1_norm
-    c_hat = tail_bound(u, 0.0, 0.0)  # C_hat e^0
-    bracket = 16.0 / l1 + ubar / (4.0 * l1 * l1)
-    R = 1
-    while c_hat * math.exp(-u.decay_alpha * R / 2.0) * bracket > 1.0 / 8.0:
-        R += 1
-        if R > 10_000:
-            raise ParameterError("R(u) search failed; alpha too small")
-    l10 = 1.0
-    while 256.0 * d * R * (l10 + R) ** (d - 1) > (2 * math.floor(l10) + 1) ** d:
-        l10 += 1.0
-        if l10 > 1e7:
-            raise ParameterError("l10* search failed")
-    beta0 = beta_floor(u)
-    beta_gap = None
-    if l_for_gap is not None:
-        gap = free_neumann_lambda2(make_box((0,) * d, l_for_gap))
-        beta_gap = (32.0 * l1 / ubar + 65.0 / 8.0) / (l_for_gap**2 * gap)
-    return PropFirstConstants(
-        R=R, beta0=beta0, beta_gap=beta_gap,
-        l8_star=max(2.0 * R, l10), l9_star=2.0 * R, l10_star=l10,
-    )
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    counterexamples: int
-    triggered: int
-    trials: int
-    constants: PropFirstConstants
-    precondition_violations: list[str]
-
-
-def small_coupling_implication(
-    u: SingleSitePotential,
-    model: DisorderModel,
-    l: float,
-    beta: float,
-    trials: int,
-    seed: int,
-    threads: int | None = 1,
-) -> ImplicationReport:
-    """Monte-Carlo check of the counting implication
-
-    lambda_1(h^N) < l^{-2}/beta  =>  #{k in Lambda_l: w_k < 4 l^{-2}/(beta u-bar)}
-                                       > (13/12) |Lambda_l| / 2.
-
-    Counterexamples are realizations where the premise holds and the
-    conclusion fails; precondition problems are reported, not thrown.
-    """
-    d = u.dimension
-    consts = prop_first_constants(u, l_for_gap=l)
-    ubar = certified_mean(u)
-    omega_plus = model.omega_plus
-    violations = []
-    if beta < consts.beta0:
-        violations.append(f"beta={beta} < beta0={consts.beta0:.6g}")
-    if l < consts.l8_star:
-        violations.append(f"l={l} < l8*={consts.l8_star:.6g}")
-    if consts.beta_gap is not None and beta < consts.beta_gap:
-        violations.append(
-            f"beta={beta} < exact-gap floor {consts.beta_gap:.6g} "
-            "(printed gap 4 l^-2 presumes l sites per side)"
-        )
-    delta = l ** (-2.0) / (8.0 * beta * omega_plus)
-    if u.negative_mass > delta:
-        violations.append(
-            f"Assumption-3 decomposition unavailable at delta={delta:.3e}"
-        )
-    if 2.0 * ubar < u.l1_norm:
-        violations.append("2 u-bar < ||u||_1: coupling truncation may clip "
-                          "the counted sites")
-    box = make_box((0,) * d, l)
-    domain = make_box((0,) * d, l + u.truncation_radius + 0.25)
-    premise_threshold = l ** (-2.0) / beta
-    count_threshold = 4.0 * l ** (-2.0) / (beta * ubar)
-    need = (13.0 / 12.0) * box.count / 2.0
-    inner_mask = box.contains_points(domain.points)
-
-    def worker(_i: int, rng: np.random.Generator):
-        vals = model.sample(rng, domain.count)
-        cfg = Configuration(domain, vals, 0.0)
-        op = restrict_hamiltonian(u, cfg, box, NEUMANN)
-        lam1 = float(eigensolve(op).eigenvalues[0])
-        if lam1 >= premise_threshold:
-            return (0, 0)
-        small = int(np.count_nonzero(vals[inner_mask] < count_threshold))
-        return (1, 0 if small > need else 1)
-
-    results = mc.run_trials(trials, worker, seed, threads)
-    return ImplicationReport(
-        counterexamples=sum(ce for _, ce in results),
-        triggered=sum(t for t, _ in results),
-        trials=trials,
-        constants=consts,
-        precondition_violations=violations,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Lifshitz probe
 
 
 def admissible_lengths(zeta_lif: float, beta0: float, l_min: float,
@@ -335,6 +123,7 @@ def lifshitz_probe(
     Bernstein/counting chain bound n^d exp(-|Lambda_ltilde| (11/12)^2) and
     the asserted decay l^{-xi}."""
     d = u.dimension
+    box = make_box((0,) * d, l)  # before int(l): rejects a NaN or infinite l
     zeta = params.zeta_lif
     l_int = int(l)
     if l_int not in admissible_lengths(zeta, params.beta0, l - 0.5, l + 0.5):
@@ -348,7 +137,6 @@ def lifshitz_probe(
     chain_bound = n**d * math.exp(-subcube_sites * (11.0 / 12.0) ** 2)
     paper_bound = l ** (-params.xi)
     threshold = l ** (-2.0 + zeta)
-    box = make_box((0,) * d, l)
     domain = make_box((0,) * d, l + u.truncation_radius + 0.25)
 
     def worker(_i: int, rng: np.random.Generator):
@@ -367,14 +155,6 @@ def lifshitz_probe(
         paper_bound=paper_bound, lambda1_mean=lambda1_mean,
         l_tilde=l_tilde, n_subcubes=n,
     )
-
-
-def localization_interval(u: SingleSitePotential, model: DisorderModel,
-                          l: float, zeta: float) -> tuple[float, tuple[float, float]]:
-    """eps_l = l^{-2+zeta} - (uniform perturbation radius) and the centered
-    localization interval [-eps_l/2, eps_l/2]; eps_l must be positive."""
-    eps_l = l ** (-2.0 + zeta) - model.omega_plus * tail_bound(u, l, 3.0 * l)
-    return eps_l, (-eps_l / 2.0, eps_l / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +204,7 @@ def large_disorder_probe(
     delta0 = perturbation_radius(u, model, l0)
     chain = wegner_constant_chain(u, lead, l0)
     count = make_box((0,) * d, l0).count
-    bv = density_bv_norm(model)
+    bv = model.bv_norm
     target = l0 ** (-2.0 * xi)
 
     def rhs(eps: float) -> float:

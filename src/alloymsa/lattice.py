@@ -6,8 +6,8 @@ plus the multiplication operator v(x) = sum_k w_k u(x - k), where the
 coupling constants w_k are i.i.d. with a bounded-variation density and
 u is a (possibly sign-changing) single-site potential with certificate
 |u(k)| <= C exp(-alpha ||k||_1).  Finite boxes are [-l, l]^d + center
-intersected with Z^d; restrictions are either Dirichlet truncations
-(free diagonal 2d) or Neumann (free diagonal = interior neighbor count).
+intersected with Z^d; the restriction to a box is its Dirichlet
+truncation (free diagonal 2d, bonds leaving the box dropped).
 A box operator is stored as its stencil: the diagonal, with -1 implied
 on every bond inside the box.
 
@@ -32,16 +32,15 @@ Point = tuple[int, ...]
 
 DEFAULT_CAPACITY = 20_000
 
-DIRICHLET = "dirichlet_truncation"
-NEUMANN = "neumann"
-
 
 def capacity_cap() -> int:
-    """Largest box, in points, that an operator may be built on;
+    """Largest box, in points, that an operator may be built on, checked
+    by `free_diagonal`, where every operator the package builds starts;
     ALLOYMSA_CAPACITY overrides the default.  One cap serves every path,
-    though their costs differ: a dense solve (spectra, eigenvectors,
-    Green's functions) needs n x n doubles, an eigenvalue count O(w^2)
-    doubles at d >= 2 and (w + 1) n doubles of band storage at d = 1."""
+    though their costs differ: a dense solve (spectra, eigenvectors and
+    the Green's functions built from them) needs n x n doubles, an
+    eigenvalue count O(w^2) doubles at d >= 2 and (w + 1) n doubles of
+    band storage at d = 1."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
     if env:
         return int(env)
@@ -69,8 +68,9 @@ class Box:
     half_side: float
 
     def __post_init__(self):
-        if self.half_side <= 0:
-            raise ParameterError(f"box half_side must be positive, got {self.half_side}")
+        if not (math.isfinite(self.half_side) and self.half_side > 0):
+            raise ParameterError(
+                f"box half_side must be finite and positive, got {self.half_side}")
         if len(self.center) < 1:
             raise ParameterError("box center must have dimension >= 1")
 
@@ -447,11 +447,6 @@ def _bv_norm(pieces) -> float:
     return total
 
 
-def density_bv_norm(model: DisorderModel) -> float:
-    """||rho||_Var: sum of |jumps| plus integral of |rho'| over pieces."""
-    return model.bv_norm
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Coupling constants on a stated box, a fixed value outside it."""
@@ -483,12 +478,6 @@ def constant_configuration(box: Box, value: float,
     return Configuration(box, np.full(box.count, float(value)), exterior_value)
 
 
-def sample_configuration(model: DisorderModel, box: Box, seed: int) -> Configuration:
-    """I.i.d. couplings on `box` via inverse-CDF; exterior value 0."""
-    rng = np.random.default_rng(seed)
-    return Configuration(box, model.sample(rng, box.count), exterior_value=0.0)
-
-
 def assemble_potential(u: SingleSitePotential, config: Configuration,
                        box: Box) -> np.ndarray:
     """v(x) = sum_k w_k u(x-k) for every x in `box` (lexicographic order).
@@ -508,8 +497,7 @@ class BoxOperator:
     """Finite-box Hamiltonian h0 + v stored as its stencil.
 
     `diagonal` holds, per site in lexicographic order, the free diagonal
-    (2d for a Dirichlet truncation, the in-box neighbour count for
-    Neumann) plus v.  The off-diagonal entries are implied: -1 on every
+    2d plus v.  The off-diagonal entries are implied: -1 on every
     nearest-neighbour bond inside the box, so H is banded with bandwidth
     w = `box.strides[0]`, and block tridiagonal along axis 0: L slices of
     w sites, coupled by -I.  `op @ X` applies H with one pass per axis;
@@ -521,7 +509,6 @@ class BoxOperator:
 
     box: Box
     diagonal: np.ndarray
-    boundary_kind: str
     _spectrum_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -543,7 +530,7 @@ class BoxOperator:
     @property
     def matrix(self) -> np.ndarray:
         """Dense symmetric matrix of the operator, a fresh n x n array."""
-        M = free_box_matrix(self.box, self.boundary_kind)
+        M = free_box_matrix(self.box)
         np.fill_diagonal(M, self.diagonal)
         return M
 
@@ -602,23 +589,19 @@ def neighbor_counts(box: Box) -> np.ndarray:
     return counts
 
 
-def free_diagonal(box: Box, boundary_kind: str) -> np.ndarray:
-    """Diagonal of the free box operator: 2d (Dirichlet truncation) or the
-    in-box neighbour count (Neumann).  Enforces the point cap."""
+def free_diagonal(box: Box) -> np.ndarray:
+    """Diagonal of the free box operator, 2d at every site.  Enforces the
+    point cap."""
     n = box.count
     cap = capacity_cap()
     if n > cap:
         raise CapacityError(f"box has {n} points, dense cap is {cap}")
-    if boundary_kind == DIRICHLET:
-        return np.full(n, 2.0 * box.dimension)
-    if boundary_kind == NEUMANN:
-        return neighbor_counts(box)
-    raise ParameterError(f"unknown boundary kind {boundary_kind!r}")
+    return np.full(n, 2.0 * box.dimension)
 
 
-def free_box_matrix(box: Box, boundary_kind: str) -> np.ndarray:
+def free_box_matrix(box: Box) -> np.ndarray:
     """Dense n x n matrix of the free box operator."""
-    diagonal = free_diagonal(box, boundary_kind)
+    diagonal = free_diagonal(box)
     n = box.count
     M = np.zeros((n, n))
     M[np.arange(n), np.arange(n)] = diagonal
@@ -639,14 +622,12 @@ def restrict_hamiltonian(
     u: SingleSitePotential,
     config: Configuration,
     box: Box,
-    boundary_kind: str = DIRICHLET,
 ) -> BoxOperator:
-    """Dirichlet-truncated or Neumann restriction of h0 + v to `box`."""
-    diagonal = free_diagonal(box, boundary_kind)
+    """Dirichlet truncation of h0 + v to `box`."""
+    diagonal = free_diagonal(box)
     diagonal += assemble_potential(u, config, box)
-    return BoxOperator(box=box, diagonal=diagonal, boundary_kind=boundary_kind)
+    return BoxOperator(box=box, diagonal=diagonal)
 
 
-def free_operator(box: Box, boundary_kind: str = DIRICHLET) -> BoxOperator:
-    return BoxOperator(box=box, diagonal=free_diagonal(box, boundary_kind),
-                       boundary_kind=boundary_kind)
+def free_operator(box: Box) -> BoxOperator:
+    return BoxOperator(box=box, diagonal=free_diagonal(box))

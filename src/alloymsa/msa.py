@@ -1,5 +1,5 @@
-"""Multiscale-analysis machinery: regularity and non-resonance predicates,
-uniform (all-exterior) certification, event probability estimators, and the
+"""Multiscale-analysis machinery: the regularity predicate, uniform
+(all-exterior) certification, event probability estimators, and the
 deterministic parameter/scale recursion.
 
 Parameter conventions: xi > 2d, kappa in (1, 2xi/(xi+2d)), beta in
@@ -19,10 +19,9 @@ from . import mc
 from .errors import ParameterError, ScheduleError
 from .genfun import LeadingIndexData
 from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
-                      SingleSitePotential, density_bv_norm, make_box,
-                      restrict_hamiltonian)
+                      SingleSitePotential, make_box, restrict_hamiltonian)
 from .resonance import INDETERMINATE, perturbation_radius, zeroed_exterior
-from .spectral import BoundaryGreens, boundary_greens, checked_interval, eigensolve
+from .spectral import BoundaryGreens, boundary_greens, checked_interval
 from .tails import decay_tail_constant
 from .wegner import chain_formula
 
@@ -45,12 +44,6 @@ def regularity_test(op: BoxOperator, center, m: float, E: float) -> bool:
     for every interior-boundary site w.  Resonant E returns False."""
     green = boundary_greens(op, center, [E])
     return not _irregular(green, m, op.box.half_side)[0]
-
-
-def nonresonance_test(op: BoxOperator, E: float, zeta_nr: float, l: float) -> bool:
-    """E-NR: d(E, spectrum) >= (1/2) l^{-zeta} (closed inequality)."""
-    evals = eigensolve(op).eigenvalues
-    return bool(np.min(np.abs(evals - E)) >= 0.5 * l ** (-zeta_nr))
 
 
 def uniform_regularity_verdicts(
@@ -311,7 +304,7 @@ def induction_thresholds(
     xi, kappa, beta = p.xi, p.kappa, p.beta
     zeta = p.zeta_nr if p.zeta_nr is not None else derived_zeta(p, d, N)
     alpha = u.decay_alpha
-    bv = density_bv_norm(model)
+    bv = model.bv_norm
     omega_plus = model.omega_plus
     c_hat = decay_tail_constant(u.decay_C, alpha, d)
     gamma = 0.5 * ((1.0 - beta) / kappa + (1.0 - 1.0 / kappa))

@@ -19,7 +19,7 @@ from . import mc
 from .errors import GeometryError, ParameterError
 from .genfun import LeadingIndexData, companion_radius, leaked_mass_bound, tail_bound
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
-                      density_bv_norm, make_box, restrict_hamiltonian)
+                      make_box, restrict_hamiltonian)
 from .spectral import eigensolve
 from .wegner import wegner_constant_chain
 
@@ -62,15 +62,12 @@ def zeroed_exterior(config: Configuration, box: Box) -> Configuration:
 @dataclass(frozen=True)
 class SpectrumBracket:
     """Base spectrum at the zeroed exterior plus a certified radius: every
-    completion's j-th eigenvalue lies within `radius` of base j-th.
-    `base_attained` says whether the zeroed exterior is itself a completion
-    (0 in supp rho), so that some realization has the base spectrum."""
+    completion's j-th eigenvalue lies within `radius` of base j-th."""
 
     box: Box
     enlarged: Box
     base_spectrum: np.ndarray
     radius: float
-    base_attained: bool = False
 
 
 def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
@@ -86,8 +83,7 @@ def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
     if radius is None:
         radius = perturbation_radius(u, model, box.half_side, box=box)
     return SpectrumBracket(box=box, enlarged=zeroed.domain,
-                           base_spectrum=spectrum, radius=radius,
-                           base_attained=model.in_support(0.0))
+                           base_spectrum=spectrum, radius=radius)
 
 
 def spectral_distance(b1: SpectrumBracket, b2: SpectrumBracket) -> float:
@@ -100,29 +96,15 @@ def spectral_distance(b1: SpectrumBracket, b2: SpectrumBracket) -> float:
 
 def _classify_distance(d0: float, radius1: float, radius2: float,
                        eps: float, attained: bool) -> str:
-    """`attained`: some completion has both base spectra, so d0 < eps
-    certifies A."""
+    """Certified membership in A(box1, box2, eps) from the distance d0 of
+    the base spectra and their radii: d0 < eps certifies A when `attained`
+    (some completion has both base spectra); d0 - radius1 - radius2 >= eps
+    excludes every completion; anything between stays indeterminate."""
     if d0 < eps and attained:
         return CERTIFIED_IN_A
     if d0 - radius1 - radius2 >= eps:
         return CERTIFIED_OUT_A
     return INDETERMINATE
-
-
-def classify_resonance(b1: SpectrumBracket, b2: SpectrumBracket,
-                       eps: float) -> str:
-    """Certified membership in A(box1, box2, eps) via the spectrum brackets.
-
-    d0 < eps puts the zeroed completion inside A when each base spectrum
-    is attained (the zeroed exterior is a completion, or the radius is 0
-    and every completion has it); d0 - delta1 - delta2 >= eps excludes
-    every completion; anything between stays indeterminate.
-    """
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
-    attained = all(b.base_attained or b.radius == 0.0 for b in (b1, b2))
-    return _classify_distance(spectral_distance(b1, b2), b1.radius, b2.radius,
-                              eps, attained)
 
 
 @dataclass(frozen=True)
@@ -155,7 +137,7 @@ def resonance_theory_bound(
     delta1 = perturbation_radius(u, model, l1)
     delta2 = perturbation_radius(u, model, l2)
     count1 = make_box((0,) * d, l1).count
-    bound = count1 * density_bv_norm(model) * (eps + delta1 + delta2) \
+    bound = count1 * model.bv_norm * (eps + delta1 + delta2) \
         * wegner_constant_chain(u, lead, l2)
     return bound, delta1, delta2
 
@@ -181,6 +163,8 @@ def estimate_resonance_probabilities(
     indeterminate outcomes, so every comparison against the bound stays
     conservative.
     """
+    if not eps_list:
+        raise ParameterError("eps_list must hold at least one eps")
     if any(eps < 0 for eps in eps_list):
         raise ParameterError("eps must be nonnegative")
     box1 = make_box(tuple(x), l1)
@@ -195,8 +179,6 @@ def estimate_resonance_probabilities(
         )
     bounds = [resonance_theory_bound(u, lead, model, l1, l2, eps)
               for eps in eps_list]
-    if not bounds:
-        return []
     _, delta1, delta2 = bounds[0]
     # the zeroed exterior is a completion, or nothing outside reaches either box
     attained = model.in_support(0.0) or delta1 == delta2 == 0.0
@@ -224,20 +206,3 @@ def estimate_resonance_probabilities(
         ))
     return reports
 
-
-def estimate_resonance_probability(
-    u: SingleSitePotential,
-    lead: LeadingIndexData,
-    model: DisorderModel,
-    x: tuple,
-    y: tuple,
-    l1: float,
-    l2: float,
-    eps: float,
-    trials: int,
-    seed: int,
-    threads: int | None = 1,
-) -> ResonanceReport:
-    """`estimate_resonance_probabilities` at the single value `eps`."""
-    return estimate_resonance_probabilities(
-        u, lead, model, x, y, l1, l2, [eps], trials, seed, threads)[0]

@@ -1,5 +1,5 @@
 """Symmetric eigensolves, eigenvalue counting, lattice Green's functions
-and the resolvent identities consumed by the multiscale analysis.
+and eigenvector decay fits for the multiscale analysis.
 
 Each query uses the cheapest exact form of the stencil-stored
 `BoxOperator` (n sites, w = `box.strides[0]` per slice along axis 0,
@@ -263,100 +263,6 @@ def boundary_greens(op: BoxOperator, source: Point, energies) -> BoundaryGreens:
     coefficients = V[op.index_of(tuple(source))][:, None] / gaps
     green = V[op.box.interior_boundary_indices] @ coefficients
     return BoundaryGreens(np.abs(green), distance, resonant)
-
-
-def greens_function(op: BoxOperator, E: float, source: Point,
-                    targets) -> dict[Point, float]:
-    """G(E; source, target) = <delta_source, (H - E)^{-1} delta_target>."""
-    col = greens_column(op, E, source)
-    out = {}
-    for t in targets:
-        t = tuple(int(c) for c in t)
-        out[t] = float(col[op.index_of(t)])
-    return out
-
-
-def sub_operator(op: BoxOperator, sub_box: Box) -> BoxOperator:
-    """Restriction of a box operator to a contained sub-box (exact: the
-    Dirichlet truncation of a truncation is the smaller truncation).  The
-    diagonal is restricted as it is; the bonds of the sub-box are those of
-    the box between its sites, so the result equals
-    `op.matrix[np.ix_(idx, idx)]`."""
-    pts = sub_box.points
-    if not op.box.contains_points(pts).all():
-        raise ParameterError("sub_box is not contained in the operator box")
-    idx = op.box.flat_indices(pts)
-    return BoxOperator(box=sub_box, diagonal=op.diagonal[idx],
-                       boundary_kind=op.boundary_kind)
-
-
-def bond_boundary(sub_box: Box) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Bonds (w, w') with w in the box, w' outside, ||w - w'||_1 = 1."""
-    bonds = []
-    d = sub_box.dimension
-    for w in sub_box.points:
-        for r in range(d):
-            for sign in (-1, 1):
-                wp = w.copy()
-                wp[r] += sign
-                if not sub_box.contains(tuple(wp)):
-                    bonds.append((w.copy(), wp))
-    return bonds
-
-
-def resolvent_identity_residual(op_big: BoxOperator, sub_box: Box, E: float,
-                                u: Point, v: Point) -> float:
-    """|lhs - rhs| of the geometric resolvent identity
-
-    G^L(E;u,v) = sum_{(w,w') in bond boundary of C} G^C(E;u,w) G^L(E;w',v)
-
-    for u in C, v in the big box outside C.
-    """
-    u = tuple(int(c) for c in u)
-    v = tuple(int(c) for c in v)
-    if not sub_box.contains(u):
-        raise ParameterError("u must lie in the sub-box")
-    if not op_big.box.contains(v) or sub_box.contains(v):
-        raise ParameterError("v must lie in the big box outside the sub-box")
-    op_sub = sub_operator(op_big, sub_box)
-    col_sub = greens_column(op_sub, E, u)        # G^C(u, .)
-    col_big = greens_column(op_big, E, v)        # G^L(., v) by symmetry
-    lhs = float(col_big[op_big.index_of(u)])
-    rhs = 0.0
-    for w, wp in bond_boundary(sub_box):
-        if not op_big.box.contains(tuple(wp)):
-            continue
-        rhs += float(col_sub[op_sub.index_of(tuple(w))]) * \
-            float(col_big[op_big.index_of(tuple(wp))])
-    return abs(lhs - rhs)
-
-
-def boundary_reconstruct(op: BoxOperator, E: float, psi) -> float:
-    """Reconstruct psi at the box center from its values on the exterior collar:
-
-    psi(x0) = sum_{i in interior boundary} G(E;x0,i) *
-              sum_{y outside box, ||i-y||_1 = 1} psi(y)
-
-    Exact when psi is an eigenvector (for E) of a larger operator containing
-    the box; psi maps lattice points to values, absent points count as 0.
-    """
-    x0 = op.box.center
-    col = greens_column(op, E, x0)
-    total = 0.0
-    d = op.box.dimension
-    for i_pt, i_flat in zip(op.box.interior_boundary,
-                            op.box.interior_boundary_indices):
-        outer = 0.0
-        for r in range(d):
-            for sign in (-1, 1):
-                y = i_pt.copy()
-                y[r] += sign
-                y_t = tuple(int(c) for c in y)
-                if not op.box.contains(y_t):
-                    outer += float(psi.get(y_t, 0.0))
-        if outer != 0.0:
-            total += float(col[i_flat]) * outer
-    return total
 
 
 def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:

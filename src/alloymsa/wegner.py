@@ -20,7 +20,7 @@ from . import mc
 from .errors import ParameterError
 from .genfun import LeadingIndexData, companion_radius, positivity_certificate
 from .lattice import (Configuration, DisorderModel, SingleSitePotential,
-                      density_bv_norm, make_box, restrict_hamiltonian)
+                      make_box, restrict_hamiltonian)
 from .spectral import checked_interval, count_eigenvalues_in
 
 
@@ -147,7 +147,7 @@ def wegner_bound(
     """Assemble the bound 1/2 ||rho||_Var |I| sum_j ||t_{j,l}||_1."""
     e1, e2 = checked_interval(interval)
     chain = wegner_constant_chain(u, lead, l)
-    bv = density_bv_norm(model)
+    bv = model.bv_norm
     bound = 0.5 * bv * (e2 - e1) * chain
     return WegnerBoundReport(
         d=u.dimension,

@@ -415,6 +415,35 @@ class TestWegnerIntervalChecked:
         assert err.startswith("error: interval") and err.count("\n") == 1
 
 
+class TestRejectedBeforeAnyTrial:
+    @pytest.mark.parametrize("command, model, params", [
+        ("decay", DELTA0_MODEL, {"l": math.nan}),
+        ("decay", DELTA0_MODEL, {"l": math.inf}),
+        ("wegner", DELTA0_MODEL, {"ls": [math.nan]}),
+        ("lifshitz", DELTA0_MODEL, {"l": math.nan}),
+        ("large-disorder", P2_MODEL, {"l0": math.nan, "m0": 5.0, "xi": 3.0}),
+        ("decay", DELTA0_MODEL, {"l": 3.0, "n_lowest": 0}),
+        ("decay", DELTA0_MODEL, {"l": 3.0, "n_lowest": 50}),  # 7 sites
+        ("wegner", DELTA0_MODEL, {"ls": []}),
+        ("analyze-potential", DELTA0_MODEL, {"ls": []}),
+        ("resonance", P2_MODEL,
+         {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": []}),
+    ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
+            "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
+            "wegner-ls-empty", "analyze-potential-ls-empty",
+            "resonance-eps_list-empty"])
+    def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
+                             model, params):
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        cfg = write_config(tmp_path, "c.json", {
+            "model": model, "params": params, "seed": 1, "trials": 2,
+        })
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestRunExperimentAPI:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(Exception):

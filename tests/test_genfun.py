@@ -12,8 +12,7 @@ import pytest
 import sympy
 
 from alloymsa import (companion_radius, exact_potential, find_leading_index,
-                      genfun_derivative, make_box, nexp_check,
-                      positivity_certificate, tail_bound,
+                      genfun_derivative, make_box, positivity_certificate, tail_bound,
                       truncated_exponential_potential)
 from alloymsa.errors import AnalysisFailure
 from alloymsa.genfun import leaked_mass_bound, monomial, shell_indices
@@ -200,24 +199,3 @@ class TestTailBound:
         box = make_box((0,), 2.0)
         assert leaked_mass_bound(PAIR, box, 8.0) == 0.0
 
-
-class TestNexp:
-    def test_threshold_true(self):
-        assert nexp_check(1.0, 2.0, 2.0)
-        assert 2.0**1.0 < math.exp(2.0 * 2.0 / 2.0)
-
-    def test_threshold_false(self):
-        assert not nexp_check(1.0, 2.0, 1.0)
-
-    def test_large_case(self):
-        assert nexp_check(3.0, 1.0, 72.0)
-        assert 72.0**3 < math.exp(36.0)
-
-    def test_implication_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            M = rng.uniform(0.5, 4.0)
-            alpha = rng.uniform(0.2, 3.0)
-            n = rng.uniform(1.0, 500.0)
-            if nexp_check(M, alpha, n):
-                assert M * math.log(n) < alpha * n / 2.0

@@ -1,21 +1,18 @@
-"""initial_scale: Neumann gap, Temple bound, counting implication, Lifshitz."""
+"""initial_scale: beta_0, Assumption-3 bookkeeping, Lifshitz and
+large-disorder probes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from alloymsa import (NEUMANN, Box, Configuration, eigensolve, exact_potential,
-                      find_leading_index, free_operator, make_box, neumann_gap,
-                      restrict_hamiltonian, uniform_density)
-from alloymsa.errors import ParameterError, TempleInapplicableError
-from alloymsa.initial_scale import (admissible_lengths, free_neumann_lambda2,
+from alloymsa import (Configuration, exact_potential, find_leading_index,
+                      make_box, uniform_density)
+from alloymsa.errors import ParameterError
+from alloymsa.initial_scale import (admissible_lengths, beta_floor,
                                     large_disorder_probe, lifshitz_parameters,
-                                    lifshitz_probe, localization_interval,
-                                    prop_first_constants,
-                                    small_coupling_implication,
-                                    temple_lower_bound)
-from alloymsa.lattice import SingleSitePotential, constant_configuration
+                                    lifshitz_probe)
+from alloymsa.lattice import SingleSitePotential
 
 UNIFORM = uniform_density(0.0, 1.0)
 
@@ -31,98 +28,10 @@ def neg_tail_potential(delta_mass: float, alpha: float = 4.0, radius: int = 6):
     return exact_potential(vals, 1.0, alpha)
 
 
-class TestNeumannGap:
-    def test_formula_dominates_4_l2(self):
-        for l in range(1, 201):
-            formula, _ = neumann_gap(float(l), 1)
-            assert formula >= 4.0 / l**2 - 1e-12
-
-    def test_strict_only_fails_at_one(self):
-        formula, _ = neumann_gap(1.0, 1)
-        assert formula == pytest.approx(4.0)
-        formula2, _ = neumann_gap(2.0, 1)
-        assert formula2 > 1.0
-
-    def test_exact_closed_form(self):
-        _, exact = neumann_gap(3.0, 1)
-        assert exact == pytest.approx(2 - 2 * math.cos(math.pi / 7), abs=1e-10)
-
-    def test_kernel_with_constant_vector(self):
-        from alloymsa import free_operator
-        op = free_operator(make_box((0,), 3.0), NEUMANN)
-        res = eigensolve(op, want_vectors=True)
-        assert abs(res.eigenvalues[0]) < 1e-12
-        v = res.eigenvectors[:, 0]
-        assert np.max(np.abs(v - v[0])) < 1e-9
-
-    def test_2d_matches_1d(self):
-        assert free_neumann_lambda2(make_box((0, 0), 2.0)) == pytest.approx(
-            free_neumann_lambda2(make_box((0,), 2.0)))
-
-    # (1, 2) and (1, 1, 2) have one-site axes; no cube has shape (1, 1, 3),
-    # since a side 2l holding 3 integers holds at least 2 on every axis
-    @pytest.mark.parametrize("box", [
-        *(Box(((n - 1) / 2.0,), (n - 1) / 2.0 + 0.25) for n in range(2, 61)),
-        Box((0.5, 0), 1.0),
-        Box((0, 0.5), 0.5),
-        Box((0, 0, 0.5), 0.5),
-    ], ids=lambda b: "x".join(map(str, b.shape)))
-    def test_closed_form_matches_dense_eigensolve(self, box):
-        dense = eigensolve(free_operator(box, NEUMANN)).eigenvalues[1]
-        assert free_neumann_lambda2(box) == pytest.approx(dense, abs=1e-12)
-
-    @pytest.mark.parametrize("center", [(0,), (0, 0), (0, 0, 0)])
-    def test_one_point_box_has_no_lambda2(self, center):
-        box = Box(center, 0.5)
-        assert box.count == 1
-        with pytest.raises(ParameterError):
-            free_neumann_lambda2(box)
-
-
 class TestTempleLowerBound:
-    def test_zero_potential(self):
-        u = neg_tail_potential(1e-9)
-        l, beta = 6.0, 18.0
-        dom = make_box((0,), l + u.truncation_radius + 0.25)
-        cfg = constant_configuration(dom, 0.0)
-        lhat = temple_lower_bound(u, cfg, l, beta, omega_plus=1.0)
-        assert lhat <= 0.0  # lambda_1 of the free Neumann box is 0
-
-    def test_soundness_random_instances(self):
-        rng = np.random.default_rng(51)
-        l, beta = 8.0, 18.0
-        u = neg_tail_potential(0.5 * l**-2 / (8 * beta))
-        box = make_box((0,), l)
-        dom = make_box((0,), l + u.truncation_radius + 0.25)
-        for _ in range(100):
-            cfg = Configuration(dom, UNIFORM.sample(rng, dom.count))
-            lhat = temple_lower_bound(u, cfg, l, beta, omega_plus=1.0)
-            lam1 = float(eigensolve(
-                restrict_hamiltonian(u, cfg, box, NEUMANN)).eigenvalues[0])
-            assert lhat <= lam1 + 1e-12
-
-    def test_inapplicable_when_mean_large(self):
-        u = neg_tail_potential(1e-9)
-        l, beta = 6.0, 18.0
-        dom = make_box((0,), l + u.truncation_radius + 0.25)
-        cfg = constant_configuration(dom, 1.0, exterior_value=1.0)
-        # mean of the *untruncated* potential ~ ubar, far above xi; but the
-        # coupling cutoff keeps <h> small, so engineer a tiny beta instead
-        with pytest.raises((TempleInapplicableError, ParameterError)):
-            temple_lower_bound(u, cfg, l, beta=1e-6, omega_plus=1.0)
-
-    def test_assumption3_boundary_is_strict(self):
-        # l = 2, beta = 2, omega_plus = 1: delta = l^-2 / (8 beta) = 1/64
-        l, beta, delta = 2.0, 2.0, 1.0 / 64.0
-        dom = make_box((0,), l + 1.25)
-        cfg = constant_configuration(dom, 0.0)
-        at_delta = exact_potential({(0,): 1.0, (1,): -delta}, 1.0, 1.0)
-        assert at_delta.negative_mass == delta
-        temple_lower_bound(at_delta, cfg, l, beta, omega_plus=1.0)
-        above = exact_potential({(0,): 1.0, (1,): -delta * (1 + 5e-13)},
-                                1.0, 1.0)
-        with pytest.raises(ParameterError, match="exceeds delta"):
-            temple_lower_bound(above, cfg, l, beta, omega_plus=1.0)
+    """Checks kept from the Temple route: the Assumption-3 negative mass,
+    which `lifshitz_probe` still checks, and the coupling-monotonicity of
+    `assemble_potential` that its truncation used."""
 
     def test_negative_mass_includes_residual(self):
         u = neg_tail_potential(1e-6)
@@ -147,67 +56,22 @@ class TestTempleLowerBound:
             assert np.max(v_trunc - v_full) <= l**-2 / (8 * beta) + 1e-15
 
 
-class TestPropFirstConstants:
-    def test_R_and_scales(self):
+class TestBetaFloor:
+    def test_formula(self):
         u = neg_tail_potential(1e-8)
-        c = prop_first_constants(u)
-        assert c.R >= 1
-        # R satisfies the displayed inequality, R-1 does not
-        from alloymsa.genfun import tail_bound
-        bracket = 16.0 / u.l1_norm + \
-            (u.mean_value) / (4.0 * u.l1_norm**2)
-        c_hat = tail_bound(u, 0.0, 0.0)
-        assert c_hat * math.exp(-u.decay_alpha * c.R / 2) * bracket <= 1 / 8
-        if c.R > 1:
-            assert c_hat * math.exp(-u.decay_alpha * (c.R - 1) / 2) * bracket > 1 / 8
-        assert c.l8_star == max(c.l9_star, c.l10_star)
-        assert c.beta0 == pytest.approx(65 / 32 + 8 * u.l1_norm /
-                                        (u.mean_value - u.truncation_residual))
-
-
-class TestSmallCouplingImplication:
-    def test_all_couplings_large_vacuous(self):
-        u = neg_tail_potential(1e-9)
-        high = uniform_density(0.9, 1.0)
-        rep = small_coupling_implication(u, high, 24.0, 18.0, trials=40, seed=1)
-        assert rep.counterexamples == 0
-
-    def test_all_zero_couplings(self):
-        u = neg_tail_potential(1e-9)
-        l, beta = 12.0, 18.0
-        box = make_box((0,), l)
-        # lambda_1 = 0 < threshold and every coupling counts as small
-        dom = make_box((0,), l + u.truncation_radius + 0.25)
-        cfg = constant_configuration(dom, 0.0)
-        op = restrict_hamiltonian(u, cfg, box, NEUMANN)
-        lam1 = float(eigensolve(op).eigenvalues[0])
-        assert lam1 < l**-2 / beta
-        assert box.count > (13 / 12) * box.count / 2
-
-    def test_mc_no_counterexamples_quick(self):
-        l, beta = 384.0, 18.0
-        u = neg_tail_potential(0.5 * l**-2 / (8 * beta))
-        rep = small_coupling_implication(u, UNIFORM, l, beta, trials=20, seed=2)
-        assert rep.counterexamples == 0
-        assert rep.precondition_violations == []
-
-    def test_preconditions_reported_not_thrown(self):
-        u = neg_tail_potential(1e-4)  # too much negative mass for the delta
-        rep = small_coupling_implication(u, UNIFORM, 24.0, 11.0, trials=5,
-                                         seed=3)
-        assert any("Assumption-3" in v or "l8" in v or "beta" in v
-                   for v in rep.precondition_violations)
+        assert beta_floor(u) == pytest.approx(
+            65 / 32 + 8 * u.l1_norm / (u.mean_value - u.truncation_residual))
 
 
 class TestAdmissibleLengths:
     def test_quotient_three(self):
         u = neg_tail_potential(1e-9)
-        c = prop_first_constants(u)
-        ls = admissible_lengths(1.0, c.beta0, 15, 45)
+        beta0 = beta_floor(u)
+        ls = admissible_lengths(1.0, beta0, 15, 45)
         assert ls, "expected admissible lengths in [15, 45]"
         for l in ls:
             a = 2 * l + 1
-            b = math.floor(2 * l ** 0.5 / math.sqrt(c.beta0) + 1)
+            b = math.floor(2 * l ** 0.5 / math.sqrt(beta0) + 1)
             assert a % b == 0 and (a // b) % 2 == 1
 
     def test_even_quotient_rejected(self):
@@ -226,7 +90,7 @@ class TestAdmissibleLengths:
 class TestLifshitzProbe:
     def _setup(self, l=None, trials=60):
         probe = neg_tail_potential(1e-9)
-        beta0 = prop_first_constants(probe).beta0
+        beta0 = beta_floor(probe)
         ls = admissible_lengths(1.0, beta0, 15, 45)
         l = float(ls[0]) if l is None else l
         params0 = lifshitz_parameters(probe, UNIFORM, l, 1.0, 2.0, 1 / 12)
@@ -260,12 +124,6 @@ class TestLifshitzProbe:
         u, params, l, _ = self._setup()
         with pytest.raises(ParameterError):
             lifshitz_parameters(u, UNIFORM, l, 1.0, 2.0, epsilon0=0.5)
-
-    def test_localization_interval_positive(self):
-        u, params, l, _ = self._setup()
-        eps_l, (lo, hi) = localization_interval(u, UNIFORM, l, 1.0)
-        assert eps_l > 0
-        assert lo == -hi == -eps_l / 2
 
 
 class TestLargeDisorderProbe:

@@ -1,12 +1,13 @@
 """model_core: boxes, potentials, densities, configurations, operators."""
 
+import math
+
 import numpy as np
 import pytest
 
-from alloymsa import (DIRICHLET, NEUMANN, Configuration, DisorderModel,
-                      PolynomialPiece, SingleSitePotential, assemble_potential,
-                      density_bv_norm, exact_potential, free_operator,
-                      make_box, restrict_hamiltonian, sample_configuration,
+from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
+                      SingleSitePotential, assemble_potential, exact_potential,
+                      free_operator, make_box, restrict_hamiltonian,
                       uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
 from alloymsa.lattice import constant_configuration
@@ -33,6 +34,11 @@ class TestMakeBox:
         with pytest.raises(ParameterError):
             make_box((0,), 0.0)
 
+    def test_non_finite_half_side(self):
+        for half in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                make_box((0,), half)
+
     def test_lexicographic_order(self):
         box = make_box((0, 0), 1.0)
         pts = [tuple(p) for p in box.points]
@@ -54,20 +60,22 @@ class TestMakeBox:
 class TestSampleConfiguration:
     def test_support_containment(self):
         model = uniform_density(0.0, 1.0)
-        cfg = sample_configuration(model, make_box((0,), 10.0), seed=7)
-        assert np.all(cfg.values >= 0.0) and np.all(cfg.values <= 1.0)
+        values = model.sample(np.random.default_rng(7),
+                              make_box((0,), 10.0).count)
+        assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
     def test_determinism(self):
         model = uniform_density(0.0, 1.0)
-        box = make_box((0, 0), 3.0)
-        a = sample_configuration(model, box, seed=123)
-        b = sample_configuration(model, box, seed=123)
-        assert np.array_equal(a.values, b.values)
+        n = make_box((0, 0), 3.0).count
+        a = model.sample(np.random.default_rng(123), n)
+        b = model.sample(np.random.default_rng(123), n)
+        assert np.array_equal(a, b)
 
     def test_mean_clt(self):
         model = uniform_density(0.0, 1.0)
-        cfg = sample_configuration(model, make_box((0,), 50_000.0), seed=11)
-        assert abs(cfg.values.mean() - 0.5) < 0.01
+        values = model.sample(np.random.default_rng(11),
+                              make_box((0,), 50_000.0).count)
+        assert abs(values.mean() - 0.5) < 0.01
 
     def test_triangular_sampling_moments(self):
         # peak 1 at x=1 on [0,2]: mean 1, var 1/6
@@ -75,9 +83,10 @@ class TestSampleConfiguration:
             PolynomialPiece(0.0, 1.0, (0.0, 1.0)),
             PolynomialPiece(1.0, 2.0, (2.0, -1.0)),
         ))
-        cfg = sample_configuration(tri, make_box((0,), 30_000.0), seed=3)
-        assert abs(cfg.values.mean() - 1.0) < 0.01
-        assert abs(cfg.values.var() - 1.0 / 6.0) < 0.01
+        values = tri.sample(np.random.default_rng(3),
+                            make_box((0,), 30_000.0).count)
+        assert abs(values.mean() - 1.0) < 0.01
+        assert abs(values.var() - 1.0 / 6.0) < 0.01
 
 
 class TestAssemblePotential:
@@ -109,17 +118,11 @@ class TestRestrictHamiltonian:
         assert op.matrix.shape == (1, 1)
         assert op.matrix[0, 0] == 2.0
 
-    def test_neumann_kernel(self):
-        box = make_box((0,), 1.0)
-        cfg = constant_configuration(box, 0.0)
-        op = restrict_hamiltonian(DELTA0, cfg, box, NEUMANN)
-        assert np.allclose(op.matrix.sum(axis=1), 0.0)
-
     def test_2d_trace(self):
         box = make_box((0, 0), 1.0)
         cfg = constant_configuration(box, 0.0)
         op = restrict_hamiltonian(exact_potential({(0, 0): 1.0}, 1.0, 1.0),
-                                  cfg, box, DIRICHLET)
+                                  cfg, box)
         assert op.matrix.trace() == 9 * 4
 
     def test_symmetry(self):
@@ -140,18 +143,18 @@ PAIR_2D = exact_potential({(0, 0): 1.0, (1, 1): -0.5}, 3.8, 1.0)
 
 class TestDensityBVNorm:
     def test_uniform_unit(self):
-        assert density_bv_norm(uniform_density(0.0, 1.0)) == pytest.approx(2.0)
+        assert uniform_density(0.0, 1.0).bv_norm == pytest.approx(2.0)
 
     def test_uniform_scaled(self):
         lam = 50.0
-        assert density_bv_norm(uniform_density(0.0, lam)) == pytest.approx(2.0 / lam)
+        assert uniform_density(0.0, lam).bv_norm == pytest.approx(2.0 / lam)
 
     def test_triangular(self):
         tri = DisorderModel((
             PolynomialPiece(0.0, 1.0, (0.0, 1.0)),
             PolynomialPiece(1.0, 2.0, (2.0, -1.0)),
         ))
-        assert density_bv_norm(tri) == pytest.approx(2.0)
+        assert tri.bv_norm == pytest.approx(2.0)
 
     def test_normalization_enforced(self):
         with pytest.raises(ParameterError):
@@ -205,13 +208,6 @@ class TestSpectralSanity:
             eb = np.linalg.eigvalsh(restrict_hamiltonian(u, cb, box).matrix)
             assert np.max(np.abs(ea - eb)) <= np.max(np.abs(va - vb)) + 1e-12
 
-    def test_neumann_free_kernel(self):
-        op = free_operator(make_box((0, 0), 2.0), NEUMANN)
-        evals, evecs = np.linalg.eigh(op.matrix)
-        assert abs(evals[0]) < 1e-12
-        v = evecs[:, 0]
-        assert np.max(np.abs(v - v[0])) < 1e-9
-
 
 def truncated_exp_1d(radius: int = 40, alpha: float = 1.0):
     from alloymsa import truncated_exponential_potential
@@ -232,7 +228,7 @@ class TestSerialization:
             PolynomialPiece(1.0, 2.0, (2.0, -1.0)),
         ))
         back = DisorderModel.from_json_dict(tri.to_json_dict())
-        assert density_bv_norm(back) == pytest.approx(density_bv_norm(tri))
+        assert back.bv_norm == pytest.approx(tri.bv_norm)
 
     def test_decay_certificate_enforced(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,4 @@
-"""msa: regularity predicates, uniform certification, parameter recursion."""
+"""msa: the regularity predicate, uniform certification, parameter recursion."""
 
 import math
 
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from alloymsa import (Configuration, SingleSitePotential, eigensolve,
                       exact_potential, find_leading_index, free_operator,
-                      make_box, mc, msa, nonresonance_test,
-                      perturbation_radius, regularity_test,
+                      make_box, mc, msa, perturbation_radius, regularity_test,
                       restrict_hamiltonian, scale_schedule, spectral,
                       truncated_exponential_potential, uniform_density,
                       validate_parameters)
@@ -43,24 +42,6 @@ class TestRegularity:
         op = free_operator(make_box((0,), 2.0))
         # e^{-ml} -> 1 as m -> 0+: any sub-unit Green bound passes
         assert regularity_test(op, (0,), 1e-12, -1.0)
-
-
-class TestNonResonance:
-    def test_eigenvalue_resonant(self):
-        op = free_operator(make_box((0,), 2.0))
-        E = float(eigensolve(op).eigenvalues[2])
-        assert not nonresonance_test(op, E, 1.0, 2.0)
-
-    def test_wide_gap(self):
-        op = free_operator(make_box((0,), 5.0))
-        # d(-1, spectrum) >= 1 >= 0.5 * 10^{-1} = 0.05
-        assert nonresonance_test(op, -1.0, 1.0, 10.0)
-
-    def test_boundary_equality_counts(self):
-        op = free_operator(make_box((0,), 0.5))  # spectrum {2}
-        zeta, l = 1.0, 10.0
-        E = 2.0 - 0.5 * l**-zeta
-        assert nonresonance_test(op, E, zeta, l)
 
 
 def _enlarged_config(rng, l, model=UNIFORM, d=1):

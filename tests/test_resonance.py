@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alloymsa import (Configuration, classify_resonance, eigensolve,
-                      estimate_resonance_probabilities,
-                      estimate_resonance_probability, exact_potential,
+from alloymsa import (Configuration, eigensolve,
+                      estimate_resonance_probabilities, exact_potential,
                       find_leading_index, make_box, perturbation_radius,
                       restrict_hamiltonian, spectrum_bracket,
                       truncated_exponential_potential, uniform_density)
@@ -15,7 +14,8 @@ from alloymsa.errors import GeometryError, ParameterError
 from alloymsa.lattice import DisorderModel, PolynomialPiece
 from alloymsa import resonance
 from alloymsa.resonance import (CERTIFIED_IN_A, CERTIFIED_OUT_A, INDETERMINATE,
-                                SpectrumBracket)
+                                SpectrumBracket, _classify_distance,
+                                spectral_distance)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -107,47 +107,53 @@ def _bracket(center, spectrum, radius, l=2.0):
         base_spectrum=np.asarray(spectrum, dtype=float), radius=radius)
 
 
+def classify(b1, b2, eps, attained):
+    return _classify_distance(spectral_distance(b1, b2), b1.radius, b2.radius,
+                              eps, attained)
+
+
 class TestClassify:
     def test_identical_spectra(self):
+        # radius 0: every completion has the base spectra
         b1 = _bracket((0,), [1.0, 2.0], 0.0)
         b2 = _bracket((100,), [1.0, 3.0], 0.0)
-        assert classify_resonance(b1, b2, 0.5) == CERTIFIED_IN_A
+        assert classify(b1, b2, 0.5, attained=True) == CERTIFIED_IN_A
 
     def test_separated(self):
         b1 = _bracket((0,), [0.0], 0.01)
         b2 = _bracket((100,), [1.0], 0.01)
-        assert classify_resonance(b1, b2, 0.1) == CERTIFIED_OUT_A
+        assert classify(b1, b2, 0.1, attained=False) == CERTIFIED_OUT_A
 
     def test_indeterminate_band(self):
         b1 = _bracket((0,), [0.0], 0.05)
         b2 = _bracket((100,), [0.12], 0.05)
-        assert classify_resonance(b1, b2, 0.1) == INDETERMINATE
+        assert classify(b1, b2, 0.1, attained=False) == INDETERMINATE
 
     def test_overlap_rejected(self):
         b1 = _bracket((0,), [0.0], 0.0)
         b2 = _bracket((1,), [1.0], 0.0)
         with pytest.raises(GeometryError):
-            classify_resonance(b1, b2, 0.1)
+            classify(b1, b2, 0.1, attained=True)
 
 
 class TestEstimateProbability:
     def test_huge_eps_vacuous(self):
         lead = find_leading_index(DELTA0)
-        rep = estimate_resonance_probability(
-            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, 50.0, 40, seed=1)
+        rep, = estimate_resonance_probabilities(
+            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [50.0], 40, seed=1)
         assert rep.p_lo == 1.0
         assert rep.theory_bound >= 1.0
 
     def test_eps_zero(self):
         lead = find_leading_index(DELTA0)
-        rep = estimate_resonance_probability(
-            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, 0.0, 40, seed=2)
+        rep, = estimate_resonance_probabilities(
+            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [0.0], 40, seed=2)
         assert rep.p_lo == 0.0
 
     def test_monotone_in_eps(self):
         lead = find_leading_index(DELTA0)
-        reps = [estimate_resonance_probability(
-            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, eps, 120, seed=3)
+        reps = [estimate_resonance_probabilities(
+            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [eps], 120, seed=3)[0]
             for eps in (1e-3, 1e-2, 1e-1)]
         for a, b in zip(reps, reps[1:]):
             assert a.p_lo <= b.p_lo and a.p_hi <= b.p_hi
@@ -155,21 +161,21 @@ class TestEstimateProbability:
 
     def test_bound_holds_quick(self):
         lead = find_leading_index(DELTA0)
-        rep = estimate_resonance_probability(
-            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, 1e-2, 300, seed=4)
+        rep, = estimate_resonance_probabilities(
+            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [1e-2], 300, seed=4)
         assert rep.p_hi <= rep.theory_bound + 3 * rep.std_error
 
     def test_scale_too_small(self):
         lead = find_leading_index(DELTA0)
         with pytest.raises(ParameterError):
-            estimate_resonance_probability(
-                DELTA0, lead, UNIFORM, (0,), (100,), 2.0, 1.0, 0.1, 10, seed=5)
+            estimate_resonance_probabilities(
+                DELTA0, lead, UNIFORM, (0,), (100,), 2.0, 1.0, [0.1], 10, seed=5)
 
     def test_overlapping_geometry(self):
         lead = find_leading_index(DELTA0)
         with pytest.raises(GeometryError):
-            estimate_resonance_probability(
-                DELTA0, lead, UNIFORM, (0,), (10,), 3.0, 3.0, 0.1, 10, seed=6)
+            estimate_resonance_probabilities(
+                DELTA0, lead, UNIFORM, (0,), (10,), 3.0, 3.0, [0.1], 10, seed=6)
 
 
 class TestOnePassOverEps:
@@ -179,7 +185,7 @@ class TestOnePassOverEps:
         lead = find_leading_index(DELTA0)
         args = (DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0)
         together = estimate_resonance_probabilities(*args, self.EPS, 60, 3)
-        assert together == [estimate_resonance_probability(*args, eps, 60, 3)
+        assert together == [estimate_resonance_probabilities(*args, [eps], 60, 3)[0]
                             for eps in self.EPS]
 
     def test_two_solves_per_trial_for_all_eps(self, monkeypatch):
@@ -213,35 +219,28 @@ class TestZeroOutsideSupport:
     def test_estimate_withholds_certified_in_a(self):
         u = leaky_potential()
         lead = find_leading_index(u)
-        args = ((0,), (100,), 3.0, 3.0, 50.0, 4)
-        inside = estimate_resonance_probability(u, lead, UNIFORM, *args, seed=1)
-        outside = estimate_resonance_probability(u, lead, self.OUTSIDE, *args,
-                                                 seed=1)
+        args = ((0,), (100,), 3.0, 3.0, [50.0], 4)
+        inside, = estimate_resonance_probabilities(u, lead, UNIFORM, *args,
+                                                   seed=1)
+        outside, = estimate_resonance_probabilities(u, lead, self.OUTSIDE,
+                                                     *args, seed=1)
         assert inside.delta1 > 0.0 and outside.delta1 > 0.0
         assert inside.p_lo == 1.0
         assert outside.p_lo == 0.0 and outside.p_hi == 1.0
 
     def test_exact_verdict_when_nothing_reaches_the_boxes(self):
         lead = find_leading_index(DELTA0)
-        rep = estimate_resonance_probability(
-            DELTA0, lead, self.OUTSIDE, (0,), (100,), 3.0, 3.0, 50.0, 4, seed=1)
+        rep, = estimate_resonance_probabilities(
+            DELTA0, lead, self.OUTSIDE, (0,), (100,), 3.0, 3.0, [50.0], 4,
+            seed=1)
         assert rep.delta1 == rep.delta2 == 0.0
         assert rep.p_lo == 1.0
-
-    def test_bracket_records_support(self):
-        u = leaky_potential()
-        box = make_box((0,), 2.0)
-        domain = make_box((0,), 8.0)
-        cfg = Configuration(domain, np.full(domain.count, 1.5))
-        assert spectrum_bracket(u, UNIFORM, cfg, box).base_attained
-        assert not spectrum_bracket(u, self.OUTSIDE, cfg, box).base_attained
 
     def test_classify(self):
         b1 = _bracket((0,), [1.0], 0.01)
         b2 = _bracket((100,), [1.0], 0.01)
-        assert classify_resonance(b1, b2, 0.5) == INDETERMINATE
-        attained = [replace(b, base_attained=True) for b in (b1, b2)]
-        assert classify_resonance(*attained, 0.5) == CERTIFIED_IN_A
+        assert classify(b1, b2, 0.5, attained=False) == INDETERMINATE
+        assert classify(b1, b2, 0.5, attained=True) == CERTIFIED_IN_A
         exact = replace(b2, radius=0.0)
-        assert classify_resonance(attained[0], exact, 0.5) == CERTIFIED_IN_A
-        assert classify_resonance(b1, exact, 0.5) == INDETERMINATE
+        assert classify(b1, exact, 0.5, attained=True) == CERTIFIED_IN_A
+        assert classify(b1, exact, 0.5, attained=False) == INDETERMINATE

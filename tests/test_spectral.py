@@ -1,4 +1,4 @@
-"""spectral: eigensolves, counting, Green's functions, resolvent identities."""
+"""spectral: eigensolves, counting, Green's functions, decay fits."""
 
 import math
 
@@ -7,33 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alloymsa import (DIRICHLET, NEUMANN, Configuration, boundary_reconstruct,
-                      count_eigenvalues_in, decay_fit, eigensolve,
-                      exact_potential, free_operator, greens_function,
-                      make_box, resolvent_identity_residual,
+from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
+                      eigensolve, exact_potential, free_operator, make_box,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import FitError, ResonantEnergyError
-from alloymsa.lattice import BoxOperator, constant_configuration
-from alloymsa.spectral import (RESONANCE_GUARD, boundary_greens, greens_column,
-                               sub_operator)
+from alloymsa.lattice import BoxOperator
+from alloymsa.spectral import RESONANCE_GUARD, boundary_greens, greens_column
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 
 
-def dirichlet_path_spectrum(n):
-    return np.array([2 - 2 * math.cos(j * math.pi / (n + 1))
-                     for j in range(1, n + 1)])
-
-
-def neumann_path_spectrum(n):
-    return np.array([2 - 2 * math.cos(j * math.pi / n) for j in range(n)])
-
-
-def random_operator(rng, l=4.0, d=1, w=1.0, kind=DIRICHLET):
+def random_operator(rng, l=4.0, d=1, w=1.0):
     box = make_box((0,) * d, l)
     dom = make_box((0,) * d, l + 1.0)
     cfg = Configuration(dom, rng.uniform(0, w, dom.count))
-    return restrict_hamiltonian(DELTA0_D[d], cfg, box, kind)
+    return restrict_hamiltonian(DELTA0_D[d], cfg, box)
 
 
 DELTA0_D = {1: DELTA0, 2: exact_potential({(0, 0): 1.0}, 1.0, 1.0)}
@@ -48,13 +36,6 @@ class TestEigensolve:
         op = free_operator(make_box((0,), 1.0))
         expect = sorted([2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)])
         assert np.allclose(eigensolve(op).eigenvalues, expect, atol=1e-12)
-
-    @pytest.mark.parametrize("l", [2, 5, 11])
-    def test_neumann_path_closed_form(self, l):
-        op = free_operator(make_box((0,), float(l)), NEUMANN)
-        n = 2 * l + 1
-        assert np.allclose(eigensolve(op).eigenvalues,
-                           np.sort(neumann_path_spectrum(n)), atol=1e-10)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(0)
@@ -104,22 +85,22 @@ class TestCounting:
 class TestGreensFunction:
     def test_scalar_inverse(self):
         op = free_operator(make_box((0,), 0.5))
-        g = greens_function(op, 0.0, (0,), [(0,)])
-        assert g[(0,)] == pytest.approx(0.5)
+        g = greens_column(op, 0.0, (0,))
+        assert g[op.index_of((0,))] == pytest.approx(0.5)
 
     def test_tridiagonal_corner(self):
         # inverse of tridiag(-1, 2, -1), entry (1, 3) = 1/4
         op = free_operator(make_box((0,), 1.0))
-        g = greens_function(op, 0.0, (-1,), [(1,)])
-        assert g[(1,)] == pytest.approx(0.25, abs=1e-12)
+        g = greens_column(op, 0.0, (-1,))
+        assert g[op.index_of((1,))] == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             op = random_operator(rng, l=5.0, w=4.0)
             E = rng.uniform(-1, 0)
-            a = greens_function(op, E, (-3,), [(4,)])[(4,)]
-            b = greens_function(op, E, (4,), [(-3,)])[(-3,)]
+            a = greens_column(op, E, (-3,))[op.index_of((4,))]
+            b = greens_column(op, E, (4,))[op.index_of((-3,))]
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_rank_one_consistency(self):
@@ -192,87 +173,17 @@ class TestGreensFunction:
     def test_resonant_energy(self):
         op = free_operator(make_box((0,), 1.0))
         with pytest.raises(ResonantEnergyError):
-            greens_function(op, 2.0, (0,), [(1,)])
+            greens_column(op, 2.0, (0,))
 
     def test_weyl_diagonal_shift(self):
         rng = np.random.default_rng(7)
         op = random_operator(rng, l=5.0, w=2.0)
         s = 0.3
         bump = rng.uniform(-s, s, op.box.count)
-        shifted = BoxOperator(op.box, op.diagonal + bump, op.boundary_kind)
+        shifted = BoxOperator(op.box, op.diagonal + bump)
         a = eigensolve(op).eigenvalues
         b = eigensolve(shifted).eigenvalues
         assert np.max(np.abs(a - b)) <= s + 1e-12
-
-
-class TestResolventIdentity:
-    def test_random_instances(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            big = make_box((0,), 6.0)
-            dom = make_box((0,), 7.0)
-            cfg = Configuration(dom, rng.uniform(0, 2, dom.count))
-            op = restrict_hamiltonian(DELTA0, cfg, big)
-            sub = make_box((-2,), 3.0)
-            resid = resolvent_identity_residual(op, sub, -0.4, (-3,), (4,))
-            assert resid <= 1e-8
-
-    def test_almost_full_sub_box(self):
-        op = free_operator(make_box((0,), 2.0))  # 5-site chain
-        sub = make_box((-1,), 1.49)  # drops the rightmost sites
-        resid = resolvent_identity_residual(op, sub, -0.3, (-1,), (2,))
-        assert resid <= 1e-10
-
-    def test_adjacent_across_boundary(self):
-        op = free_operator(make_box((0,), 4.0))
-        sub = make_box((-2,), 2.0)
-        resid = resolvent_identity_residual(op, sub, -0.2, (0,), (1,))
-        assert resid <= 1e-8
-
-    def test_2d_instance(self):
-        rng = np.random.default_rng(9)
-        big = make_box((0, 0), 3.0)
-        dom = make_box((0, 0), 4.0)
-        cfg = Configuration(dom, rng.uniform(0, 1, dom.count))
-        op = restrict_hamiltonian(DELTA0_D[2], cfg, big)
-        sub = make_box((-1, -1), 1.0)
-        resid = resolvent_identity_residual(op, sub, -0.7, (-1, -1), (2, 2))
-        assert resid <= 1e-8
-
-
-class TestBoundaryReconstruct:
-    def test_exact_eigenpair(self):
-        rng = np.random.default_rng(10)
-        big = make_box((0,), 8.0)
-        dom = make_box((0,), 9.0)
-        cfg = Configuration(dom, rng.uniform(0, 3, dom.count))
-        big_op = restrict_hamiltonian(DELTA0, cfg, big)
-        res = eigensolve(big_op, want_vectors=True)
-        E = float(res.eigenvalues[3])
-        vec = res.eigenvectors[:, 3]
-        psi = {tuple(p): float(v) for p, v in zip(big.points, vec)}
-        small_op = sub_operator(big_op, make_box((0,), 3.0))
-        got = boundary_reconstruct(small_op, E, psi)
-        assert got == pytest.approx(psi[(0,)], abs=1e-8)
-
-    def test_zero_exterior(self):
-        op = free_operator(make_box((0,), 2.0))
-        assert boundary_reconstruct(op, -1.0, {}) == 0.0
-
-    def test_two_interior_boxes_agree(self):
-        rng = np.random.default_rng(11)
-        big = make_box((0, 0), 4.0)
-        dom = make_box((0, 0), 5.0)
-        cfg = Configuration(dom, rng.uniform(0, 2, dom.count))
-        big_op = restrict_hamiltonian(DELTA0_D[2], cfg, big)
-        res = eigensolve(big_op, want_vectors=True)
-        E = float(res.eigenvalues[5])
-        psi = {tuple(p): float(v)
-               for p, v in zip(big.points, res.eigenvectors[:, 5])}
-        for half in (1.0, 2.0):
-            small = sub_operator(big_op, make_box((0, 0), half))
-            got = boundary_reconstruct(small, E, psi)
-            assert got == pytest.approx(psi[(0, 0)], abs=1e-8)
 
 
 class TestDecayFit:

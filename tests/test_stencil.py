@@ -10,12 +10,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alloymsa import (DIRICHLET, NEUMANN, Configuration, count_eigenvalues_in,
-                      eigensolve, exact_potential, free_operator, make_box,
+from alloymsa import (Configuration, count_eigenvalues_in, eigensolve,
+                      exact_potential, free_operator, make_box,
                       restrict_hamiltonian)
 from alloymsa.errors import ParameterError, SolverError
 from alloymsa.lattice import Box, BoxOperator
-from alloymsa.spectral import RESIDUAL_BLOCK, sub_operator
+from alloymsa.spectral import RESIDUAL_BLOCK
 
 # twice the largest half side per dimension: boxes have at most 512 sites
 MAX_HALF = {1: 200, 2: 20, 3: 6}
@@ -43,14 +43,13 @@ def operators(draw):
     d = draw(st.integers(1, 3))
     center = tuple(draw(st.sampled_from([0, 0.5])) for _ in range(d))
     half = draw(st.integers(1, MAX_HALF[d])) / 2.0
-    kind = draw(st.sampled_from([DIRICHLET, NEUMANN]))
     seed = draw(st.integers(0, 2**32 - 1))
     box = Box(center, half)
     domain = Box(center, half + 1.0)
     rng = np.random.default_rng(seed)
     cfg = Configuration(domain, rng.uniform(-2.0, 3.0, domain.count))
     u = exact_potential({(0,) * d: 1.0}, 1.0, 1.0)
-    return restrict_hamiltonian(u, cfg, box, kind), rng
+    return restrict_hamiltonian(u, cfg, box), rng
 
 
 def _adjacency(box):
@@ -91,19 +90,6 @@ class TestStencilAgainstDense:
             assert not band[w - s, :s].any()
 
     @settings(max_examples=80, deadline=None)
-    @given(operators(), st.integers(0, 10**6), st.integers(0, 10))
-    def test_sub_operator(self, op_rng, where, size):
-        op, _ = op_rng
-        box = op.box
-        p = box.points[where % box.count]
-        room = min(min(p - np.asarray(box.lo)), min(np.asarray(box.hi) - p))
-        sub = make_box(tuple(p), 0.5 + min(size, room))
-        idx = box.flat_indices(sub.points)
-        restricted = sub_operator(op, sub)
-        assert restricted.boundary_kind == op.boundary_kind
-        assert np.array_equal(restricted.matrix, op.matrix[np.ix_(idx, idx)])
-
-    @settings(max_examples=80, deadline=None)
     @given(operators(), st.floats(-3.0, 10.0), st.floats(0.0, 8.0))
     def test_banded_count(self, op_rng, e1, width):
         op, _ = op_rng
@@ -133,7 +119,7 @@ class TestStencilAgainstDense:
 def test_diagonal_length_checked():
     box = make_box((0, 0), 1.0)
     with pytest.raises(ParameterError, match="9 entries"):
-        BoxOperator(box, np.zeros(8), DIRICHLET)
+        BoxOperator(box, np.zeros(8))
 
 
 class TestClosedInterval:
@@ -166,7 +152,7 @@ class TestResidualContract:
             eigensolve(op, want_vectors=True)
 
     def test_clean_eigenpairs_pass(self):
-        op = free_operator(make_box((0, 0), 8.0), NEUMANN)
+        op = free_operator(make_box((0, 0), 8.0))
         assert eigensolve(op, want_vectors=True).residual <= 1e-10
 
 
@@ -187,10 +173,10 @@ class TestBuildMemory:
         assert peak < 1_000_000
 
 
-def random_diagonal_operator(box, kind, seed):
+def random_diagonal_operator(box, seed):
     rng = np.random.default_rng(seed)
-    return BoxOperator(box, free_operator(box, kind).diagonal
-                       + rng.uniform(-2.0, 3.0, box.count), kind)
+    return BoxOperator(box, free_operator(box).diagonal
+                       + rng.uniform(-2.0, 3.0, box.count))
 
 
 def off_spectrum_intervals(evals, rng, k):
@@ -223,13 +209,12 @@ class TestSliceRecursion:
     @pytest.mark.parametrize("center,half", [
         ((0.5, 0), 0.5), ((0, 0.5), 0.5), ((0, 0, 0.5), 0.5),
         ((0.5, 0.5, 0), 0.5), ((0, 0.5, 0.5), 0.5), ((0.5, 0), 1.0)])
-    @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
-    def test_one_site_axes(self, center, half, kind):
+    def test_one_site_axes(self, center, half):
         # shapes (2, 1), (1, 2), (1, 1, 2), (2, 2, 1), (1, 2, 2), (2, 3)
         box = Box(center, half)
         rng = np.random.default_rng(7)
         for seed in range(10):
-            op = random_diagonal_operator(box, kind, seed)
+            op = random_diagonal_operator(box, seed)
             evals = np.linalg.eigvalsh(op.matrix)
             for e1, e2, dense in off_spectrum_intervals(evals, rng, 10):
                 assert count_eigenvalues_in(op, (e1, e2)) == dense
@@ -240,7 +225,7 @@ class TestSliceRecursion:
         for (center, half), seed in itertools.product(
                 [((0, 0), 6.0), ((0.5, 0), 4.0), ((0, 0, 0), 2.0),
                  ((0, 0.5, 0), 2.0)], range(5)):
-            op = random_diagonal_operator(Box(center, half), DIRICHLET, seed)
+            op = random_diagonal_operator(Box(center, half), seed)
             evals = np.linalg.eigvalsh(op.matrix)
             cases = off_spectrum_intervals(evals, rng, 10)
             with no_banded():
@@ -252,20 +237,19 @@ class TestSingularSchurComplement:
     def test_singular_first_slice(self):
         # H - 3 is nonsingular (spectrum {2, 4, 4, 6}), but S_0 = A_0 - 3
         # is singular; 2 and 6 make later complements singular
-        op = BoxOperator(Box((0.5, 0.5), 1.0), [4.0] * 4, DIRICHLET)
+        op = BoxOperator(Box((0.5, 0.5), 1.0), [4.0] * 4)
         with no_banded():
             assert count_eigenvalues_in(op, (3.0, 3.0)) == 0
             assert count_eigenvalues_in(op, (2.0, 3.0)) == 1
             assert count_eigenvalues_in(op, (3.0, 6.0)) == 3
 
-    @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
-    def test_endpoints_on_the_spectrum(self, kind):
+    def test_endpoints_on_the_spectrum(self):
         # free boxes have degenerate, partly integer spectra; ends on the
         # computed eigenvalues, their 12-digit roundings and the integers
         shapes = [((0, 0), 1.0), ((0.5, 0), 1.0), ((0, 0), 2.0),
                   ((0.5, 0), 2.5), ((0, 0, 0), 1.0), ((0, 0.5, 0), 1.0)]
         for center, half in shapes:
-            op = free_operator(Box(center, half), kind)
+            op = free_operator(Box(center, half))
             evals = np.linalg.eigvalsh(op.matrix)
             ends = sorted(set(evals) | set(np.round(evals, 12))
                           | set(range(13)))
