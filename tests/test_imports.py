@@ -62,6 +62,9 @@ ALLOWED_UNREACHED = {
         "test fixture: a tabulated exponential profile",
     "constant_configuration": "test fixture: constant couplings on a box",
     "monomial": "test fixture: k^I, the oracle of the positivity tests",
+    "free_neumann_lambda2":
+        "closed-form Neumann gap, the spectral input of a Temple route",
+    "neumann_gap": "the paper's 2 - 2cos(pi/l) against free_neumann_lambda2",
 }
 
 

@@ -1,18 +1,19 @@
-"""initial_scale: beta_0, Assumption-3 bookkeeping, Lifshitz and
-large-disorder probes."""
+"""initial_scale: Neumann gap, beta_0, Assumption-3 bookkeeping, Lifshitz
+and large-disorder probes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from alloymsa import (Configuration, exact_potential, find_leading_index,
-                      make_box, uniform_density)
+from alloymsa import (Box, Configuration, eigensolve, exact_potential,
+                      find_leading_index, make_box, uniform_density)
 from alloymsa.errors import ParameterError
 from alloymsa.initial_scale import (admissible_lengths, beta_floor,
-                                    large_disorder_probe, lifshitz_parameters,
-                                    lifshitz_probe)
-from alloymsa.lattice import SingleSitePotential
+                                    free_neumann_lambda2, large_disorder_probe,
+                                    lifshitz_parameters, lifshitz_probe,
+                                    neumann_gap)
+from alloymsa.lattice import BoxOperator, SingleSitePotential, neighbor_counts
 
 UNIFORM = uniform_density(0.0, 1.0)
 
@@ -26,6 +27,59 @@ def neg_tail_potential(delta_mass: float, alpha: float = 4.0, radius: int = 6):
         if k != 0:
             vals[(k,)] = -delta_mass * math.exp(-alpha * abs(k)) / Z
     return exact_potential(vals, 1.0, alpha)
+
+
+def free_neumann_operator(box):
+    """The free Neumann operator: the graph Laplacian of the box, whose
+    diagonal counts each site's neighbours inside the box."""
+    return BoxOperator(box, neighbor_counts(box))
+
+
+class TestNeumannGap:
+    def test_formula_dominates_4_l2(self):
+        for l in range(1, 201):
+            formula, _ = neumann_gap(float(l), 1)
+            assert formula >= 4.0 / l**2 - 1e-12
+
+    def test_strict_only_fails_at_one(self):
+        formula, _ = neumann_gap(1.0, 1)
+        assert formula == pytest.approx(4.0)
+        formula2, _ = neumann_gap(2.0, 1)
+        assert formula2 > 1.0
+
+    def test_exact_closed_form(self):
+        _, exact = neumann_gap(3.0, 1)
+        assert exact == pytest.approx(2 - 2 * math.cos(math.pi / 7), abs=1e-10)
+
+    def test_kernel_with_constant_vector(self):
+        op = free_neumann_operator(make_box((0,), 3.0))
+        res = eigensolve(op, want_vectors=True)
+        assert abs(res.eigenvalues[0]) < 1e-12
+        v = res.eigenvectors[:, 0]
+        assert np.max(np.abs(v - v[0])) < 1e-9
+
+    def test_2d_matches_1d(self):
+        assert free_neumann_lambda2(make_box((0, 0), 2.0)) == pytest.approx(
+            free_neumann_lambda2(make_box((0,), 2.0)))
+
+    # (1, 2) and (1, 1, 2) have one-site axes; no cube has shape (1, 1, 3),
+    # since a side 2l holding 3 integers holds at least 2 on every axis
+    @pytest.mark.parametrize("box", [
+        *(Box(((n - 1) / 2.0,), (n - 1) / 2.0 + 0.25) for n in range(2, 61)),
+        Box((0.5, 0), 1.0),
+        Box((0, 0.5), 0.5),
+        Box((0, 0, 0.5), 0.5),
+    ], ids=lambda b: "x".join(map(str, b.shape)))
+    def test_closed_form_matches_dense_eigensolve(self, box):
+        dense = eigensolve(free_neumann_operator(box)).eigenvalues[1]
+        assert free_neumann_lambda2(box) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("center", [(0,), (0, 0), (0, 0, 0)])
+    def test_one_point_box_has_no_lambda2(self, center):
+        box = Box(center, 0.5)
+        assert box.count == 1
+        with pytest.raises(ParameterError):
+            free_neumann_lambda2(box)
 
 
 class TestTempleLowerBound:

@@ -10,7 +10,8 @@ from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
                       free_operator, make_box, restrict_hamiltonian,
                       uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
-from alloymsa.lattice import constant_configuration
+from alloymsa.lattice import (BoxOperator, constant_configuration,
+                              neighbor_counts)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)  # mean-zero
@@ -118,6 +119,13 @@ class TestRestrictHamiltonian:
         assert op.matrix.shape == (1, 1)
         assert op.matrix[0, 0] == 2.0
 
+    def test_neumann_kernel(self):
+        # delta_0 couplings n(x) - 2d turn the box into its Neumann Laplacian
+        box = make_box((0,), 1.0)
+        cfg = Configuration(box, neighbor_counts(box) - 2.0 * box.dimension)
+        op = restrict_hamiltonian(DELTA0, cfg, box)
+        assert np.allclose(op.matrix.sum(axis=1), 0.0)
+
     def test_2d_trace(self):
         box = make_box((0, 0), 1.0)
         cfg = constant_configuration(box, 0.0)
@@ -207,6 +215,14 @@ class TestSpectralSanity:
             ea = np.linalg.eigvalsh(restrict_hamiltonian(u, ca, box).matrix)
             eb = np.linalg.eigvalsh(restrict_hamiltonian(u, cb, box).matrix)
             assert np.max(np.abs(ea - eb)) <= np.max(np.abs(va - vb)) + 1e-12
+
+    def test_neumann_free_kernel(self):
+        box = make_box((0, 0), 2.0)
+        op = BoxOperator(box, neighbor_counts(box))
+        evals, evecs = np.linalg.eigh(op.matrix)
+        assert abs(evals[0]) < 1e-12
+        v = evecs[:, 0]
+        assert np.max(np.abs(v - v[0])) < 1e-9
 
 
 def truncated_exp_1d(radius: int = 40, alpha: float = 1.0):

@@ -11,10 +11,14 @@ from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
                       eigensolve, exact_potential, free_operator, make_box,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import FitError, ResonantEnergyError
-from alloymsa.lattice import BoxOperator
+from alloymsa.lattice import BoxOperator, neighbor_counts
 from alloymsa.spectral import RESONANCE_GUARD, boundary_greens, greens_column
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
+
+
+def neumann_path_spectrum(n):
+    return np.array([2 - 2 * math.cos(j * math.pi / n) for j in range(n)])
 
 
 def random_operator(rng, l=4.0, d=1, w=1.0):
@@ -36,6 +40,15 @@ class TestEigensolve:
         op = free_operator(make_box((0,), 1.0))
         expect = sorted([2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)])
         assert np.allclose(eigensolve(op).eigenvalues, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("l", [2, 5, 11])
+    def test_neumann_path_closed_form(self, l):
+        # the free Neumann path: diagonal = in-box neighbour count
+        box = make_box((0,), float(l))
+        op = BoxOperator(box, neighbor_counts(box))
+        n = 2 * l + 1
+        assert np.allclose(eigensolve(op).eigenvalues,
+                           np.sort(neumann_path_spectrum(n)), atol=1e-10)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ from alloymsa import (Configuration, count_eigenvalues_in, eigensolve,
                       exact_potential, free_operator, make_box,
                       restrict_hamiltonian)
 from alloymsa.errors import ParameterError, SolverError
-from alloymsa.lattice import Box, BoxOperator
+from alloymsa.lattice import Box, BoxOperator, neighbor_counts
 from alloymsa.spectral import RESIDUAL_BLOCK
 
 # twice the largest half side per dimension: boxes have at most 512 sites
@@ -35,6 +35,18 @@ def no_banded():
                              side_effect=AssertionError("banded path taken"))
 
 
+KINDS = ["dirichlet_truncation", "neumann"]
+
+
+def boundary_shift(box, kind):
+    """Added to the free diagonal 2d: 0 for the Dirichlet truncation, and
+    n(x) - 2d for the Neumann Laplacian, whose diagonal n(x) counts the
+    neighbours of x inside the box."""
+    if kind == "neumann":
+        return neighbor_counts(box) - 2.0 * box.dimension
+    return np.zeros(box.count)
+
+
 @st.composite
 def operators(draw):
     """Random operator on a d = 1..3 box.  Half-integer centre coordinates
@@ -43,13 +55,15 @@ def operators(draw):
     d = draw(st.integers(1, 3))
     center = tuple(draw(st.sampled_from([0, 0.5])) for _ in range(d))
     half = draw(st.integers(1, MAX_HALF[d])) / 2.0
+    kind = draw(st.sampled_from(KINDS))
     seed = draw(st.integers(0, 2**32 - 1))
     box = Box(center, half)
     domain = Box(center, half + 1.0)
     rng = np.random.default_rng(seed)
     cfg = Configuration(domain, rng.uniform(-2.0, 3.0, domain.count))
     u = exact_potential({(0,) * d: 1.0}, 1.0, 1.0)
-    return restrict_hamiltonian(u, cfg, box), rng
+    op = restrict_hamiltonian(u, cfg, box)
+    return BoxOperator(box, op.diagonal + boundary_shift(box, kind)), rng
 
 
 def _adjacency(box):
@@ -152,7 +166,9 @@ class TestResidualContract:
             eigensolve(op, want_vectors=True)
 
     def test_clean_eigenpairs_pass(self):
-        op = free_operator(make_box((0, 0), 8.0))
+        box = make_box((0, 0), 8.0)
+        op = BoxOperator(box, free_operator(box).diagonal
+                         + boundary_shift(box, "neumann"))
         assert eigensolve(op, want_vectors=True).residual <= 1e-10
 
 
@@ -173,9 +189,10 @@ class TestBuildMemory:
         assert peak < 1_000_000
 
 
-def random_diagonal_operator(box, seed):
+def random_diagonal_operator(box, kind, seed):
     rng = np.random.default_rng(seed)
     return BoxOperator(box, free_operator(box).diagonal
+                       + boundary_shift(box, kind)
                        + rng.uniform(-2.0, 3.0, box.count))
 
 
@@ -209,12 +226,13 @@ class TestSliceRecursion:
     @pytest.mark.parametrize("center,half", [
         ((0.5, 0), 0.5), ((0, 0.5), 0.5), ((0, 0, 0.5), 0.5),
         ((0.5, 0.5, 0), 0.5), ((0, 0.5, 0.5), 0.5), ((0.5, 0), 1.0)])
-    def test_one_site_axes(self, center, half):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_site_axes(self, center, half, kind):
         # shapes (2, 1), (1, 2), (1, 1, 2), (2, 2, 1), (1, 2, 2), (2, 3)
         box = Box(center, half)
         rng = np.random.default_rng(7)
         for seed in range(10):
-            op = random_diagonal_operator(box, seed)
+            op = random_diagonal_operator(box, kind, seed)
             evals = np.linalg.eigvalsh(op.matrix)
             for e1, e2, dense in off_spectrum_intervals(evals, rng, 10):
                 assert count_eigenvalues_in(op, (e1, e2)) == dense
@@ -225,7 +243,8 @@ class TestSliceRecursion:
         for (center, half), seed in itertools.product(
                 [((0, 0), 6.0), ((0.5, 0), 4.0), ((0, 0, 0), 2.0),
                  ((0, 0.5, 0), 2.0)], range(5)):
-            op = random_diagonal_operator(Box(center, half), seed)
+            op = random_diagonal_operator(Box(center, half),
+                                          "dirichlet_truncation", seed)
             evals = np.linalg.eigvalsh(op.matrix)
             cases = off_spectrum_intervals(evals, rng, 10)
             with no_banded():
@@ -243,13 +262,16 @@ class TestSingularSchurComplement:
             assert count_eigenvalues_in(op, (2.0, 3.0)) == 1
             assert count_eigenvalues_in(op, (3.0, 6.0)) == 3
 
-    def test_endpoints_on_the_spectrum(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_endpoints_on_the_spectrum(self, kind):
         # free boxes have degenerate, partly integer spectra; ends on the
         # computed eigenvalues, their 12-digit roundings and the integers
         shapes = [((0, 0), 1.0), ((0.5, 0), 1.0), ((0, 0), 2.0),
                   ((0.5, 0), 2.5), ((0, 0, 0), 1.0), ((0, 0.5, 0), 1.0)]
         for center, half in shapes:
-            op = free_operator(Box(center, half))
+            box = Box(center, half)
+            op = BoxOperator(box, free_operator(box).diagonal
+                             + boundary_shift(box, kind))
             evals = np.linalg.eigvalsh(op.matrix)
             ends = sorted(set(evals) | set(np.round(evals, 12))
                           | set(range(13)))
