@@ -13,8 +13,7 @@ from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
 from .msa import (MSAParameters, ScaleSchedule, estimate_singularity_probability,
                   regularity_test, scale_schedule, uniform_regularity_test,
                   uniform_regularity_verdicts, validate_parameters)
-from .resonance import (SpectrumBracket, estimate_resonance_probabilities,
-                        perturbation_radius, spectrum_bracket)
+from .resonance import estimate_resonance_probabilities, perturbation_radius
 from .spectral import SpectrumResult, count_eigenvalues_in, decay_fit, eigensolve
 from .initial_scale import (LifshitzParameters, admissible_lengths,
                             large_disorder_probe, lifshitz_probe)

@@ -39,7 +39,42 @@ KINDS = (
     "lifshitz", "large_disorder", "localization_decay",
 )
 
+# draft-07: checking a schema against its metaschema costs a fraction of
+# the latest draft's, and it runs on every validation
+SCHEMA_DRAFT = "http://json-schema.org/draft-07/schema#"
+NUMBER = {"type": "number"}
+NUMBERS = {"type": "array", "items": NUMBER}
+
+# per kind, the params its runner converts, iterates or requires; checked
+# before any trial
+PARAMS_SCHEMA = {
+    "genfun": {"properties": {"ls": NUMBERS}},
+    "wegner": {"properties": {"ls": NUMBERS, "exteriors": NUMBER}},
+    "resonance": {"required": ["y", "l1", "l2"],
+                  "properties": {"x": NUMBERS, "y": NUMBERS, "l1": NUMBER,
+                                 "l2": NUMBER, "eps_list": NUMBERS}},
+    "msa_schedule": {"required": ["msa"], "properties": {
+        "k_max": NUMBER,
+        "msa": {"type": "object",
+                "required": ["xi", "kappa", "beta", "q", "m0", "l0"],
+                "additionalProperties": False,
+                "properties": {"xi": NUMBER, "kappa": NUMBER, "beta": NUMBER,
+                               "q": NUMBER, "m0": NUMBER, "l0": NUMBER,
+                               "zeta_nr": {"type": ["number", "null"]}}}}},
+    "msa_singularity": {"required": ["l", "m"],
+                        "properties": {"l": NUMBER, "m": NUMBER,
+                                       "p_hi_max": {"type": ["number", "null"]}}},
+    "lifshitz": {"properties": {
+        "zeta": NUMBER, "xi": NUMBER, "epsilon0": NUMBER, "l": NUMBER,
+        "l_range": {**NUMBERS, "minItems": 2, "maxItems": 2}}},
+    "large_disorder": {"required": ["l0", "m0", "xi"],
+                       "properties": {"l0": NUMBER, "m0": NUMBER, "xi": NUMBER}},
+    "localization_decay": {"properties": {
+        key: NUMBER for key in ("l", "n_lowest", "rate_max", "r2_min", "frac_min")}},
+}
+
 CONFIG_SCHEMA = {
+    "$schema": SCHEMA_DRAFT,
     "type": "object",
     "required": ["kind", "model"],
     "properties": {
@@ -49,8 +84,14 @@ CONFIG_SCHEMA = {
             "required": ["d", "u", "rho"],
             "properties": {
                 "d": {"type": "integer", "minimum": 1},
-                "u": {"type": "object"},
-                "rho": {"type": "object"},
+                "u": {"type": "object", "required": ["values", "C", "alpha"],
+                      "properties": {"values": {"type": "array"},
+                                     "C": NUMBER, "alpha": NUMBER}},
+                "rho": {"type": "object",
+                        "anyOf": [{"required": ["uniform"]},
+                                  {"required": ["pieces"]}],
+                        "properties": {"uniform": {**NUMBERS, "minItems": 2,
+                                                   "maxItems": 2}}},
             },
         },
         "params": {"type": "object"},
@@ -112,10 +153,13 @@ class ReportBundle:
 def run_experiment(config: dict, out_dir: Path) -> ReportBundle:
     jsonschema.validate(config, CONFIG_SCHEMA)
     kind = config["kind"]
+    params = config.get("params", {})
+    # wrapped, so that an error's path starts at params
+    jsonschema.validate({"params": params}, {
+        "$schema": SCHEMA_DRAFT, "properties": {"params": PARAMS_SCHEMA[kind]}})
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[kind]
     u, model = load_model(config["model"])
-    params = config.get("params", {})
     seed = int(config.get("seed", 0))
     trials = int(config.get("trials", 2000))
     threads = int(config.get("threads", 1))
@@ -183,7 +227,7 @@ def _run_wegner(u, model, params, seed, trials, threads, out_dir, summary, files
                 exterior = None
             else:
                 rng = mc.trial_rng(seed ^ 0xE0, e_idx)
-                exterior = Configuration(dom, model.sample(rng, dom.count), 0.0)
+                exterior = Configuration(dom, model.sample(rng, dom.count))
             rep = run_wegner_cell(u, lead, model, l, interval, exterior,
                                   trials, mc.splitmix64(seed, e_idx),
                                   threads=threads)
@@ -349,7 +393,7 @@ def _run_decay(u, model, params, seed, trials, threads, out_dir, summary,
     domain = make_box((0,) * u.dimension, l + u.truncation_radius + 0.25)
 
     def worker(i, rng):
-        cfg = Configuration(domain, model.sample(rng, domain.count), 0.0)
+        cfg = Configuration(domain, model.sample(rng, domain.count))
         op = restrict_hamiltonian(u, cfg, box)
         res = eigensolve(op, want_vectors=True)
         good = 0
@@ -440,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         bundle = run_experiment(config, out_dir)
     except jsonschema.ValidationError as exc:
-        print(f"error: config schema: {exc.message}", file=sys.stderr)
+        print(f"error: config schema at {exc.json_path}: {exc.message}",
+              file=sys.stderr)
         return 3
     except AlloyMSAError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,8 +83,8 @@ def admissible_lengths(zeta_lif: float, beta0: float, l_min: float,
                        l_max: float) -> list[int]:
     """Unit-step scan for l with floor(2l+1) / floor(2 l^{1-zeta/2} beta0^{-1/2} + 1)
     an odd integer (the sub-cube tiling condition)."""
-    if l_min >= l_max:
-        raise ParameterError("need l_min < l_max")
+    if not (math.isfinite(l_min) and math.isfinite(l_max) and l_min < l_max):
+        raise ParameterError(f"need finite l_min < l_max, got {l_min!r}, {l_max!r}")
     out = []
     for l in range(max(1, math.ceil(l_min)), math.floor(l_max) + 1):
         a = math.floor(2 * l + 1)
@@ -175,7 +175,7 @@ def lifshitz_probe(
     domain = make_box((0,) * d, l + u.truncation_radius + 0.25)
 
     def worker(_i: int, rng: np.random.Generator):
-        cfg = Configuration(domain, model.sample(rng, domain.count), 0.0)
+        cfg = Configuration(domain, model.sample(rng, domain.count))
         op = restrict_hamiltonian(u, cfg, box)
         lam1 = float(eigensolve(op).eigenvalues[0])
         return (1.0 if lam1 < threshold else 0.0, lam1)

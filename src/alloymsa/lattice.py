@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -449,11 +449,10 @@ def _bv_norm(pieces) -> float:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Coupling constants on a stated box, a fixed value outside it."""
+    """Coupling constants on a stated box, zero outside it."""
 
     domain: Box
     values: np.ndarray
-    exterior_value: float = 0.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -466,16 +465,13 @@ class Configuration:
 
     def values_at(self, pts: np.ndarray) -> np.ndarray:
         inside = self.domain.contains_points(pts)
-        out = np.full(len(pts), self.exterior_value)
-        if inside.any():
-            flat = self.domain.flat_indices(pts[inside])
-            out[inside] = self.values[flat]
+        out = np.zeros(len(pts))
+        out[inside] = self.values[self.domain.flat_indices(pts[inside])]
         return out
 
 
-def constant_configuration(box: Box, value: float,
-                           exterior_value: float = 0.0) -> Configuration:
-    return Configuration(box, np.full(box.count, float(value)), exterior_value)
+def constant_configuration(box: Box, value: float) -> Configuration:
+    return Configuration(box, np.full(box.count, float(value)))
 
 
 def assemble_potential(u: SingleSitePotential, config: Configuration,
@@ -483,7 +479,7 @@ def assemble_potential(u: SingleSitePotential, config: Configuration,
     """v(x) = sum_k w_k u(x-k) for every x in `box` (lexicographic order).
 
     The sum runs over the tabulated support of u; couplings outside the
-    configuration domain take its exterior value.
+    configuration domain are zero.
     """
     pts = box.points
     v = np.zeros(len(pts))
@@ -492,7 +488,7 @@ def assemble_potential(u: SingleSitePotential, config: Configuration,
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxOperator:
     """Finite-box Hamiltonian h0 + v stored as its stencil.
 
@@ -505,18 +501,20 @@ class BoxOperator:
     eigenvalue counts at d >= 2 use it, O(w^2) memory), `upper_band()`
     gives LAPACK band storage (counts at w = 1, (w + 1) n doubles), and
     `matrix` builds the dense n x n reference on demand (vector solves).
+    The diagonal is read-only.
     """
 
     box: Box
     diagonal: np.ndarray
-    _spectrum_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.diagonal = np.asarray(self.diagonal, dtype=float)
-        if self.diagonal.shape != (self.box.count,):
+        diagonal = np.asarray(self.diagonal, dtype=float)
+        object.__setattr__(self, "diagonal", diagonal)
+        if diagonal.shape != (self.box.count,):
             raise ParameterError(
                 f"operator diagonal needs {self.box.count} entries, "
-                f"got shape {self.diagonal.shape}")
+                f"got shape {diagonal.shape}")
+        diagonal.flags.writeable = False
 
     @property
     def dimension(self) -> int:

@@ -20,7 +20,7 @@ from .errors import ParameterError, ScheduleError
 from .genfun import LeadingIndexData
 from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
                       SingleSitePotential, make_box, restrict_hamiltonian)
-from .resonance import INDETERMINATE, perturbation_radius, zeroed_exterior
+from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
 from .spectral import BoundaryGreens, boundary_greens, checked_interval
 from .tails import decay_tail_constant
 from .wegner import chain_formula
@@ -54,13 +54,13 @@ def uniform_regularity_verdicts(
     m: float,
     energies,
     delta: float | None = None,
-    op: BoxOperator | None = None,
 ) -> np.ndarray:
     """Certify (m,E)-regularity simultaneously for every exterior completion
     of the couplings outside Lambda_{4l}(center), at every energy of
     `energies`; returns one verdict string per energy.
 
-    The zeroed-exterior operator is computable exactly.  If it is
+    `config` holds the couplings on Lambda_{4l}(center) (checked), zero
+    outside: its operator on `box` is the zeroed-exterior one.  If it is
     irregular, the cube is certainly not uniformly regular when the zeroed
     exterior is an admissible completion (0 in supp rho) or when no
     exterior coupling reaches the box (delta = 0); otherwise the verdict
@@ -69,14 +69,12 @@ def uniform_regularity_verdicts(
     completions or stays indeterminate: with d = d(E, spectrum), it needs
     delta < d and |G| + delta/d^2/(1 - delta/d) <= e^{-m l}.
 
-    The domain is checked once, and one eigendecomposition with one
-    matrix product (`spectral.boundary_greens`) serves the whole grid.
-    `op`, when given, must be the zeroed-exterior operator on `box`.
+    One eigendecomposition with one matrix product
+    (`spectral.boundary_greens`) serves the whole grid.
     """
     l = box.half_side
-    zeroed = zeroed_exterior(config, box)  # checks the domain even when op is given
-    if op is None:
-        op = restrict_hamiltonian(u, zeroed, box)
+    check_enlarged_domain(config, box)
+    op = restrict_hamiltonian(u, config, box)
     if delta is None:
         delta = perturbation_radius(u, model, l, box=box)
     green = boundary_greens(op, box.center, energies)
@@ -103,19 +101,20 @@ def uniform_regularity_test(
     m: float,
     E: float,
     delta: float | None = None,
-    op: BoxOperator | None = None,
 ) -> str:
     """The verdict of `uniform_regularity_verdicts` at the one energy E."""
     return str(uniform_regularity_verdicts(u, model, config, box, m, [E],
-                                           delta, op)[0])
+                                           delta)[0])
 
 
 def _energy_grid(interval, energy_grid) -> list:
     """K >= 1 equally spaced energies on the closed `interval` for an
-    integer K, or the given list of energies, which must be finite."""
+    integer K, or the given non-empty list of finite energies."""
     e1, e2 = checked_interval(interval)
     if isinstance(energy_grid, (list, tuple, np.ndarray)):
         grid = list(energy_grid)
+        if not grid:
+            raise ParameterError("energy_grid must hold at least one energy")
         if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
             raise ParameterError("energy_grid energies must be finite")
         return grid
@@ -149,9 +148,9 @@ def estimate_singularity_probability(
     counting indeterminate outcomes as singular (conservative side).
 
     `energy_grid` is a number K >= 1 of equally spaced energies on the
-    closed `interval`, or an explicit list of finite energies.  Each trial
-    samples one configuration, makes one eigendecomposition of its
-    zeroed-exterior box operator and asks `uniform_regularity_verdicts`
+    closed `interval`, or an explicit non-empty list of finite energies.
+    Each trial samples one configuration, makes one eigendecomposition of
+    its zeroed-exterior box operator and asks `uniform_regularity_verdicts`
     for the whole grid at once.  l, m and the grid are checked before any
     trial.
 
@@ -168,10 +167,9 @@ def estimate_singularity_probability(
     delta = perturbation_radius(u, model, l, box=box)
 
     def worker(_i: int, rng: np.random.Generator):
-        cfg = Configuration(enlarged, model.sample(rng, enlarged.count), 0.0)
-        op = restrict_hamiltonian(u, cfg, box)
+        cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
         verdicts = uniform_regularity_verdicts(u, model, cfg, box, m, grid,
-                                               delta=delta, op=op)
+                                               delta=delta)
         return (verdicts != CERTIFIED_REGULAR).tolist()
 
     results = mc.run_trials(trials, worker, seed, threads)

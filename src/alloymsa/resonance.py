@@ -1,11 +1,12 @@
 """Uniform control of resonances between two boxes.
 
 Exterior couplings beyond a 4x-enlarged box move every eigenvalue by at
-most a certified radius delta_i, so the spectrum at the zeroed exterior
-plus a delta-tube brackets the spectrum of every completion.  The
-brackets give sound two-sided classification of the resonance event
-A(box1, box2, eps) = { uniform spectral distance < eps }, whose
-probability the Wegner chain bounds explicitly.
+most a certified radius delta_i, so the spectrum of the box at the zeroed
+exterior (couplings sampled on the enlarged box, zero outside it) plus a
+delta-tube brackets the spectrum of every completion.  The distance d0
+between the two base spectra then gives a sound two-sided classification
+of the resonance event A(box1, box2, eps) = { uniform spectral distance
+< eps }, whose probability the Wegner chain bounds explicitly.
 """
 
 from __future__ import annotations
@@ -49,49 +50,14 @@ def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
     return omega_plus * min(analytic, exact)
 
 
-def zeroed_exterior(config: Configuration, box: Box) -> Configuration:
-    """The completion of `config` by zero couplings outside its domain,
-    which must be the 4l-enlarged box Lambda_{4l}(center) of `box`."""
+def check_enlarged_domain(config: Configuration, box: Box) -> None:
+    """Raise ParameterError unless the domain of `config` is the 4l-enlarged
+    box Lambda_{4l}(center) of `box`; `config` is then the completion by
+    zero couplings outside it, the zeroed exterior."""
     enlarged = make_box(box.center, 4.0 * box.half_side)
     if tuple(config.domain.lo) != tuple(enlarged.lo) or \
             tuple(config.domain.hi) != tuple(enlarged.hi):
         raise ParameterError("configuration domain must equal the 4l-enlarged box")
-    return Configuration(config.domain, config.values, exterior_value=0.0)
-
-
-@dataclass(frozen=True)
-class SpectrumBracket:
-    """Base spectrum at the zeroed exterior plus a certified radius: every
-    completion's j-th eigenvalue lies within `radius` of base j-th."""
-
-    box: Box
-    enlarged: Box
-    base_spectrum: np.ndarray
-    radius: float
-
-
-def spectrum_bracket(u: SingleSitePotential, model: DisorderModel,
-                     config: Configuration, box: Box,
-                     radius: float | None = None) -> SpectrumBracket:
-    """Eigensolve at the zeroed-exterior configuration on Lambda_{4l}(x).
-
-    `radius` short-circuits the perturbation-radius computation when the
-    caller has already evaluated it for this geometry.
-    """
-    zeroed = zeroed_exterior(config, box)
-    spectrum = eigensolve(restrict_hamiltonian(u, zeroed, box)).eigenvalues
-    if radius is None:
-        radius = perturbation_radius(u, model, box.half_side, box=box)
-    return SpectrumBracket(box=box, enlarged=zeroed.domain,
-                           base_spectrum=spectrum, radius=radius)
-
-
-def spectral_distance(b1: SpectrumBracket, b2: SpectrumBracket) -> float:
-    """d0 = min distance of the base spectra of two brackets whose
-    4l-enlarged boxes are disjoint."""
-    if not b1.enlarged.disjoint_from(b2.enlarged):
-        raise GeometryError("4l-enlarged boxes overlap: independence broken")
-    return float(np.min(np.abs(b1.base_spectrum[:, None] - b2.base_spectrum[None, :])))
 
 
 def _classify_distance(d0: float, radius1: float, radius2: float,
@@ -167,6 +133,8 @@ def estimate_resonance_probabilities(
         raise ParameterError("eps_list must hold at least one eps")
     if any(eps < 0 for eps in eps_list):
         raise ParameterError("eps must be nonnegative")
+    if not len(x) == len(y) == u.dimension:
+        raise ParameterError(f"x and y must have d={u.dimension} coordinates")
     box1 = make_box(tuple(x), l1)
     box2 = make_box(tuple(y), l2)
     big1 = make_box(tuple(x), 4.0 * l1)
@@ -184,11 +152,11 @@ def estimate_resonance_probabilities(
     attained = model.in_support(0.0) or delta1 == delta2 == 0.0
 
     def worker(_i: int, rng: np.random.Generator) -> float:
-        cfg1 = Configuration(big1, model.sample(rng, big1.count), 0.0)
-        cfg2 = Configuration(big2, model.sample(rng, big2.count), 0.0)
-        b1 = spectrum_bracket(u, model, cfg1, box1, radius=delta1)
-        b2 = spectrum_bracket(u, model, cfg2, box2, radius=delta2)
-        return spectral_distance(b1, b2)
+        cfg1 = Configuration(big1, model.sample(rng, big1.count))
+        cfg2 = Configuration(big2, model.sample(rng, big2.count))
+        s1 = eigensolve(restrict_hamiltonian(u, cfg1, box1)).eigenvalues
+        s2 = eigensolve(restrict_hamiltonian(u, cfg2, box2)).eigenvalues
+        return float(np.min(np.abs(s1[:, None] - s2[None, :])))
 
     distances = mc.run_trials(trials, worker, seed, threads)
     reports = []

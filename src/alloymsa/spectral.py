@@ -18,14 +18,12 @@ L = n / w slices); none of the counts forms an n x n array.
   reduction to tridiagonal form and (w + 1) n doubles.
 - Full spectra (and eigenvectors) come from the dense LAPACK driver
   working in place on one n x n buffer, O(n^3) flops, and the eigenpair
-  residual is checked with the stencil product.  One eigendecomposition
-  per operator answers every energy query: the spectrum (and, when asked
-  for, the eigenvectors) is cached on the `BoxOperator`, and Green's
-  functions at any off-spectrum energy come from the cached eigenpairs,
-  G(E) = V diag(1/(lambda - E)) V^T.  A whole grid of K energies costs
-  one matrix product: `boundary_greens` returns G(E_k; source, w) for
-  every interior-boundary site w and every E_k from
-  V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :]))."""
+  residual is checked with the stencil product.  Nothing is cached: a
+  caller asks all its energies in one call.  Green's functions come from
+  the eigenpairs, G(E) = V diag(1/(lambda - E)) V^T, so `boundary_greens`
+  answers a grid of K energies with one eigendecomposition and one
+  matrix product: G(E_k; source, w) for every interior-boundary site w
+  from V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :]))."""
 
 from __future__ import annotations
 
@@ -59,17 +57,13 @@ class SpectrumResult:
 
 
 def eigensolve(op: BoxOperator, want_vectors: bool = False) -> SpectrumResult:
-    """Full spectrum of the box operator (LAPACK tridiagonalization path);
-    results are cached on the operator.
+    """Full spectrum of the box operator (LAPACK tridiagonalization path).
 
     The dense matrix is built once and handed to LAPACK as its
     F-contiguous transpose (equal to it, by symmetry) with overwrite_a, so
     the solve runs in that buffer without a copy.  With eigenvectors, the
     residual max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max) must
     not exceed RESIDUAL_CONTRACT; it is checked on every column."""
-    cached = op._spectrum_cache
-    if cached is not None and (cached.eigenvectors is not None or not want_vectors):
-        return cached
     H = op.matrix.T
     if want_vectors:
         evals, evecs = scipy.linalg.eigh(H, overwrite_a=True)
@@ -81,10 +75,8 @@ def eigensolve(op: BoxOperator, want_vectors: bool = False) -> SpectrumResult:
         residual = 0.0
     if residual > RESIDUAL_CONTRACT:
         raise SolverError(f"eigensolver residual {residual:.3e} exceeds 1e-10")
-    result = SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=evecs,
-                            residual=residual)
-    op._spectrum_cache = result
-    return result
+    return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=evecs,
+                          residual=residual)
 
 
 def _residual(op: BoxOperator, evals: np.ndarray, evecs: np.ndarray) -> float:
@@ -219,9 +211,8 @@ def _singular_step(S: np.ndarray, null: np.ndarray, g: float):
 
 
 def greens_column(op: BoxOperator, E: float, source: Point) -> np.ndarray:
-    """Column G(E; ., source) of (H - E)^{-1} from the cached eigenpairs:
-    V (V[source, :] / (lambda - E)).  The first call on an operator runs
-    the vector eigensolve; later calls at any energy reuse it.
+    """Column G(E; ., source) of (H - E)^{-1} from the eigenpairs of one
+    vector eigensolve: V (V[source, :] / (lambda - E)).
 
     E within RESONANCE_GUARD of an eigenvalue raises ResonantEnergyError.
     """
@@ -251,9 +242,8 @@ class BoundaryGreens:
 
 def boundary_greens(op: BoxOperator, source: Point, energies) -> BoundaryGreens:
     """|G(E_k; source, w)| for every interior-boundary site w and every
-    energy E_k, from the cached eigenpairs in one matrix product:
-    V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :])).
-    The first call on an operator runs the vector eigensolve."""
+    energy E_k, from one vector eigensolve and one matrix product:
+    V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :]))."""
     res = eigensolve(op, want_vectors=True)
     gaps = res.eigenvalues[:, None] - np.asarray(energies, dtype=float)[None, :]
     distance = np.min(np.abs(gaps), axis=0)

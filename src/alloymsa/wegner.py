@@ -102,7 +102,8 @@ def estimate_partial_expectation(
     threads: int | None = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo mean of Tr P_I(h^l) resampling only the couplings in
-    Gamma = Lambda_{R_l}; couplings outside Gamma stay frozen to `exterior`.
+    Gamma = Lambda_{R_l}; couplings outside Gamma stay frozen to `exterior`,
+    which is zero outside its domain (and everywhere when None).
     `interval` must be two finite numbers E1 <= E2 (ParameterError)."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -116,17 +117,15 @@ def estimate_partial_expectation(
 
     if exterior is None:
         base = np.zeros(dom.count)
-        exterior_value = 0.0
     else:
         base = exterior.values_at(dom.points)
-        exterior_value = exterior.exterior_value
     gamma_mask = gamma.contains_points(dom.points)
     n_gamma = int(gamma_mask.sum())
 
     def worker(_i: int, rng: np.random.Generator) -> float:
         vals = base.copy()
         vals[gamma_mask] = model.sample(rng, n_gamma)
-        cfg = Configuration(dom, vals, exterior_value)
+        cfg = Configuration(dom, vals)
         op = restrict_hamiltonian(u, cfg, box_l)
         return float(count_eigenvalues_in(op, interval))
 

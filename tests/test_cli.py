@@ -159,6 +159,7 @@ class TestSingularityKind:
         {"energy_grid": 0},
         {"energy_grid": 2.5},
         {"energy_grid": [0.5, math.inf]},
+        {"energy_grid": [], "p_hi_max": 0.0},
     ])
     def test_bad_params_exit_3_before_any_trial(self, tmp_path, capsys,
                                                 monkeypatch, params):
@@ -428,10 +429,27 @@ class TestRejectedBeforeAnyTrial:
         ("analyze-potential", DELTA0_MODEL, {"ls": []}),
         ("resonance", P2_MODEL,
          {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": []}),
+        ("decay", DELTA0_MODEL, {"l": "x"}),
+        ("wegner", DELTA0_MODEL, {"ls": 3}),
+        ("lifshitz", DELTA0_MODEL, {"l_range": [math.nan, 45]}),
+        ("decay", {**DELTA0_MODEL, "rho": {"uniform": [0]}}, {"l": 3.0}),
+        ("decay", {**DELTA0_MODEL, "rho": {}}, {"l": 3.0}),
+        ("decay", {**DELTA0_MODEL, "u": {k: v for k, v in DELTA0_MODEL["u"].items()
+                                         if k != "alpha"}}, {"l": 3.0}),
+        ("msa-schedule", DELTA0_MODEL, {}),
+        ("msa-schedule", DELTA0_MODEL, {"msa": {
+            "xi": 8.0, "kappa": 1.5, "beta": 0.6, "q": 0.5, "m0": 0.5,
+            "l0": 30000.0, "l1": 2.0}}),
+        ("resonance", P2_MODEL, {"l1": 3, "l2": 10}),
+        ("resonance", P2_MODEL, {"y": [200], "l1": 3, "l2": 10}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
-            "resonance-eps_list-empty"])
+            "resonance-eps_list-empty", "decay-l-string", "wegner-ls-number",
+            "lifshitz-l_range-nan", "rho-uniform-one-endpoint", "rho-empty",
+            "u-without-alpha", "msa-schedule-without-msa",
+            "msa-schedule-unknown-msa-key", "resonance-without-y",
+            "resonance-y-wrong-dimension"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)

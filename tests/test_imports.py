@@ -5,10 +5,12 @@ must be used there: a name bound by `import` or `from ... import` that
 the module never loads is dead.  Every public top-level function or class
 must be reachable from `cli.py` or allowed, with its reason, in
 `ALLOWED_UNREACHED`.  `__init__.py` is skipped, since its imports are the
-package's re-exports.
+package's re-exports.  Every package attribute that the benchmark's
+`perfbench/child.py` hooks by name must exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import alloymsa
 
 PACKAGE = Path(alloymsa.__file__).parent
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -138,3 +141,56 @@ def test_public_names_reach_the_cli_or_are_allowed():
     # a name the CLI reaches, or that is gone, leaves the allow-list
     unreached = unreached_public(sources, "cli")
     assert [name for name in ALLOWED_UNREACHED if name not in unreached] == []
+
+
+def hooked_targets(source: str) -> list[tuple[str, ...]]:
+    """The target of every `hook(owner, "attr", ...)` call in `source`
+    whose owner is a module imported from the package, as its path from
+    the package: ("spectral", "eigensolve"), ("lattice", "DisorderModel",
+    "sample").  Owners outside the package (scipy, jsonschema) are left out."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "alloymsa"
+               for alias in node.names}
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "hook":
+            owner, attr = node.args[:2]
+            path = [attr.value]
+            while isinstance(owner, ast.Attribute):
+                path.insert(0, owner.attr)
+                owner = owner.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                targets.append((modules[owner.id], *path))
+    return targets
+
+
+def test_hook_scanner():
+    source = ("import scipy.linalg\n"
+              "def install(hook):\n"
+              "    from alloymsa import lattice, msa as m\n"
+              "    hook(lattice.DisorderModel, 'sample', 'lattice.sample')\n"
+              "    hook(m, 'uniform_regularity_test', 'msa.test', None)\n"
+              "    hook(scipy.linalg, 'eigh', 'spectral.eigh')\n")
+    assert hooked_targets(source) == [("lattice", "DisorderModel", "sample"),
+                                      ("msa", "uniform_regularity_test")]
+
+
+def test_perfbench_hooks_exist():
+    # deleting a hooked name fails here, not only in the benchmark
+    targets = hooked_targets(CHILD.read_text())
+    assert ("spectral", "greens_column") in targets
+    missing = []
+    for module, *attrs in targets:
+        owner = importlib.import_module(f"alloymsa.{module}")
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(".".join([module, *attrs]))
+    assert missing == []
+    # a name kept for the benchmark must still be hooked there
+    hooked = {attrs[-1] for _, *attrs in targets}
+    assert [name for name, reason in ALLOWED_UNREACHED.items()
+            if "perfbench" in reason and name not in hooked] == []

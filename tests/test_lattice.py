@@ -99,8 +99,7 @@ class TestAssemblePotential:
 
     def test_mean_zero_constant_coupling(self):
         box = make_box((0,), 3.0)
-        cfg = constant_configuration(make_box((0,), 10.0), 1.0,
-                                     exterior_value=1.0)
+        cfg = constant_configuration(make_box((0,), 10.0), 1.0)
         v = assemble_potential(PAIR, cfg, box)
         assert np.allclose(v, 0.0)
 

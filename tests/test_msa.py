@@ -46,7 +46,7 @@ class TestRegularity:
 
 def _enlarged_config(rng, l, model=UNIFORM, d=1):
     box = make_box((0,) * d, 4.0 * l)
-    return Configuration(box, model.sample(rng, box.count), 0.0)
+    return Configuration(box, model.sample(rng, box.count))
 
 
 class TestUniformRegularity:
@@ -62,13 +62,11 @@ class TestUniformRegularity:
             plain = regularity_test(op, (0,), 0.4, E)
             assert verdict == (CERTIFIED_REGULAR if plain else CERTIFIED_IRREGULAR)
 
-    def test_domain_checked_when_op_given(self):
+    def test_domain_checked(self):
         box = make_box((0,), 2.0)
         cfg = Configuration(make_box((0,), 5.0), np.zeros(11))
-        op = restrict_hamiltonian(DELTA0, cfg, box)
         with pytest.raises(ParameterError, match="4l-enlarged"):
-            uniform_regularity_test(DELTA0, UNIFORM, cfg, box, 0.4, -1.0,
-                                    op=op)
+            uniform_regularity_test(DELTA0, UNIFORM, cfg, box, 0.4, -1.0)
 
     def test_indeterminate_when_bracket_collapses(self):
         u = truncated_exponential_potential(1, 1.0, 0.4, 60,
@@ -78,8 +76,7 @@ class TestUniformRegularity:
         rng = np.random.default_rng(32)
         cfg = _enlarged_config(rng, l)
         # E extremely close to the base spectrum, delta exceeds the distance
-        zeroed = Configuration(cfg.domain, cfg.values, 0.0)
-        op = restrict_hamiltonian(u, zeroed, box)
+        op = restrict_hamiltonian(u, cfg, box)
         evs = eigensolve(op).eigenvalues
         E = float(evs[0]) + 1e-9
         assert uniform_regularity_test(u, UNIFORM, cfg, box, 1e-6, E) in (
@@ -121,8 +118,7 @@ class TestUniformRegularity:
             verdict = uniform_regularity_test(DELTA0, UNIFORM, cfg, box, 0.4, E)
             if verdict == CERTIFIED_IRREGULAR:
                 found += 1
-                zeroed = Configuration(cfg.domain, cfg.values, 0.0)
-                op = restrict_hamiltonian(DELTA0, zeroed, box)
+                op = restrict_hamiltonian(DELTA0, cfg, box)
                 assert not regularity_test(op, (0,), 0.4, E)
         assert found > 0
 
@@ -168,9 +164,10 @@ class TestUniformRegularity:
 
 class TestSingularityProbability:
     def test_empty_grid(self):
-        rep = estimate_singularity_probability(
-            DELTA0, UNIFORM, 2.0, 0.3, (-0.1, 0.1), [], 20, seed=1)
-        assert rep.p_hi == 0.0
+        # no energy probed would certify every box: rejected
+        with pytest.raises(ParameterError, match="at least one energy"):
+            estimate_singularity_probability(
+                DELTA0, UNIFORM, 2.0, 0.3, (-0.1, 0.1), [], 20, seed=1)
 
     def test_deterministic_density(self):
         # near-point-mass coupling: outcome is the same every trial
@@ -197,7 +194,7 @@ class TestSingularityProbability:
         for _ in range(trials):
             def singular(box):
                 dom = make_box(box.center, 4.0 * l)
-                cfg = Configuration(dom, UNIFORM.sample(rng, dom.count), 0.0)
+                cfg = Configuration(dom, UNIFORM.sample(rng, dom.count))
                 return any(
                     uniform_regularity_test(DELTA0, UNIFORM, cfg, box, m, E)
                     != CERTIFIED_REGULAR for E in grid)
@@ -222,7 +219,7 @@ def _one_shot_verdicts(u, model, l, m, grid, trials, seed):
     out = []
     for i in range(trials):
         rng = mc.trial_rng(seed, i)
-        cfg = Configuration(enlarged, model.sample(rng, enlarged.count), 0.0)
+        cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
         out.append([uniform_regularity_test(u, model, cfg, box, m, E)
                     for E in grid])
     return out
@@ -236,8 +233,7 @@ def _reference_verdicts(u, model, cfg, box, m, energies, delta):
     Returns the verdicts and, per energy, whether a compared quantity lies
     within the solve's error bound of its threshold, where rounding, not
     the rules, decides the verdict."""
-    zeroed = Configuration(cfg.domain, cfg.values, 0.0)
-    H = restrict_hamiltonian(u, zeroed, box).matrix
+    H = restrict_hamiltonian(u, cfg, box).matrix
     n = box.count
     evals = scipy.linalg.eigvalsh(H)
     e_src = np.zeros(n)

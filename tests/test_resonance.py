@@ -1,21 +1,18 @@
 """resonance: perturbation radii, spectrum brackets, event classification."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from alloymsa import (Configuration, eigensolve,
                       estimate_resonance_probabilities, exact_potential,
                       find_leading_index, make_box, perturbation_radius,
-                      restrict_hamiltonian, spectrum_bracket,
-                      truncated_exponential_potential, uniform_density)
+                      restrict_hamiltonian, truncated_exponential_potential,
+                      uniform_density)
 from alloymsa.errors import GeometryError, ParameterError
 from alloymsa.lattice import DisorderModel, PolynomialPiece
 from alloymsa import resonance
 from alloymsa.resonance import (CERTIFIED_IN_A, CERTIFIED_OUT_A, INDETERMINATE,
-                                SpectrumBracket, _classify_distance,
-                                spectral_distance)
+                                _classify_distance)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -53,24 +50,29 @@ class TestPerturbationRadius:
             pytest.approx(min(exact, analytic))
 
 
+def base_spectrum(u, cfg, box):
+    """Spectrum of `box` at the zeroed exterior of `cfg`, whose domain must
+    be the 4l-enlarged box: what the resonance worker solves per box."""
+    resonance.check_enlarged_domain(cfg, box)
+    return eigensolve(restrict_hamiltonian(u, cfg, box)).eigenvalues
+
+
 class TestSpectrumBracket:
     def test_delta0_degenerate(self):
         box = make_box((0,), 2.0)
         enlarged = make_box((0,), 8.0)
         cfg = Configuration(enlarged, UNIFORM.sample(np.random.default_rng(0),
                                                      enlarged.count))
-        b = spectrum_bracket(DELTA0, UNIFORM, cfg, box)
-        assert b.radius == 0.0
-        assert len(b.base_spectrum) == box.count
+        assert perturbation_radius(DELTA0, UNIFORM, 2.0, box=box) == 0.0
+        assert len(base_spectrum(DELTA0, cfg, box)) == box.count
 
     def test_zero_potential_free_spectrum(self):
         box = make_box((0,), 2.0)
         enlarged = make_box((0,), 8.0)
         cfg = Configuration(enlarged, np.zeros(enlarged.count))
-        b = spectrum_bracket(DELTA0, UNIFORM, cfg, box)
         from alloymsa import free_operator
         free = eigensolve(free_operator(box)).eigenvalues
-        assert np.allclose(b.base_spectrum, free, atol=1e-12)
+        assert np.allclose(base_spectrum(DELTA0, cfg, box), free, atol=1e-12)
 
     def test_bracket_soundness_100_completions(self):
         u = leaky_potential(radius=40)
@@ -79,7 +81,8 @@ class TestSpectrumBracket:
         enlarged = make_box((0,), 4 * l)
         rng = np.random.default_rng(21)
         cfg = Configuration(enlarged, UNIFORM.sample(rng, enlarged.count))
-        bracket = spectrum_bracket(u, UNIFORM, cfg, box)
+        base = base_spectrum(u, cfg, box)
+        radius = perturbation_radius(u, UNIFORM, l, box=box)
         full = make_box((0,), l + u.truncation_radius + 0.25)
         inner_mask = enlarged.contains_points(full.points)
         base_vals = np.zeros(full.count)
@@ -90,50 +93,44 @@ class TestSpectrumBracket:
             vals[~inner_mask] = UNIFORM.sample(rng, int((~inner_mask).sum()))
             completed = restrict_hamiltonian(u, Configuration(full, vals), box)
             evs = eigensolve(completed).eigenvalues
-            if np.max(np.abs(evs - bracket.base_spectrum)) > bracket.radius + 1e-12:
+            if np.max(np.abs(evs - base)) > radius + 1e-12:
                 violations += 1
         assert violations == 0
 
     def test_domain_mismatch(self):
         box = make_box((0,), 2.0)
         cfg = Configuration(make_box((0,), 5.0), np.zeros(11))
-        with pytest.raises(ParameterError):
-            spectrum_bracket(DELTA0, UNIFORM, cfg, box)
+        with pytest.raises(ParameterError, match="4l-enlarged"):
+            base_spectrum(DELTA0, cfg, box)
 
 
-def _bracket(center, spectrum, radius, l=2.0):
-    return SpectrumBracket(
-        box=make_box(center, l), enlarged=make_box(center, 4 * l),
-        base_spectrum=np.asarray(spectrum, dtype=float), radius=radius)
+def _bracket(spectrum, radius):
+    return np.asarray(spectrum, dtype=float), radius
 
 
 def classify(b1, b2, eps, attained):
-    return _classify_distance(spectral_distance(b1, b2), b1.radius, b2.radius,
-                              eps, attained)
+    """`_classify_distance` at the distance d0 of the two base spectra."""
+    (s1, radius1), (s2, radius2) = b1, b2
+    d0 = float(np.min(np.abs(s1[:, None] - s2[None, :])))
+    return _classify_distance(d0, radius1, radius2, eps, attained)
 
 
 class TestClassify:
     def test_identical_spectra(self):
         # radius 0: every completion has the base spectra
-        b1 = _bracket((0,), [1.0, 2.0], 0.0)
-        b2 = _bracket((100,), [1.0, 3.0], 0.0)
+        b1 = _bracket([1.0, 2.0], 0.0)
+        b2 = _bracket([1.0, 3.0], 0.0)
         assert classify(b1, b2, 0.5, attained=True) == CERTIFIED_IN_A
 
     def test_separated(self):
-        b1 = _bracket((0,), [0.0], 0.01)
-        b2 = _bracket((100,), [1.0], 0.01)
+        b1 = _bracket([0.0], 0.01)
+        b2 = _bracket([1.0], 0.01)
         assert classify(b1, b2, 0.1, attained=False) == CERTIFIED_OUT_A
 
     def test_indeterminate_band(self):
-        b1 = _bracket((0,), [0.0], 0.05)
-        b2 = _bracket((100,), [0.12], 0.05)
+        b1 = _bracket([0.0], 0.05)
+        b2 = _bracket([0.12], 0.05)
         assert classify(b1, b2, 0.1, attained=False) == INDETERMINATE
-
-    def test_overlap_rejected(self):
-        b1 = _bracket((0,), [0.0], 0.0)
-        b2 = _bracket((1,), [1.0], 0.0)
-        with pytest.raises(GeometryError):
-            classify(b1, b2, 0.1, attained=True)
 
 
 class TestEstimateProbability:
@@ -237,10 +234,10 @@ class TestZeroOutsideSupport:
         assert rep.p_lo == 1.0
 
     def test_classify(self):
-        b1 = _bracket((0,), [1.0], 0.01)
-        b2 = _bracket((100,), [1.0], 0.01)
+        b1 = _bracket([1.0], 0.01)
+        b2 = _bracket([1.0], 0.01)
         assert classify(b1, b2, 0.5, attained=False) == INDETERMINATE
         assert classify(b1, b2, 0.5, attained=True) == CERTIFIED_IN_A
-        exact = replace(b2, radius=0.0)
+        exact = _bracket([1.0], 0.0)
         assert classify(b1, exact, 0.5, attained=True) == CERTIFIED_IN_A
         assert classify(b1, exact, 0.5, attained=False) == INDETERMINATE

@@ -1,5 +1,6 @@
 """Stencil-stored box operators against their dense reference matrix."""
 
+import dataclasses
 import itertools
 import tracemalloc
 from unittest import mock
@@ -126,7 +127,6 @@ class TestStencilAgainstDense:
         res = eigensolve(op, want_vectors=True)
         assert np.array_equal(res.eigenvalues, evals)
         assert np.array_equal(res.eigenvectors, evecs)
-        op._spectrum_cache = None
         assert np.array_equal(eigensolve(op).eigenvalues, values_only)
 
 
@@ -134,6 +134,21 @@ def test_diagonal_length_checked():
     box = make_box((0, 0), 1.0)
     with pytest.raises(ParameterError, match="9 entries"):
         BoxOperator(box, np.zeros(8))
+
+
+class TestValueSemantics:
+    def test_fields_cannot_be_assigned(self):
+        op = free_operator(make_box((0, 0), 1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.diagonal = np.zeros(9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.box = make_box((0, 0), 2.0)
+
+    def test_diagonal_read_only(self):
+        op = free_operator(make_box((0, 0), 1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            op.diagonal[0] = 1.0
+        assert np.all(op.diagonal == 4.0)
 
 
 class TestClosedInterval:
