@@ -138,11 +138,17 @@ def find_leading_index(
 
     Smaller-shell derivatives must all be zero within tolerance; ties inside
     a shell break lexicographically.  Derivatives with
-    |value| <= error_bound + zero_tolerance count as zero.
+    |value| <= error_bound + zero_tolerance count as zero; the tolerance
+    must be finite and nonnegative (ParameterError).
     """
     d = u.dimension
     if zero_tolerance is None:
         zero_tolerance = 1e-10 * u.l1_norm
+    if not (math.isfinite(zero_tolerance) and zero_tolerance >= 0):
+        # a negative tolerance would call a derivative nonzero inside its
+        # own error bound
+        raise ParameterError("zero_tolerance must be finite and nonnegative, "
+                             f"got {zero_tolerance!r}")
     table: dict[MultiIndex, tuple[float, float]] = {}
     for total in range(shell_cap + 1):
         hit = None
@@ -190,7 +196,6 @@ class PositivityReport:
     worst_x: tuple[int, ...]
     radius: float
     slack: float
-    max_value: float
 
 
 def positivity_certificate(u: SingleSitePotential, lead: LeadingIndexData,
@@ -230,7 +235,6 @@ def positivity_certificate(u: SingleSitePotential, lead: LeadingIndexData,
         worst_x=tuple(int(c) for c in X[worst]),
         radius=R,
         slack=slack,
-        max_value=float(s.max()),
     )
 
 

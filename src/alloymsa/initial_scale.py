@@ -131,11 +131,6 @@ def lifshitz_parameters(
 
 @dataclass(frozen=True)
 class LifshitzReport:
-    l: float
-    zeta: float
-    beta0: float
-    delta: float
-    trials: int
     p_emp: float
     std_error: float
     chain_bound: float
@@ -185,7 +180,6 @@ def lifshitz_probe(
     p_emp, stderr = mc.mean_and_stderr(hits)
     lambda1_mean = float(np.mean([lam for _, lam in results]))
     return LifshitzReport(
-        l=l, zeta=zeta, beta0=params.beta0, delta=params.delta, trials=trials,
         p_emp=p_emp, std_error=stderr, chain_bound=chain_bound,
         paper_bound=paper_bound, lambda1_mean=lambda1_mean,
         l_tilde=l_tilde, n_subcubes=n,
@@ -198,14 +192,11 @@ def lifshitz_probe(
 
 @dataclass(frozen=True)
 class LargeDisorderReport:
-    l0: float
-    m0: float
     target: float
     delta0: float
     chain: float
     rhs_printed: float
     rhs_negative_exponent: float
-    satisfies: bool
     satisfies_negative_exponent: bool
     max_bv_printed: float
     max_bv_negative_exponent: float
@@ -251,10 +242,9 @@ def large_disorder_probe(
     eps_printed = 2.0 * math.exp(min(m0 * l0, 700.0))
     eps_neg = 2.0 * math.exp(-m0 * l0)
     return LargeDisorderReport(
-        l0=l0, m0=m0, target=target, delta0=delta0, chain=chain,
+        target=target, delta0=delta0, chain=chain,
         rhs_printed=rhs(eps_printed),
         rhs_negative_exponent=rhs(eps_neg),
-        satisfies=rhs(eps_printed) <= target,
         satisfies_negative_exponent=rhs(eps_neg) <= target,
         max_bv_printed=max_bv(eps_printed),
         max_bv_negative_exponent=max_bv(eps_neg),

@@ -76,7 +76,7 @@ def uniform_regularity_verdicts(
     check_enlarged_domain(config, box)
     op = restrict_hamiltonian(u, config, box)
     if delta is None:
-        delta = perturbation_radius(u, model, l, box=box)
+        delta = perturbation_radius(u, model, l)
     green = boundary_greens(op, box.center, energies)
     irregular = _irregular(green, m, l)
     if delta == 0.0:
@@ -128,8 +128,6 @@ def _energy_grid(interval, energy_grid) -> list:
 @dataclass(frozen=True)
 class SingularityReport:
     p_hi: float
-    trials: int
-    std_error: float
     per_energy: dict[float, int]
 
 
@@ -164,7 +162,7 @@ def estimate_singularity_probability(
     d = u.dimension
     box = make_box((0,) * d, l)
     enlarged = make_box((0,) * d, 4 * l)
-    delta = perturbation_radius(u, model, l, box=box)
+    delta = perturbation_radius(u, model, l)
 
     def worker(_i: int, rng: np.random.Generator):
         cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
@@ -175,9 +173,8 @@ def estimate_singularity_probability(
     results = mc.run_trials(trials, worker, seed, threads)
     singular = [any(bad) for bad in results]
     per_energy = {E: sum(bad[i] for bad in results) for i, E in enumerate(grid)}
-    p_hi, stderr = mc.mean_and_stderr([1.0 if s else 0.0 for s in singular])
-    return SingularityReport(p_hi=p_hi, trials=trials, std_error=stderr,
-                             per_energy=per_energy)
+    p_hi, _ = mc.mean_and_stderr([1.0 if s else 0.0 for s in singular])
+    return SingularityReport(p_hi=p_hi, per_energy=per_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,6 @@ class ValidationReport:
     l_bar_sharp: float
     thresholds: dict[str, float]
     ok: bool
-    schedule_ok: bool
     violated: list[str]
 
 
@@ -382,15 +378,15 @@ def validate_parameters(
     """Check every interval constraint, compute l_bar (closed form),
     the sharp mass-retention scale, and the proof thresholds l1*..l7*.
 
-    ok requires l0 >= max(l_star, l_bar) and m0 > l0^(beta-1);
-    schedule_ok additionally requires l0 >= the sharp mass threshold,
-    which is what actually guarantees m_k >= q m0 along the recursion.
+    ok requires l0 >= max(l_star, l_bar) and m0 > l0^(beta-1); l0 >= the
+    sharp mass threshold l_bar_sharp is what actually guarantees
+    m_k >= q m0 along the recursion.
     """
     violated = p.interval_violations(u.dimension, lead.order)
     if violated:
         return ValidationReport(
             l_star=float("nan"), l_bar=float("nan"), l_bar_sharp=float("nan"),
-            thresholds={}, ok=False, schedule_ok=False, violated=violated,
+            thresholds={}, ok=False, violated=violated,
         )
     thresholds = induction_thresholds(p, lead, u, model)
     lstar = max(thresholds[k] for k in ("l1", "l2", "l3", "l4", "l5", "l6", "l7"))
@@ -400,11 +396,9 @@ def validate_parameters(
         violated.append(
             f"l0={p.l0} below max(l*={lstar:.6g}, l_bar={lb:.6g})"
         )
-    ok = not violated
-    schedule_ok = ok and p.l0 >= lbs
     return ValidationReport(
         l_star=lstar, l_bar=lb, l_bar_sharp=lbs, thresholds=thresholds,
-        ok=ok, schedule_ok=schedule_ok, violated=violated,
+        ok=not violated, violated=violated,
     )
 
 
@@ -413,7 +407,6 @@ class ScaleSchedule:
     log_lengths: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
     m_inf: float
-    l_bar: float
 
     @property
     def lengths(self) -> np.ndarray:
@@ -469,7 +462,6 @@ def scale_schedule(p: MSAParameters, k_max: int) -> ScaleSchedule:
         log_lengths=np.array(log_lengths),
         masses=np.array(masses),
         m_inf=m_inf,
-        l_bar=l_bar(p),
     )
 
 

@@ -11,6 +11,7 @@ of the resonance event A(box1, box2, eps) = { uniform spectral distance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,9 +31,10 @@ INDETERMINATE = "indeterminate"
 
 
 def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
-                        l_i: float, box: Box | None = None) -> float:
+                        l_i: float) -> float:
     """Certified bound on sup_{x in Lambda_l} |v_w(x) - v_w'(x)| over
-    configurations agreeing on the 4l-enlarged box.
+    configurations agreeing on the 4l-enlarged box, for a box Lambda_l of
+    any integer center (the bound is translation invariant).
 
     Minimum of the analytic bound omega_+ * C_hat e^{-3 l alpha / 2} and the
     exact leaked-mass bound of the table (0 when the tabulated support
@@ -43,10 +45,8 @@ def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
     omega_plus = model.omega_plus
     if omega_plus == 0.0:
         return 0.0
-    if box is None:
-        box = make_box((0,) * u.dimension, l_i)
     analytic = tail_bound(u, l_i, 3.0 * l_i)
-    exact = leaked_mass_bound(u, box, 4.0 * l_i)
+    exact = leaked_mass_bound(u, make_box((0,) * u.dimension, l_i), 4.0 * l_i)
     return omega_plus * min(analytic, exact)
 
 
@@ -75,37 +75,12 @@ def _classify_distance(d0: float, radius1: float, radius2: float,
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    x: tuple
-    y: tuple
-    l1: float
-    l2: float
-    eps: float
-    trials: int
     p_lo: float
     p_hi: float
     theory_bound: float
     delta1: float
     delta2: float
     std_error: float
-
-
-def resonance_theory_bound(
-    u: SingleSitePotential,
-    lead: LeadingIndexData,
-    model: DisorderModel,
-    l1: float,
-    l2: float,
-    eps: float,
-) -> tuple[float, float, float]:
-    """(bound, delta1, delta2) with the proposition's explicit chain:
-    (2 l1 + 1)^d ||rho||_Var (eps + delta1 + delta2) * sum_j ||t_{j,l2}||_1."""
-    d = u.dimension
-    delta1 = perturbation_radius(u, model, l1)
-    delta2 = perturbation_radius(u, model, l2)
-    count1 = make_box((0,) * d, l1).count
-    bound = count1 * model.bv_norm * (eps + delta1 + delta2) \
-        * wegner_constant_chain(u, lead, l2)
-    return bound, delta1, delta2
 
 
 def estimate_resonance_probabilities(
@@ -122,7 +97,8 @@ def estimate_resonance_probabilities(
     threads: int | None = 1,
 ) -> list[ResonanceReport]:
     """Monte-Carlo (p_lo, p_hi) for the events A(Lambda_{l1}(x), Lambda_{l2}(y), eps),
-    one report per eps of `eps_list`, against the explicit theory bound.
+    one report per eps of `eps_list`, against the proposition's explicit
+    chain (2 l1 + 1)^d ||rho||_Var (eps + delta1 + delta2) sum_j ||t_{j,l2}||_1.
 
     One pass samples the realizations and keeps each trial's d0, from which
     every eps is classified.  p_lo counts certified_in_A; p_hi adds
@@ -131,6 +107,8 @@ def estimate_resonance_probabilities(
     """
     if not eps_list:
         raise ParameterError("eps_list must hold at least one eps")
+    if not all(math.isfinite(eps) for eps in eps_list):
+        raise ParameterError("eps must be finite")
     if any(eps < 0 for eps in eps_list):
         raise ParameterError("eps must be nonnegative")
     if not len(x) == len(y) == u.dimension:
@@ -145,9 +123,10 @@ def estimate_resonance_probabilities(
         raise ParameterError(
             f"l2={l2} too small: 4 l2 < R_l2 = {companion_radius(u, lead, l2):.6g}"
         )
-    bounds = [resonance_theory_bound(u, lead, model, l1, l2, eps)
-              for eps in eps_list]
-    _, delta1, delta2 = bounds[0]
+    delta1 = perturbation_radius(u, model, l1)
+    delta2 = perturbation_radius(u, model, l2)
+    scale = box1.count * model.bv_norm
+    chain = wegner_constant_chain(u, lead, l2)
     # the zeroed exterior is a completion, or nothing outside reaches either box
     attained = model.in_support(0.0) or delta1 == delta2 == 0.0
 
@@ -160,7 +139,7 @@ def estimate_resonance_probabilities(
 
     distances = mc.run_trials(trials, worker, seed, threads)
     reports = []
-    for eps, (bound, _, _) in zip(eps_list, bounds):
+    for eps in eps_list:
         outcomes = [_classify_distance(d0, delta1, delta2, eps, attained)
                     for d0 in distances]
         in_a = [1.0 if o == CERTIFIED_IN_A else 0.0 for o in outcomes]
@@ -168,8 +147,8 @@ def estimate_resonance_probabilities(
         p_lo, _ = mc.mean_and_stderr(in_a)
         p_hi, stderr = mc.mean_and_stderr(hi)
         reports.append(ResonanceReport(
-            x=tuple(x), y=tuple(y), l1=l1, l2=l2, eps=eps, trials=trials,
-            p_lo=p_lo, p_hi=p_hi, theory_bound=bound,
+            p_lo=p_lo, p_hi=p_hi,
+            theory_bound=scale * (eps + delta1 + delta2) * chain,
             delta1=delta1, delta2=delta2, std_error=stderr,
         ))
     return reports

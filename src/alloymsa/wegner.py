@@ -26,16 +26,10 @@ from .spectral import checked_interval, count_eigenvalues_in
 
 @dataclass(frozen=True)
 class WegnerBoundReport:
-    d: int
-    l: float
     radius: float
-    interval: tuple[float, float]
     c_w_chain: float
     bv_norm: float
     bound: float
-    empirical_mean: float
-    trials: int
-    std_error: float
 
 
 def _power_sum(n: int, i: int) -> int:
@@ -139,45 +133,17 @@ def wegner_bound(
     model: DisorderModel,
     l: float,
     interval: tuple[float, float],
-    empirical_mean: float = 0.0,
-    trials: int = 0,
-    std_error: float = 0.0,
 ) -> WegnerBoundReport:
     """Assemble the bound 1/2 ||rho||_Var |I| sum_j ||t_{j,l}||_1."""
     e1, e2 = checked_interval(interval)
     chain = wegner_constant_chain(u, lead, l)
     bv = model.bv_norm
-    bound = 0.5 * bv * (e2 - e1) * chain
     return WegnerBoundReport(
-        d=u.dimension,
-        l=l,
         radius=companion_radius(u, lead, l),
-        interval=(e1, e2),
         c_w_chain=chain,
         bv_norm=bv,
-        bound=bound,
-        empirical_mean=empirical_mean,
-        trials=trials,
-        std_error=std_error,
+        bound=0.5 * bv * (e2 - e1) * chain,
     )
-
-
-def run_wegner_cell(
-    u: SingleSitePotential,
-    lead: LeadingIndexData,
-    model: DisorderModel,
-    l: float,
-    interval: tuple[float, float],
-    exterior: Configuration | None,
-    trials: int,
-    seed: int,
-    threads: int | None = 1,
-) -> WegnerBoundReport:
-    mean, stderr = estimate_partial_expectation(
-        u, lead, model, l, interval, exterior, trials, seed, threads=threads
-    )
-    return wegner_bound(u, lead, model, l, interval,
-                        empirical_mean=mean, trials=trials, std_error=stderr)
 
 
 def exponent_fit(results, d: int) -> tuple[float, float]:

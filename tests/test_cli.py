@@ -442,6 +442,18 @@ class TestRejectedBeforeAnyTrial:
             "l0": 30000.0, "l1": 2.0}}),
         ("resonance", P2_MODEL, {"l1": 3, "l2": 10}),
         ("resonance", P2_MODEL, {"y": [200], "l1": 3, "l2": 10}),
+        ("analyze-potential", DELTA0_MODEL, {"zero_tolerance": "x"}),
+        ("analyze-potential", DELTA0_MODEL, {"zero_tolerance": -1.0}),
+        ("decay", DELTA0_MODEL, {"l": 3.0, "n_lowest": 2.5}),
+        ("wegner", DELTA0_MODEL, {"ls": [2], "exteriors": 1.5}),
+        ("wegner", DELTA0_MODEL, {"ls": [2], "exteriors": -3}),
+        ("msa-schedule", DELTA0_MODEL, {"k_max": 2.5, "msa": {
+            "xi": 8.0, "kappa": 1.5, "beta": 0.6, "q": 0.5, "m0": 0.5,
+            "l0": 30000.0}}),
+        ("resonance", P2_MODEL,
+         {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": [math.nan]}),
+        ("resonance", P2_MODEL,
+         {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": [0.1, math.inf]}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
@@ -449,7 +461,11 @@ class TestRejectedBeforeAnyTrial:
             "lifshitz-l_range-nan", "rho-uniform-one-endpoint", "rho-empty",
             "u-without-alpha", "msa-schedule-without-msa",
             "msa-schedule-unknown-msa-key", "resonance-without-y",
-            "resonance-y-wrong-dimension"])
+            "resonance-y-wrong-dimension", "analyze-potential-tolerance-string",
+            "analyze-potential-tolerance-negative", "decay-n_lowest-2.5",
+            "wegner-exteriors-1.5", "wegner-exteriors-negative",
+            "msa-schedule-k_max-2.5", "resonance-eps_list-nan",
+            "resonance-eps_list-inf"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)

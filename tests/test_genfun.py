@@ -14,7 +14,7 @@ import sympy
 from alloymsa import (companion_radius, exact_potential, find_leading_index,
                       genfun_derivative, make_box, positivity_certificate, tail_bound,
                       truncated_exponential_potential)
-from alloymsa.errors import AnalysisFailure
+from alloymsa.errors import AnalysisFailure, ParameterError
 from alloymsa.genfun import leaked_mass_bound, monomial, shell_indices
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
@@ -110,6 +110,14 @@ class TestFindLeadingIndex:
     def test_shell_cap_failure(self):
         with pytest.raises(AnalysisFailure):
             find_leading_index(PAIR, shell_cap=0)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_tolerance_finite_and_nonnegative(self, tolerance):
+        # a negative tolerance would certify a derivative as nonzero inside
+        # its own error bound
+        with pytest.raises(ParameterError, match="zero_tolerance"):
+            find_leading_index(PAIR, tolerance)
+        assert find_leading_index(PAIR, 0.0).leading == (1,)
 
     def test_shell_enumeration(self):
         assert list(shell_indices(2, 2)) == [(0, 2), (1, 1), (2, 0)]

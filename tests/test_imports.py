@@ -6,7 +6,8 @@ the module never loads is dead.  Every public top-level function or class
 must be reachable from `cli.py` or allowed, with its reason, in
 `ALLOWED_UNREACHED`.  `__init__.py` is skipped, since its imports are the
 package's re-exports.  Every package attribute that the benchmark's
-`perfbench/child.py` hooks by name must exist.
+`perfbench/child.py` hooks by name must exist.  Every field of a
+dataclass in the package must be read somewhere in `src/` or `tests/`.
 """
 
 import ast
@@ -18,6 +19,7 @@ import pytest
 import alloymsa
 
 PACKAGE = Path(alloymsa.__file__).parent
+TESTS = Path(__file__).resolve().parent
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -194,3 +196,59 @@ def test_perfbench_hooks_exist():
     hooked = {attrs[-1] for _, *attrs in targets}
     assert [name for name, reason in ALLOWED_UNREACHED.items()
             if "perfbench" in reason and name not in hooked] == []
+
+
+def _is_dataclass_decorator(node) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "dataclass") or \
+        (isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+
+def unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of every `@dataclass` class in `sources` (module name ->
+    source) that no `.field` attribute load in `readers` reads, as
+    "Class.field".
+
+    The check is by name only: `x.delta` anywhere counts as a read of
+    every field named `delta`, so a field whose name another attribute
+    shares is never flagged, and a field read only through `getattr`,
+    `asdict` or unpacking is.
+    """
+    fields = []
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and \
+                    any(map(_is_dataclass_decorator, node.decorator_list)):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def test_field_scanner():
+    sources = {"lib": ("import dataclasses\n"
+                       "from dataclasses import dataclass\n"
+                       "@dataclass(frozen=True)\n"
+                       "class A:\n"
+                       "    read: int\n"
+                       "    unread: float\n"
+                       "    shared: int\n"
+                       "    def total(self): return self.read\n"
+                       "@dataclasses.dataclass\n"
+                       "class B:\n"
+                       "    only_written: int = 0\n"
+                       "class NotADataclass:\n"
+                       "    ignored: int\n")}
+    readers = [*sources.values(), "def f(x): return x.shared\n",
+               "def g(b): b.only_written = 1\n"]
+    assert unread_fields(sources, readers) == ["A.unread", "B.only_written"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    readers = [path.read_text()
+               for root in (PACKAGE.parent, TESTS) for path in root.rglob("*.py")]
+    assert unread_fields(sources, readers) == []

@@ -129,7 +129,7 @@ class TestUniformRegularity:
         shifted = uniform_density(1.0, 2.0)
         l = 3.0
         box = make_box((0,), l)
-        assert perturbation_radius(EXP_TAIL, shifted, l, box=box) > 0.0
+        assert perturbation_radius(EXP_TAIL, shifted, l) > 0.0
         rng = np.random.default_rng(36)
         found = 0
         for _ in range(40):
@@ -281,7 +281,7 @@ class TestSingularityEstimatorReusesSpectrum:
     def test_per_energy_matches_one_shot(self, u, model, interval):
         l, m, trials, seed = 3.0, 0.2, 12, 41
         box = make_box((0,), l)
-        delta = perturbation_radius(u, model, l, box=box)
+        delta = perturbation_radius(u, model, l)
         assert (delta > 0.0) == (u is EXP_TAIL)
         grid = list(np.linspace(*interval, 31))
         rep = estimate_singularity_probability(u, model, l, m, interval, 31,
@@ -366,7 +366,7 @@ class TestBatchedVerdictsAgainstReference:
         d = u.dimension
         l = float(half if d == 1 else min(half, 2))
         box = make_box((0,) * d, l)
-        delta = perturbation_radius(u, model, l, box=box)
+        delta = perturbation_radius(u, model, l)
         assert (delta > 0.0) == (u in (EXP_TAIL, P2_TAIL, WIDE_TAIL))
         enlarged = make_box((0,) * d, 4 * l)
         rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from alloymsa.lattice import DisorderModel, PolynomialPiece
 from alloymsa import resonance
 from alloymsa.resonance import (CERTIFIED_IN_A, CERTIFIED_OUT_A, INDETERMINATE,
                                 _classify_distance)
+from alloymsa.wegner import wegner_constant_chain
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -63,7 +64,7 @@ class TestSpectrumBracket:
         enlarged = make_box((0,), 8.0)
         cfg = Configuration(enlarged, UNIFORM.sample(np.random.default_rng(0),
                                                      enlarged.count))
-        assert perturbation_radius(DELTA0, UNIFORM, 2.0, box=box) == 0.0
+        assert perturbation_radius(DELTA0, UNIFORM, 2.0) == 0.0
         assert len(base_spectrum(DELTA0, cfg, box)) == box.count
 
     def test_zero_potential_free_spectrum(self):
@@ -82,7 +83,7 @@ class TestSpectrumBracket:
         rng = np.random.default_rng(21)
         cfg = Configuration(enlarged, UNIFORM.sample(rng, enlarged.count))
         base = base_spectrum(u, cfg, box)
-        radius = perturbation_radius(u, UNIFORM, l, box=box)
+        radius = perturbation_radius(u, UNIFORM, l)
         full = make_box((0,), l + u.truncation_radius + 0.25)
         inner_mask = enlarged.contains_points(full.points)
         base_vals = np.zeros(full.count)
@@ -197,6 +198,21 @@ class TestOnePassOverEps:
         estimate_resonance_probabilities(DELTA0, lead, UNIFORM, (0,), (100,),
                                          3.0, 3.0, self.EPS, 10, 3)
         assert len(calls) == 2 * 10
+
+    def test_one_chain_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return wegner_constant_chain(*args)
+
+        monkeypatch.setattr(resonance, "wegner_constant_chain", counting)
+        lead = find_leading_index(DELTA0)
+        reports = estimate_resonance_probabilities(
+            DELTA0, lead, UNIFORM, (0,), (100,), 3.0, 3.0, [1e-3, 1e-2, 1e-1],
+            4, 3)
+        assert len(reports) == 3
+        assert len(calls) == 1
 
     def test_negative_eps_rejected_before_sampling(self, monkeypatch):
         monkeypatch.setattr(resonance, "eigensolve", None)

@@ -12,8 +12,7 @@ from alloymsa import (Configuration, estimate_partial_expectation, mc,
                       wegner_constant_chain)
 from alloymsa.errors import ParameterError
 from alloymsa.genfun import companion_radius
-from alloymsa.wegner import (_abs_monomial_box_sum, _power_sum, chain_formula,
-                             run_wegner_cell)
+from alloymsa.wegner import _abs_monomial_box_sum, _power_sum, chain_formula
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)
@@ -174,9 +173,10 @@ class TestBound:
     @pytest.mark.parametrize("u", [DELTA0, PAIR], ids=["delta0", "mean-zero"])
     def test_mc_bound_validity_quick(self, u):
         lead = find_leading_index(u)
-        rep = run_wegner_cell(u, lead, UNIFORM, 3.0, (1.9, 2.1), None, 300,
-                              seed=13)
-        assert rep.empirical_mean - 3 * rep.std_error <= rep.bound
+        mean, stderr = estimate_partial_expectation(
+            u, lead, UNIFORM, 3.0, (1.9, 2.1), None, 300, seed=13)
+        rep = wegner_bound(u, lead, UNIFORM, 3.0, (1.9, 2.1))
+        assert mean - 3 * stderr <= rep.bound
 
     def test_frozen_exterior_uniformity_quick(self):
         lead = find_leading_index(PAIR)
@@ -185,9 +185,10 @@ class TestBound:
         rng = np.random.default_rng(99)
         for _ in range(3):
             ext = Configuration(dom, rng.uniform(0, 1, dom.count))
-            rep = run_wegner_cell(PAIR, lead, UNIFORM, l, (1.9, 2.1), ext,
-                                  200, seed=14)
-            assert rep.empirical_mean - 3 * rep.std_error <= rep.bound
+            mean, stderr = estimate_partial_expectation(
+                PAIR, lead, UNIFORM, l, (1.9, 2.1), ext, 200, seed=14)
+            rep = wegner_bound(PAIR, lead, UNIFORM, l, (1.9, 2.1))
+            assert mean - 3 * stderr <= rep.bound
 
 
 class TestExponentFit:
