@@ -10,7 +10,8 @@ constants in its summary, and identical config+seed produce
 byte-identical outputs across reruns and thread counts.  Exit codes:
 0 pass, 2 contract violation, 3 precondition/parameter error,
 4 capacity error.
-`--threads N` forks N worker processes that inherit the closure (never pickled).
+`--threads N` runs the trials in N processes, this one and N - 1 forked
+children that inherit the closure (never pickled); see `mc`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ NUMBER = {"type": "number"}
 NUMBERS = {"type": "array", "items": NUMBER}
 # draft-07 counts 3.0 as an integer; runners convert with int()
 INTEGER = {"type": "integer"}
+INTEGERS = {"type": "array", "items": INTEGER}
 COUNT = {"type": "integer", "minimum": 0}
 
 
@@ -176,6 +178,7 @@ def _run_wegner(run: Run) -> None:
         l = float(l)
         dom = make_box((0,) * u.dimension,
                        max(companion_radius(u, lead, l), l + u.truncation_radius) + 0.25)
+        rep = wegner_bound(u, lead, model, l, interval)
         for e_idx in range(max(n_ext, 1)):
             if n_ext == 0:
                 exterior = None
@@ -185,7 +188,6 @@ def _run_wegner(run: Run) -> None:
             mean, stderr = estimate_partial_expectation(
                 u, lead, model, l, interval, exterior, trials,
                 mc.splitmix64(seed, e_idx), threads=run.threads)
-            rep = wegner_bound(u, lead, model, l, interval)
             rows.append([u.dimension, l, rep.radius, interval[0], interval[1],
                          trials, mean, stderr, rep.bound, rep.c_w_chain,
                          rep.bv_norm])
@@ -377,7 +379,7 @@ KINDS = {
         "ls": NUMBERS, "exteriors": COUNT}}),
     "resonance": ("resonance", _run_resonance, {
         "required": ["y", "l1", "l2"],
-        "properties": {"x": NUMBERS, "y": NUMBERS, "l1": NUMBER, "l2": NUMBER,
+        "properties": {"x": INTEGERS, "y": INTEGERS, "l1": NUMBER, "l2": NUMBER,
                        "eps_list": NUMBERS}}),
     "msa_schedule": ("msa-schedule", _run_msa_schedule, {
         "required": ["msa"], "properties": {

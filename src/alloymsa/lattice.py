@@ -478,14 +478,29 @@ def assemble_potential(u: SingleSitePotential, config: Configuration,
                        box: Box) -> np.ndarray:
     """v(x) = sum_k w_k u(x-k) for every x in `box` (lexicographic order).
 
-    The sum runs over the tabulated support of u; couplings outside the
-    configuration domain are zero.
+    The sum runs over the tabulated support of u, one term u_j w_{x-j} per
+    support point j; couplings outside the configuration domain are zero.
+    Each term is added only on the sub-box of `box` whose translate by -j
+    lies in the domain, a slice of both grids.  The terms left out are
+    u_j * 0 = +-0 for finite u_j, which leave v unchanged (v starts at +0,
+    and a sum is -0 only when both terms are), so v is bitwise the
+    per-site sum.
     """
-    pts = box.points
-    v = np.zeros(len(pts))
-    for j, uj in zip(u.support, u.support_values):
-        v += uj * config.values_at(pts - j)
-    return v
+    domain = config.domain
+    w = config.values.reshape(domain.shape)
+    v = np.zeros(box.shape)
+    for j, uj in zip(u.support.tolist(), u.support_values):
+        target, source = [], []
+        for lo, hi, d_lo, d_hi, jr in zip(box.lo, box.hi, domain.lo,
+                                          domain.hi, j):
+            first, last = max(lo, d_lo + jr), min(hi, d_hi + jr)
+            if first > last:
+                break
+            target.append(slice(first - lo, last - lo + 1))
+            source.append(slice(first - jr - d_lo, last - jr - d_lo + 1))
+        else:
+            v[tuple(target)] += uj * w[tuple(source)]
+    return v.reshape(-1)
 
 
 @dataclass(frozen=True)

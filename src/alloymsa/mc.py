@@ -1,29 +1,31 @@
 """Seeded, reproducible Monte-Carlo trial runner.
 
 Per-trial seeds are derived from the master seed with a splitmix64 step,
-so trial i always sees the same random stream no matter how many workers
-execute it, and results are accumulated in trial order.  That makes
-every experiment byte-identical across reruns and worker counts.
+so trial i always sees the same random stream no matter which process
+runs it, and results are returned in trial order.  That makes every
+experiment byte-identical across reruns and process counts.
 
-`threads=N > 1` runs the trials in N worker processes started with
-`fork`: each inherits the worker closure, which is never pickled, so
-estimators may pass nested functions; only trial indices and results
-cross the process boundary.  The processes split the BLAS threads this
-one was given (OPENBLAS_NUM_THREADS, else one per core): each sets a
-loaded OpenBLAS to max(1, threads // N), because N copies of a
-multi-threaded OpenBLAS on the same cores spin against each other.
-Another BLAS keeps the thread count of the environment, so set its
-variable (MKL_NUM_THREADS=1, say) when N > 1.
+`threads=N > 1` runs the trials in N = min(threads, trials) processes,
+this one included.  Share j holds trials j, j + N, j + 2N, ...: this
+process runs share 0, and each of N - 1 children started with `os.fork`
+runs one other share.  A child inherits the worker closure, which is
+never pickled, so estimators may pass nested functions; it writes its
+share's results, pickled, to a pipe and leaves by `os._exit`.  The
+processes split the BLAS threads this one was given
+(OPENBLAS_NUM_THREADS, else one per core): a loaded OpenBLAS is set to
+max(1, threads // N) before the forks and restored after the run,
+because N copies of a multi-threaded OpenBLAS on the same cores spin
+against each other.  Another BLAS keeps the thread count of the
+environment, so set its variable (MKL_NUM_THREADS=1, say) when N > 1.
 """
 
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+import pickle
+import signal
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,10 +34,6 @@ from .errors import CapacityError
 T = TypeVar("T")
 
 _MASK = (1 << 64) - 1
-
-# (worker, master_seed) of the pool this process serves; set only inside
-# pool processes, by `_init_worker`
-_job: tuple[Callable, int] | None = None
 
 
 def splitmix64(master_seed: int, index: int) -> int:
@@ -81,16 +79,51 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
     return controls
 
 
-def _init_worker(worker: Callable, master_seed: int, n_workers: int) -> None:
-    global _job
-    _job = (worker, master_seed)
-    for get, put in _openblas_thread_controls():
-        put(max(1, get() // n_workers))
+# (results of a share's trials in order, (trial, error) of its first
+# failing trial or None); a failing trial ends its share
+Outcome = tuple[list, tuple[int, Exception] | None]
 
 
-def _run_trial(i: int):
-    worker, master_seed = _job
-    return worker(i, trial_rng(master_seed, i))
+def _run_share(worker: Callable, master_seed: int, trials: range) -> Outcome:
+    results = []
+    for i in trials:
+        try:
+            results.append(worker(i, trial_rng(master_seed, i)))
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_share(worker: Callable, master_seed: int,
+                trials: range) -> tuple[int, BinaryIO]:
+    """Fork a child that runs `trials` and writes its pickled Outcome to a
+    pipe; returns its pid and the read end, whose write end this process
+    has closed, so that no later child inherits it."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise CapacityError(
+            f"cannot start a Monte-Carlo worker process: {exc}") from exc
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            outcome = _run_share(worker, master_seed, trials)
+            try:
+                data = pickle.dumps(outcome)
+            except Exception as exc:  # a result or error that does not pickle
+                data = pickle.dumps(([], (trials[0], TypeError(
+                    f"a Monte-Carlo result or error does not pickle: {exc}"))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def run_trials(
@@ -101,27 +134,52 @@ def run_trials(
 ) -> list[T]:
     """Run `worker(i, rng_i)` for i = 0..n_trials-1, results in trial order.
 
-    With `threads` > 1, min(threads, n_trials) forked processes share the
-    trials.  The pool initializer hands them `worker`; a fork-started
-    process inherits its arguments instead of unpickling them.  An error
-    raised by `worker` reaches the caller unchanged; a worker process that
-    dies (most likely killed for memory) raises CapacityError.
+    With `threads` > 1, N = min(threads, n_trials) processes share the
+    trials, this one and N - 1 forked children (see the module docstring);
+    results and errors cross the pipes pickled.  The error the serial loop
+    would raise, that of the lowest failing trial, reaches the caller; a
+    child that exits without sending its results (most likely killed for
+    memory) raises CapacityError.  Every child is reaped before this
+    returns or raises.
     """
-    threads = resolve_threads(threads)
-    if threads == 1 or n_trials <= 1:
+    shares = min(resolve_threads(threads), n_trials)
+    if shares <= 1:
         return [worker(i, trial_rng(master_seed, i)) for i in range(n_trials)]
-    n_workers = min(threads, n_trials)
-    pool = ProcessPoolExecutor(
-        n_workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(worker, master_seed, n_workers))
+    blas = _openblas_thread_controls()
+    blas_threads = [get() for get, _ in blas]
+    for (_, put), n in zip(blas, blas_threads):
+        put(max(1, n // shares))
+    children: list[tuple[int, BinaryIO]] = []  # until reaped
     try:
-        with pool:
-            return list(pool.map(_run_trial, range(n_trials),
-                                 chunksize=max(1, n_trials // (8 * n_workers))))
-    except BrokenProcessPool as exc:
-        raise CapacityError(
-            "a Monte-Carlo worker process died; it was most likely killed "
-            "for lack of memory") from exc
+        for j in range(1, shares):
+            children.append(_fork_share(worker, master_seed,
+                                        range(j, n_trials, shares)))
+        outcomes = [_run_share(worker, master_seed, range(0, n_trials, shares))]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status != 0:
+                raise CapacityError(
+                    "a Monte-Carlo worker process died; it was most likely "
+                    "killed for lack of memory")
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for (_, put), n in zip(blas, blas_threads):
+            put(n)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results: list = [None] * n_trials
+    for j, (share, _) in enumerate(outcomes):
+        results[j::shares] = share
+    return results
 
 
 def mean_and_stderr(values: Sequence[float]) -> tuple[float, float]:

@@ -157,13 +157,12 @@ def _count_negative(op: BoxOperator, block: np.ndarray, E: float,
     shifted = sign * (op.diagonal.reshape(-1, w) - E)
     g = float(np.max(np.abs(shifted))) + 2.0 * op.dimension
     signed_block = sign * block
-    sites = np.arange(w)
     inverse = np.zeros((w, w), order="F")
     null = np.zeros((w, 0))
     negative = 0
     for d_k in shifted:
         S = np.subtract(signed_block, inverse, order="F")
-        S[sites, sites] += d_k
+        S.ravel(order="F")[::w + 1] += d_k  # the diagonal, through a view
         if not null.shape[1]:
             factor, pivots, info = _sytrf(S)
             if not info:
@@ -171,7 +170,7 @@ def _count_negative(op: BoxOperator, block: np.ndarray, E: float,
                 n_negative = (w - np.count_nonzero(single)) // 2 + \
                     np.count_nonzero(factor.diagonal()[single] < 0)
                 X, info = _sytri(factor, pivots, overwrite_a=1)
-                if not info and g * np.max(np.abs(X)) <= SCHUR_GROWTH_LIMIT:
+                if not info and g * np.abs(X).max() <= SCHUR_GROWTH_LIMIT:
                     negative += n_negative
                     inverse = X
                     continue

@@ -209,7 +209,8 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_killed_worker_process_exit_4(self, tmp_path):
-        # every worker process kills itself at its first trial
+        # the forked child kills itself at its first trial; this process
+        # runs its own share to the end
         script = (
             "import os, signal, sys\n"
             "from alloymsa import cli, wegner\n"
@@ -217,6 +218,7 @@ class TestErrorPaths:
             "def dying(op, interval):\n"
             "    if os.getpid() != parent:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return 0\n"
             "wegner.count_eigenvalues_in = dying\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
         cfg = write_config(tmp_path, "w.json", {
@@ -454,6 +456,8 @@ class TestRejectedBeforeAnyTrial:
          {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": [math.nan]}),
         ("resonance", P2_MODEL,
          {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": [0.1, math.inf]}),
+        ("resonance", P2_MODEL, {"x": [0.7, 0], "y": [200, 0], "l1": 3, "l2": 10}),
+        ("resonance", P2_MODEL, {"y": [200.9, 0], "l1": 3, "l2": 10}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
@@ -465,7 +469,8 @@ class TestRejectedBeforeAnyTrial:
             "analyze-potential-tolerance-negative", "decay-n_lowest-2.5",
             "wegner-exteriors-1.5", "wegner-exteriors-negative",
             "msa-schedule-k_max-2.5", "resonance-eps_list-nan",
-            "resonance-eps_list-inf"])
+            "resonance-eps_list-inf", "resonance-x-fractional",
+            "resonance-y-fractional"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
                       SingleSitePotential, assemble_potential, exact_potential,
                       free_operator, make_box, restrict_hamiltonian,
                       uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
-from alloymsa.lattice import (BoxOperator, constant_configuration,
+from alloymsa.lattice import (Box, BoxOperator, constant_configuration,
                               neighbor_counts)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
@@ -109,6 +111,63 @@ class TestAssemblePotential:
         cfg = Configuration(dom, dom.points[:, 0].astype(float))
         v = assemble_potential(PAIR, cfg, make_box((0,), 3.0))
         assert np.allclose(v, 1.0)
+
+
+def per_site_potential(u, config, box):
+    """The oracle: sum over j of u_j w_{x-j} at every site x of the box,
+    each term read site by site, 0 outside the configuration domain."""
+    pts = box.points
+    v = np.zeros(len(pts))
+    for j, uj in zip(u.support, u.support_values):
+        v += uj * config.values_at(pts - j)
+    return v
+
+
+@st.composite
+def potential_cases(draw):
+    """A potential, a box and a configuration whose domain covers, partly
+    overlaps or misses box - supp u, at d = 1..3 with off-origin centres
+    (half-integer box centres give axes of even length).  Some couplings
+    and some u_j are +-0."""
+    d = draw(st.integers(1, 3))
+    radius = draw(st.integers(0, 2))
+    points = draw(st.lists(st.tuples(*[st.integers(-radius, radius)] * d),
+                           min_size=1, max_size=6, unique=True))
+    values = draw(st.lists(st.sampled_from([1.0, -0.6, 0.25, -0.0, 0.0]),
+                           min_size=len(points), max_size=len(points)))
+    values[0] = draw(st.sampled_from([1.0, -0.3]))  # u is not all zero
+    u = exact_potential(dict(zip(points, values)), 10.0, 0.1)
+    center = tuple(draw(st.integers(-6, 6)) + draw(st.sampled_from([0, 0.5]))
+                   for _ in range(d))
+    box = Box(center, draw(st.integers(1, 6)) / 2.0)
+    dom_half = draw(st.integers(1, 6)) / 2.0
+    reach = box.half_side + radius + dom_half + 1
+    mode = draw(st.sampled_from(["cover", "overlap", "miss"]))
+    if mode == "cover":
+        dom = Box(tuple(map(round, center)), box.half_side + radius + dom_half)
+    else:
+        shift = [draw(st.integers(-int(reach), int(reach))) for _ in range(d)]
+        if mode == "miss":
+            shift[draw(st.integers(0, d - 1))] = draw(st.sampled_from(
+                [-1, 1])) * (int(reach) + 1)
+        dom = Box(tuple(int(c) + s for c, s in zip(center, shift)), dom_half)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(-2.0, 3.0, dom.count)
+    w[rng.random(dom.count) < 0.2] = -0.0
+    w[rng.random(dom.count) < 0.1] = 0.0
+    return u, Configuration(dom, w), box
+
+
+class TestAssemblePotentialSlices:
+    @settings(max_examples=300, deadline=None)
+    @given(potential_cases())
+    def test_bitwise_equal_to_per_site_sum(self, case):
+        u, config, box = case
+        v = assemble_potential(u, config, box)
+        expect = per_site_potential(u, config, box)
+        assert v.shape == expect.shape
+        # the bytes also compare the sign of every zero
+        assert v.tobytes() == expect.tobytes()
 
 
 class TestRestrictHamiltonian:

@@ -1,13 +1,14 @@
-"""mc: seeding, trial order and the forked worker pool."""
+"""mc: seeding, trial order and the forked shares."""
 
 import os
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from alloymsa import mc
-from alloymsa.errors import ParameterError
+from alloymsa.errors import CapacityError, ParameterError
 
 
 def float_worker(i, rng):
@@ -20,6 +21,11 @@ def tuple_worker(i, rng):
 
 def array_worker(i, rng):
     return rng.standard_normal(i + 1)
+
+
+def assert_all_children_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunTrials:
@@ -50,17 +56,46 @@ class TestRunTrials:
             return os.getpid()
 
         pids = set(mc.run_trials(8, worker, 0, threads=2))
-        assert len(pids) >= 2
-        assert os.getpid() not in pids
+        assert len(pids) == 2 and os.getpid() in pids
+        assert_all_children_reaped()
+
+    def test_more_threads_than_trials(self):
+        serial = mc.run_trials(3, float_worker, 5, threads=1)
+        assert mc.run_trials(3, float_worker, 5, threads=8) == serial
+        assert_all_children_reaped()
 
     def test_worker_error_reaches_caller(self):
+        # the lowest failing trial wins, as in the serial loop: at threads=2
+        # trial 3 fails in the child and 6 here, at threads=3 the reverse
         def worker(i, rng):
-            if i == 3:
+            if i in (3, 6):
                 raise ParameterError(f"trial {i} refused")
             return i
 
-        with pytest.raises(ParameterError, match="trial 3 refused"):
-            mc.run_trials(8, worker, 0, threads=2)
+        for threads in (1, 2, 3):
+            with pytest.raises(ParameterError, match="^trial 3 refused$"):
+                mc.run_trials(8, worker, 0, threads=threads)
+            assert_all_children_reaped()
+
+    def test_unpicklable_result_of_a_child_raises(self):
+        def worker(i, rng):
+            return lambda: i
+
+        with pytest.raises(TypeError, match="does not pickle"):
+            mc.run_trials(2, worker, 0, threads=2)
+        assert_all_children_reaped()
+
+    def test_killed_child_raises_capacity_error(self):
+        parent = os.getpid()
+
+        def worker(i, rng):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(CapacityError, match="died"):
+            mc.run_trials(6, worker, 0, threads=3)
+        assert_all_children_reaped()
 
     def test_worker_processes_split_openblas_threads(self):
         def worker(i, rng):
