@@ -7,11 +7,9 @@ from .genfun import (LeadingIndexData, companion_radius, find_leading_index,
                      genfun_derivative, positivity_certificate, tail_bound)
 from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
                       PolynomialPiece, SingleSitePotential, assemble_potential,
-                      exact_potential, free_operator, make_box,
-                      restrict_hamiltonian, truncated_exponential_potential,
-                      uniform_density)
+                      make_box, restrict_hamiltonian, uniform_density)
 from .msa import (MSAParameters, ScaleSchedule, estimate_singularity_probability,
-                  regularity_test, scale_schedule, uniform_regularity_test,
+                  scale_schedule, uniform_regularity_test,
                   uniform_regularity_verdicts, validate_parameters)
 from .resonance import estimate_resonance_probabilities, perturbation_radius
 from .spectral import SpectrumResult, count_eigenvalues_in, decay_fit, eigensolve

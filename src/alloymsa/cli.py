@@ -38,8 +38,8 @@ from .lattice import (Configuration, DisorderModel, SingleSitePotential,
 from .msa import (MSAParameters, estimate_singularity_probability,
                   scale_schedule, schedule_to_json_dict, validate_parameters)
 from .resonance import estimate_resonance_probabilities
-from .spectral import decay_fit, eigensolve, shell_maxima
-from .wegner import estimate_partial_expectation, wegner_bound
+from .spectral import SHELL_FLOOR, decay_fit, eigensolve, shell_maxima
+from .wegner import coupling_domain, estimate_partial_expectation, wegner_bound
 
 # draft-07: checking a schema against its metaschema costs a fraction of
 # the latest draft's, and it runs on every validation
@@ -176,8 +176,7 @@ def _run_wegner(run: Run) -> None:
     plot = []
     for l in _scales(run.params, [2, 4, 6, 8]):
         l = float(l)
-        dom = make_box((0,) * u.dimension,
-                       max(companion_radius(u, lead, l), l + u.truncation_radius) + 0.25)
+        dom = coupling_domain(u, l, companion_radius(u, lead, l))
         rep = wegner_bound(u, lead, model, l, interval)
         for e_idx in range(max(n_ext, 1)):
             if n_ext == 0:
@@ -365,7 +364,8 @@ def _run_decay(run: Run) -> None:
                   rows)
     psi = results[0][2]
     shell = shell_maxima(psi, box, box.points[int(np.argmax(psi))])
-    prows = [[r, math.log(v)] for r, v in sorted(shell.items()) if v > 1e-14]
+    prows = [[r, math.log(v)] for r, v in sorted(shell.items())
+             if v > SHELL_FLOOR]
     run.write_csv("plotdata", "decay_plot.csv", ["dist_inf", "log_abs_psi"],
                   prows)
 

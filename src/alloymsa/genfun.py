@@ -46,13 +46,6 @@ def falling_factorial(k: int, i: int) -> float:
     return out
 
 
-def monomial(k, I: MultiIndex) -> float:
-    out = 1.0
-    for c, i in zip(k, I):
-        out *= float(c) ** i if i else 1.0
-    return out
-
-
 @dataclass(frozen=True)
 class LeadingIndexData:
     """Leading multi-index I0 with c_u = D^{I0} F(1) and the scan table."""

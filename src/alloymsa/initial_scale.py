@@ -7,9 +7,6 @@ Two routes are probed at desk scale:
   * small negative part: the Bernstein/counting Lifshitz-tail probability
     probe on the Dirichlet-truncated box, with beta_0 from the certified
     mean of u and the Assumption-3 check at the probe's delta.
-
-The closed-form gap of the free Neumann box (the spectral input of Temple's
-inequality on that route) is kept beside them; no Temple bound is computed.
 """
 
 from __future__ import annotations
@@ -22,43 +19,11 @@ import numpy as np
 from . import mc
 from .errors import ParameterError
 from .genfun import LeadingIndexData, companion_radius
-from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
+from .lattice import (Configuration, DisorderModel, SingleSitePotential,
                       make_box, restrict_hamiltonian)
 from .resonance import perturbation_radius
 from .spectral import eigensolve
 from .wegner import wegner_constant_chain
-
-
-# ---------------------------------------------------------------------------
-# Neumann gap
-
-
-def free_neumann_lambda2(box: Box) -> float:
-    """Second eigenvalue of the free Neumann operator on a box, in closed form.
-
-    The operator is the tensor sum of one-dimensional Neumann paths, and
-    the path on n sites has lambda_2 = 2 - 2cos(pi/n); the value is the
-    smallest of these over the axes with at least two sites (a one-site
-    axis adds only the eigenvalue 0).  A one-point box has no lambda_2.
-    """
-    gaps = [2.0 - 2.0 * math.cos(math.pi / n) for n in box.shape if n > 1]
-    if not gaps:
-        raise ParameterError("a one-point box has no second Neumann eigenvalue")
-    return min(gaps)
-
-
-def neumann_gap(l: float, d: int) -> tuple[float, float]:
-    """(formula, exact): 2 - 2cos(pi/l) against the closed-form lambda_2 of
-    the free Neumann operator on Lambda_l (2 floor(l) + 1 sites per side).
-
-    The two differ by a site-count convention; the formula dominates
-    4 l^{-2} (with equality at l = 1), the exact value does not.
-    """
-    if l < 1:
-        raise ParameterError("l must be >= 1")
-    formula = 2.0 - 2.0 * math.cos(math.pi / l)
-    exact = free_neumann_lambda2(make_box((0,) * d, l))
-    return formula, exact
 
 
 # ---------------------------------------------------------------------------

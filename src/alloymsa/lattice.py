@@ -112,19 +112,10 @@ class Box:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
-    def contains(self, point: Iterable[int]) -> bool:
-        return all(l <= p <= h for p, l, h in zip(point, self.lo, self.hi))
-
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
-
-    def flat_index(self, point: Iterable[int]) -> int:
-        idx = 0
-        for p, l, s in zip(point, self.lo, self.strides):
-            idx += (p - l) * s
-        return idx
 
     def flat_indices(self, pts: np.ndarray) -> np.ndarray:
         """Flat indices of points assumed inside the box."""
@@ -173,14 +164,20 @@ class SingleSitePotential:
     def __post_init__(self):
         if not self.values:
             raise ParameterError("single-site potential must not be identically zero")
-        if self.decay_C <= 0 or self.decay_alpha <= 0:
-            raise ParameterError("decay certificate (C, alpha) must be positive")
-        if self.truncation_residual < 0:
-            raise ParameterError("truncation_residual must be nonnegative")
+        C, alpha = self.decay_C, self.decay_alpha
+        if not (math.isfinite(C) and C > 0 and math.isfinite(alpha) and alpha > 0):
+            raise ParameterError("decay certificate (C, alpha) must be finite "
+                                 f"and positive, got ({C!r}, {alpha!r})")
+        if not (math.isfinite(self.truncation_residual)
+                and self.truncation_residual >= 0):
+            raise ParameterError("truncation_residual must be finite and "
+                                 f"nonnegative, got {self.truncation_residual!r}")
         d = len(next(iter(self.values)))
         for k, v in self.values.items():
             if len(k) != d:
                 raise ParameterError("inconsistent dimension in potential table")
+            if not math.isfinite(v):
+                raise ParameterError(f"entry u{k}={v!r} must be finite")
             if norm_inf(k) > self.truncation_radius:
                 raise ParameterError(
                     f"table entry {k} outside truncation radius {self.truncation_radius}"
@@ -222,16 +219,6 @@ class SingleSitePotential:
         negative = self.support_values[self.support_values < 0]
         return float(np.abs(negative).sum()) + self.truncation_residual
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.dimension,
-            "values": [[list(k), v] for k, v in sorted(self.values.items())],
-            "C": self.decay_C,
-            "alpha": self.decay_alpha,
-            "truncation_radius": self.truncation_radius,
-            "truncation_residual": self.truncation_residual,
-        }
-
     @staticmethod
     def from_json_dict(data: dict) -> "SingleSitePotential":
         values = {tuple(int(c) for c in k): float(v) for k, v in data["values"]}
@@ -249,38 +236,6 @@ class SingleSitePotential:
             truncation_radius=int(radius),
             truncation_residual=float(residual),
         )
-
-
-def exact_potential(values: Mapping[Point, float], decay_C: float,
-                    decay_alpha: float) -> SingleSitePotential:
-    """Potential whose table is the entire function (zero omitted mass)."""
-    radius = max(norm_inf(k) for k in values)
-    return SingleSitePotential(
-        values=dict(values),
-        decay_C=decay_C,
-        decay_alpha=decay_alpha,
-        truncation_radius=radius,
-        truncation_residual=0.0,
-    )
-
-
-def truncated_exponential_potential(
-    d: int,
-    decay_C: float,
-    decay_alpha: float,
-    radius: int,
-    profile,
-) -> SingleSitePotential:
-    """Tabulate profile(k) on ||k||_inf <= radius with the certified residual."""
-    box = make_box((0,) * d, float(radius) + 0.25)
-    values = {}
-    for p in box.points:
-        k = tuple(int(c) for c in p)
-        v = float(profile(k))
-        if v != 0.0:
-            values[k] = v
-    residual = truncation_tail(decay_C, decay_alpha, d, radius)
-    return SingleSitePotential(values, decay_C, decay_alpha, radius, residual)
 
 
 @dataclass(frozen=True)
@@ -322,8 +277,12 @@ class DisorderModel:
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
         object.__setattr__(self, "pieces", pieces)
         for p in pieces:
-            if p.hi <= p.lo:
-                raise ParameterError("density piece has empty interval")
+            if not (math.isfinite(p.lo) and math.isfinite(p.hi) and p.lo < p.hi):
+                raise ParameterError("density piece needs a finite, non-empty "
+                                     f"interval, got [{p.lo!r}, {p.hi!r}]")
+            if not all(math.isfinite(c) for c in p.coeffs):
+                raise ParameterError(
+                    f"density coefficients must be finite, got {p.coeffs!r}")
             # a grid alone misses a dip between its nodes: add the critical points
             grid = np.concatenate([np.linspace(p.lo, p.hi, 513),
                                    _critical_points(p)])
@@ -387,14 +346,6 @@ class DisorderModel:
                 out[mask] = _bisect_cdf(p, target)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pieces": [
-                {"interval": [p.lo, p.hi], "coeffs": list(p.coeffs)}
-                for p in self.pieces
-            ]
-        }
-
     @staticmethod
     def from_json_dict(data: dict) -> "DisorderModel":
         return DisorderModel(tuple(
@@ -405,6 +356,9 @@ class DisorderModel:
 
 
 def uniform_density(lo: float, hi: float) -> DisorderModel:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParameterError("uniform density needs finite endpoints lo < hi, "
+                             f"got [{lo!r}, {hi!r}]")
     return DisorderModel((PolynomialPiece(lo, hi, (1.0 / (hi - lo),)),))
 
 
@@ -470,10 +424,6 @@ class Configuration:
         return out
 
 
-def constant_configuration(box: Box, value: float) -> Configuration:
-    return Configuration(box, np.full(box.count, float(value)))
-
-
 def assemble_potential(u: SingleSitePotential, config: Configuration,
                        box: Box) -> np.ndarray:
     """v(x) = sum_k w_k u(x-k) for every x in `box` (lexicographic order).
@@ -536,9 +486,11 @@ class BoxOperator:
         return self.box.dimension
 
     def index_of(self, point: Point) -> int:
-        if not self.box.contains(point):
+        pts = np.asarray([point])
+        if pts.shape != (1, self.dimension) or \
+                not self.box.contains_points(pts)[0]:
             raise ParameterError(f"point {point} not in operator box")
-        return self.box.flat_index(point)
+        return int(self.box.flat_indices(pts)[0])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -640,7 +592,3 @@ def restrict_hamiltonian(
     diagonal = free_diagonal(box)
     diagonal += assemble_potential(u, config, box)
     return BoxOperator(box=box, diagonal=diagonal)
-
-
-def free_operator(box: Box) -> BoxOperator:
-    return BoxOperator(box=box, diagonal=free_diagonal(box))

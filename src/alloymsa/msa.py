@@ -18,8 +18,8 @@ import numpy as np
 from . import mc
 from .errors import ParameterError, ScheduleError
 from .genfun import LeadingIndexData
-from .lattice import (Box, BoxOperator, Configuration, DisorderModel,
-                      SingleSitePotential, make_box, restrict_hamiltonian)
+from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
+                      make_box, restrict_hamiltonian)
 from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
 from .spectral import BoundaryGreens, boundary_greens, checked_interval
 from .tails import decay_tail_constant
@@ -37,13 +37,6 @@ def _irregular(green: BoundaryGreens, m: float, l: float) -> np.ndarray:
     """Per energy: resonant, or |G(E; center, w)| > e^{-m l} for some
     interior-boundary site w."""
     return green.resonant | np.any(green.magnitude > math.exp(-m * l), axis=0)
-
-
-def regularity_test(op: BoxOperator, center, m: float, E: float) -> bool:
-    """(m,E)-regular: E off the spectrum and |G(E; center, w)| <= e^{-m l}
-    for every interior-boundary site w.  Resonant E returns False."""
-    green = boundary_greens(op, center, [E])
-    return not _irregular(green, m, op.box.half_side)[0]
 
 
 def uniform_regularity_verdicts(

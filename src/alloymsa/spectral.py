@@ -36,6 +36,9 @@ from .errors import FitError, ParameterError, ResonantEnergyError, SolverError
 from .lattice import Box, BoxOperator, Point
 
 RESONANCE_GUARD = 1e-12
+# shells whose max |psi| is not above this are left out of decay fits
+# and of the decay plot
+SHELL_FLOOR = 1e-14
 RESIDUAL_CONTRACT = 1e-10
 # eigenvector columns per stencil product in the residual check
 RESIDUAL_BLOCK = 128
@@ -267,8 +270,8 @@ def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None
               ) -> tuple[float, float]:
     """Least-squares slope of log shell-max |psi| against ||x - center||_inf.
 
-    center defaults to the argmax of |psi|; shells whose max is below 1e-14
-    are dropped; fewer than 3 usable shells is a fit error.
+    center defaults to the argmax of |psi|; shells whose max is not above
+    SHELL_FLOOR are dropped; fewer than 3 usable shells is a fit error.
     """
     psi = np.asarray(psi, dtype=float)
     if center is None:
@@ -276,7 +279,7 @@ def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None
     shells = shell_maxima(psi, box, center)
     xs, ys = [], []
     for r in sorted(shells):
-        if shells[r] > 1e-14:
+        if shells[r] > SHELL_FLOOR:
             xs.append(float(r))
             ys.append(np.log(shells[r]))
     if len(xs) < 3:

@@ -19,7 +19,7 @@ import numpy as np
 from . import mc
 from .errors import ParameterError
 from .genfun import LeadingIndexData, companion_radius, positivity_certificate
-from .lattice import (Configuration, DisorderModel, SingleSitePotential,
+from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
                       make_box, restrict_hamiltonian)
 from .spectral import checked_interval, count_eigenvalues_in
 
@@ -84,6 +84,13 @@ def wegner_constant_chain(u: SingleSitePotential, lead: LeadingIndexData,
     return chain_formula(u, lead, l)
 
 
+def coupling_domain(u: SingleSitePotential, l: float, R: float) -> Box:
+    """The couplings of a Wegner trial at scale l: Lambda_{max(R, l + r) + 1/4},
+    with R = R_l and r the truncation radius of u, holds Gamma = Lambda_R
+    and every coupling that reaches h^l.  A frozen exterior is drawn on it."""
+    return make_box((0,) * u.dimension, max(R, l + u.truncation_radius) + 0.25)
+
+
 def estimate_partial_expectation(
     u: SingleSitePotential,
     lead: LeadingIndexData,
@@ -105,8 +112,7 @@ def estimate_partial_expectation(
     d = u.dimension
     box_l = make_box((0,) * d, l)
     R = companion_radius(u, lead, l)
-    dom_radius = max(R, l + u.truncation_radius)
-    dom = make_box((0,) * d, dom_radius + 0.25)
+    dom = coupling_domain(u, l, R)
     gamma = make_box((0,) * d, R)
 
     if exterior is None:

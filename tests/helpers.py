@@ -1,0 +1,38 @@
+"""Fixtures shared by the test modules: tabulated potentials and the free
+box operator, built from the package's public constructors."""
+
+from alloymsa import BoxOperator, SingleSitePotential, make_box
+from alloymsa.lattice import free_diagonal, norm_inf
+from alloymsa.tails import truncation_tail
+
+
+def exact_potential(values, decay_C: float,
+                    decay_alpha: float) -> SingleSitePotential:
+    """Potential whose table is the entire function (zero omitted mass)."""
+    radius = max(norm_inf(k) for k in values)
+    return SingleSitePotential(
+        values=dict(values),
+        decay_C=decay_C,
+        decay_alpha=decay_alpha,
+        truncation_radius=radius,
+        truncation_residual=0.0,
+    )
+
+
+def truncated_exponential_potential(d: int, decay_C: float, decay_alpha: float,
+                                    radius: int, profile) -> SingleSitePotential:
+    """Tabulate profile(k) on ||k||_inf <= radius with the certified residual."""
+    box = make_box((0,) * d, float(radius) + 0.25)
+    values = {}
+    for p in box.points:
+        k = tuple(int(c) for c in p)
+        v = float(profile(k))
+        if v != 0.0:
+            values[k] = v
+    residual = truncation_tail(decay_C, decay_alpha, d, radius)
+    return SingleSitePotential(values, decay_C, decay_alpha, radius, residual)
+
+
+def free_operator(box) -> BoxOperator:
+    """The free box operator: diagonal 2d, checked against the point cap."""
+    return BoxOperator(box=box, diagonal=free_diagonal(box))

@@ -418,6 +418,15 @@ class TestWegnerIntervalChecked:
         assert err.startswith("error: interval") and err.count("\n") == 1
 
 
+def delta0_model_with(**u) -> dict:
+    """DELTA0_MODEL with the given entries of its potential replaced."""
+    return {**DELTA0_MODEL, "u": {**DELTA0_MODEL["u"], **u}}
+
+
+NAN_ENTRY = delta0_model_with(values=[[[0], 1.0], [[1], math.nan]],
+                              truncation_radius=1)
+
+
 class TestRejectedBeforeAnyTrial:
     @pytest.mark.parametrize("command, model, params", [
         ("decay", DELTA0_MODEL, {"l": math.nan}),
@@ -458,6 +467,17 @@ class TestRejectedBeforeAnyTrial:
          {"y": [200, 0], "l1": 3, "l2": 10, "eps_list": [0.1, math.inf]}),
         ("resonance", P2_MODEL, {"x": [0.7, 0], "y": [200, 0], "l1": 3, "l2": 10}),
         ("resonance", P2_MODEL, {"y": [200.9, 0], "l1": 3, "l2": 10}),
+        ("decay", NAN_ENTRY, {"l": 3.0}),
+        ("wegner", NAN_ENTRY, {"ls": [2]}),
+        ("analyze-potential", NAN_ENTRY, {}),
+        ("wegner", delta0_model_with(C=math.nan), {"ls": [2]}),
+        ("decay", delta0_model_with(alpha=math.nan), {"l": 3.0}),
+        ("decay", delta0_model_with(truncation_residual=math.nan), {"l": 3.0}),
+        ("decay", {**DELTA0_MODEL, "rho": {"uniform": [0.5, 0.5]}}, {"l": 3.0}),
+        ("wegner", {**DELTA0_MODEL, "rho": {"uniform": [0.0, math.nan]}},
+         {"ls": [2]}),
+        ("decay", {**DELTA0_MODEL, "rho": {"uniform": [0.0, math.nan]}},
+         {"l": 3.0}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
@@ -470,7 +490,10 @@ class TestRejectedBeforeAnyTrial:
             "wegner-exteriors-1.5", "wegner-exteriors-negative",
             "msa-schedule-k_max-2.5", "resonance-eps_list-nan",
             "resonance-eps_list-inf", "resonance-x-fractional",
-            "resonance-y-fractional"])
+            "resonance-y-fractional", "decay-u-entry-nan", "wegner-u-entry-nan",
+            "analyze-potential-u-entry-nan", "wegner-u-C-nan",
+            "decay-u-alpha-nan", "decay-u-residual-nan", "decay-rho-point",
+            "wegner-rho-nan", "decay-rho-nan"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)

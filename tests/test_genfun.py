@@ -11,14 +11,22 @@ import numpy as np
 import pytest
 import sympy
 
-from alloymsa import (companion_radius, exact_potential, find_leading_index,
-                      genfun_derivative, make_box, positivity_certificate, tail_bound,
-                      truncated_exponential_potential)
+from alloymsa import (companion_radius, find_leading_index, genfun_derivative,
+                      make_box, positivity_certificate, tail_bound)
 from alloymsa.errors import AnalysisFailure, ParameterError
-from alloymsa.genfun import leaked_mass_bound, monomial, shell_indices
+from alloymsa.genfun import leaked_mass_bound, shell_indices
+from helpers import exact_potential, truncated_exponential_potential
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)
+
+
+def monomial(k, I) -> float:
+    """k^I = prod_r k_r^{i_r}, with 0^0 = 1."""
+    out = 1.0
+    for c, i in zip(k, I):
+        out *= float(c) ** i if i else 1.0
+    return out
 
 
 def sympy_derivative(u, I):

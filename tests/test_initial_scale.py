@@ -1,19 +1,20 @@
-"""initial_scale: Neumann gap, beta_0, Assumption-3 bookkeeping, Lifshitz
-and large-disorder probes."""
+"""initial_scale: beta_0, Assumption-3 bookkeeping, Lifshitz and
+large-disorder probes; the closed-form Neumann gap against the dense
+eigensolve."""
 
 import math
 
 import numpy as np
 import pytest
 
-from alloymsa import (Box, Configuration, eigensolve, exact_potential,
-                      find_leading_index, make_box, uniform_density)
+from alloymsa import (Box, Configuration, eigensolve, find_leading_index,
+                      make_box, uniform_density)
 from alloymsa.errors import ParameterError
 from alloymsa.initial_scale import (admissible_lengths, beta_floor,
-                                    free_neumann_lambda2, large_disorder_probe,
-                                    lifshitz_parameters, lifshitz_probe,
-                                    neumann_gap)
+                                    large_disorder_probe, lifshitz_parameters,
+                                    lifshitz_probe)
 from alloymsa.lattice import BoxOperator, SingleSitePotential, neighbor_counts
+from helpers import exact_potential
 
 UNIFORM = uniform_density(0.0, 1.0)
 
@@ -33,6 +34,35 @@ def free_neumann_operator(box):
     """The free Neumann operator: the graph Laplacian of the box, whose
     diagonal counts each site's neighbours inside the box."""
     return BoxOperator(box, neighbor_counts(box))
+
+
+def free_neumann_lambda2(box: Box) -> float:
+    """Second eigenvalue of the free Neumann operator on a box, in closed form.
+
+    The operator is the tensor sum of one-dimensional Neumann paths, and
+    the path on n sites has lambda_2 = 2 - 2cos(pi/n); the value is the
+    smallest of these over the axes with at least two sites (a one-site
+    axis adds only the eigenvalue 0).  A one-point box has no lambda_2.
+    """
+    gaps = [2.0 - 2.0 * math.cos(math.pi / n) for n in box.shape if n > 1]
+    if not gaps:
+        raise ParameterError("a one-point box has no second Neumann eigenvalue")
+    return min(gaps)
+
+
+def neumann_gap(l: float, d: int) -> tuple[float, float]:
+    """(formula, exact): the paper's 2 - 2cos(pi/l) against the closed-form
+    lambda_2 of the free Neumann operator on Lambda_l (2 floor(l) + 1 sites
+    per side).
+
+    The two differ by a site-count convention; the formula dominates
+    4 l^{-2} (with equality at l = 1), the exact value does not.
+    """
+    if l < 1:
+        raise ParameterError("l must be >= 1")
+    formula = 2.0 - 2.0 * math.cos(math.pi / l)
+    exact = free_neumann_lambda2(make_box((0,) * d, l))
+    return formula, exact
 
 
 class TestNeumannGap:

@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
-                      SingleSitePotential, assemble_potential, exact_potential,
-                      free_operator, make_box, restrict_hamiltonian,
-                      uniform_density)
+                      SingleSitePotential, assemble_potential, make_box,
+                      restrict_hamiltonian, uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
-from alloymsa.lattice import (Box, BoxOperator, constant_configuration,
-                              neighbor_counts)
+from alloymsa.lattice import Box, BoxOperator, neighbor_counts
+from helpers import (exact_potential, free_operator,
+                     truncated_exponential_potential)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)  # mean-zero
+
+
+def constant_configuration(box: Box, value: float) -> Configuration:
+    return Configuration(box, np.full(box.count, float(value)))
 
 
 class TestMakeBox:
@@ -56,7 +60,9 @@ class TestMakeBox:
 
     def test_interior_boundary_indices(self):
         box = make_box((1, -2), 2.0)
-        expect = [box.flat_index(tuple(p)) for p in box.interior_boundary]
+        # positions in the lexicographic enumeration of the box
+        order = [tuple(p) for p in box.points]
+        expect = [order.index(tuple(p)) for p in box.interior_boundary]
         assert box.interior_boundary_indices.tolist() == expect
 
 
@@ -226,6 +232,20 @@ class TestDensityBVNorm:
         with pytest.raises(ParameterError):
             DisorderModel((PolynomialPiece(0.0, 1.0, (0.5,)),))
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (0.0, math.nan),
+                                        (math.nan, 1.0), (0.0, math.inf)])
+    def test_uniform_needs_finite_nonempty_interval(self, lo, hi):
+        with pytest.raises(ParameterError, match="finite endpoints"):
+            uniform_density(lo, hi)
+
+    @pytest.mark.parametrize("piece, match", [
+        (PolynomialPiece(0.0, math.nan, (1.0,)), "finite, non-empty interval"),
+        (PolynomialPiece(0.0, 1.0, (math.nan,)), "coefficients must be finite"),
+    ], ids=["interval-nan", "coefficient-nan"])
+    def test_non_finite_piece_rejected(self, piece, match):
+        with pytest.raises(ParameterError, match=match):
+            DisorderModel((piece,))
+
     def test_negative_dip_between_grid_nodes(self):
         # a(x - x0)^2 + c with unit mass: its minimum c = -5e-6 sits midway
         # between two nodes of a 513-point grid, where the density is positive
@@ -284,15 +304,18 @@ class TestSpectralSanity:
 
 
 def truncated_exp_1d(radius: int = 40, alpha: float = 1.0):
-    from alloymsa import truncated_exponential_potential
     return truncated_exponential_potential(
         1, 1.0, alpha, radius, lambda k: np.exp(-alpha * abs(k[0])))
 
 
+# PAIR as a config writes it
+PAIR_CONFIG = {"d": 1, "values": [[[0], 1.0], [[1], -1.0]], "C": 2.8,
+               "alpha": 1.0, "truncation_radius": 1, "truncation_residual": 0.0}
+
+
 class TestSerialization:
     def test_potential_roundtrip(self):
-        data = PAIR.to_json_dict()
-        back = SingleSitePotential.from_json_dict(data)
+        back = SingleSitePotential.from_json_dict(PAIR_CONFIG)
         assert back.values == PAIR.values
         assert back.truncation_residual == 0.0
 
@@ -301,9 +324,23 @@ class TestSerialization:
             PolynomialPiece(0.0, 1.0, (0.0, 1.0)),
             PolynomialPiece(1.0, 2.0, (2.0, -1.0)),
         ))
-        back = DisorderModel.from_json_dict(tri.to_json_dict())
+        # tri in the `pieces` format of a config
+        back = DisorderModel.from_json_dict({"pieces": [
+            {"interval": [0.0, 1.0], "coeffs": [0.0, 1.0]},
+            {"interval": [1.0, 2.0], "coeffs": [2.0, -1.0]},
+        ]})
         assert back.bv_norm == pytest.approx(tri.bv_norm)
 
     def test_decay_certificate_enforced(self):
         with pytest.raises(ParameterError):
             SingleSitePotential({(0,): 1.0, (5,): 0.9}, 1.0, 1.0, 5, 0.0)
+
+    @pytest.mark.parametrize("entries, match", [
+        ({"values": [[[0], 1.0], [[1], math.nan]]}, r"entry u\(1,\)=nan"),
+        ({"C": math.nan}, "decay certificate"),
+        ({"alpha": math.nan}, "decay certificate"),
+        ({"truncation_residual": math.nan}, "truncation_residual"),
+    ], ids=["entry-nan", "C-nan", "alpha-nan", "residual-nan"])
+    def test_non_finite_potential_rejected(self, entries, match):
+        with pytest.raises(ParameterError, match=match):
+            SingleSitePotential.from_json_dict({**PAIR_CONFIG, **entries})

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, SingleSitePotential, eigensolve,
-                      exact_potential, find_leading_index, free_operator,
-                      make_box, mc, msa, perturbation_radius, regularity_test,
-                      restrict_hamiltonian, scale_schedule, spectral,
-                      truncated_exponential_potential, uniform_density,
+                      find_leading_index, make_box, mc, msa,
+                      perturbation_radius, restrict_hamiltonian,
+                      scale_schedule, spectral, uniform_density,
                       validate_parameters)
 from alloymsa.errors import ParameterError, ScheduleError
 from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
@@ -20,11 +19,21 @@ from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
                           estimate_singularity_probability, l_bar, l_bar_sharp,
                           mass_loss_series, uniform_regularity_test,
                           uniform_regularity_verdicts)
-from alloymsa.spectral import RESONANCE_GUARD
+from alloymsa.spectral import RESONANCE_GUARD, boundary_greens
+from helpers import (exact_potential, free_operator,
+                     truncated_exponential_potential)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
 WIDE = uniform_density(0.0, 50.0)
+
+
+def regularity_test(op, center, m: float, E: float) -> bool:
+    """(m,E)-regular: E off the spectrum and |G(E; center, w)| <= e^{-m l}
+    for every interior-boundary site w.  Resonant E returns False."""
+    green = boundary_greens(op, center, [E])
+    bound = math.exp(-m * op.box.half_side)
+    return not green.resonant[0] and bool(np.all(green.magnitude[:, 0] <= bound))
 
 
 class TestRegularity:
@@ -237,7 +246,7 @@ def _reference_verdicts(u, model, cfg, box, m, energies, delta):
     n = box.count
     evals = scipy.linalg.eigvalsh(H)
     e_src = np.zeros(n)
-    e_src[box.flat_index(box.center)] = 1.0
+    e_src[box.flat_indices(np.array([box.center]))] = 1.0
     threshold = math.exp(-m * box.half_side)
     verdicts, tight = [], []
     for E in energies:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from alloymsa import (Configuration, eigensolve,
-                      estimate_resonance_probabilities, exact_potential,
-                      find_leading_index, make_box, perturbation_radius,
-                      restrict_hamiltonian, truncated_exponential_potential,
+                      estimate_resonance_probabilities, find_leading_index,
+                      make_box, perturbation_radius, restrict_hamiltonian,
                       uniform_density)
 from alloymsa.errors import GeometryError, ParameterError
 from alloymsa.lattice import DisorderModel, PolynomialPiece
@@ -14,6 +13,8 @@ from alloymsa import resonance
 from alloymsa.resonance import (CERTIFIED_IN_A, CERTIFIED_OUT_A, INDETERMINATE,
                                 _classify_distance)
 from alloymsa.wegner import wegner_constant_chain
+from helpers import (exact_potential, free_operator,
+                     truncated_exponential_potential)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -71,7 +72,6 @@ class TestSpectrumBracket:
         box = make_box((0,), 2.0)
         enlarged = make_box((0,), 8.0)
         cfg = Configuration(enlarged, np.zeros(enlarged.count))
-        from alloymsa import free_operator
         free = eigensolve(free_operator(box)).eigenvalues
         assert np.allclose(base_spectrum(DELTA0, cfg, box), free, atol=1e-12)
 

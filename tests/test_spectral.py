@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
-                      eigensolve, exact_potential, free_operator, make_box,
-                      restrict_hamiltonian, uniform_density)
+                      eigensolve, make_box, restrict_hamiltonian,
+                      uniform_density)
 from alloymsa.errors import FitError, ResonantEnergyError
 from alloymsa.lattice import BoxOperator, neighbor_counts
 from alloymsa.spectral import RESONANCE_GUARD, boundary_greens, greens_column
+from helpers import exact_potential, free_operator
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 

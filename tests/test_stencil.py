@@ -12,11 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, count_eigenvalues_in, eigensolve,
-                      exact_potential, free_operator, make_box,
-                      restrict_hamiltonian)
+                      make_box, restrict_hamiltonian)
 from alloymsa.errors import ParameterError, SolverError
 from alloymsa.lattice import Box, BoxOperator, neighbor_counts
 from alloymsa.spectral import RESIDUAL_BLOCK
+from helpers import exact_potential, free_operator
 
 # twice the largest half side per dimension: boxes have at most 512 sites
 MAX_HALF = {1: 200, 2: 20, 3: 6}

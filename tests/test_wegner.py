@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from alloymsa import (Configuration, estimate_partial_expectation, mc,
-                      exact_potential, exponent_fit, find_leading_index,
-                      make_box, uniform_density, wegner_bound,
-                      wegner_constant_chain)
+                      exponent_fit, find_leading_index, make_box,
+                      uniform_density, wegner_bound, wegner_constant_chain)
 from alloymsa.errors import ParameterError
 from alloymsa.genfun import companion_radius
 from alloymsa.wegner import _abs_monomial_box_sum, _power_sum, chain_formula
+from helpers import exact_potential
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)
