@@ -50,6 +50,14 @@ NUMBERS = {"type": "array", "items": NUMBER}
 INTEGER = {"type": "integer"}
 INTEGERS = {"type": "array", "items": INTEGER}
 COUNT = {"type": "integer", "minimum": 0}
+PAIR = {**NUMBERS, "minItems": 2, "maxItems": 2}
+# a potential table entry [[k_1, ..., k_d], u(k)]
+TABLE_ENTRY = {"type": "array", "minItems": 2, "maxItems": 2,
+               "items": [{**INTEGERS, "minItems": 1}, NUMBER]}
+# a polynomial density piece: its interval and coefficients, ascending in x
+DENSITY_PIECE = {"type": "object", "required": ["interval", "coeffs"],
+                 "properties": {"interval": PAIR,
+                                "coeffs": {**NUMBERS, "minItems": 1}}}
 
 
 def _fmt(x) -> str:
@@ -397,7 +405,7 @@ KINDS = {
                        "p_hi_max": {"type": ["number", "null"]}}}),
     "lifshitz": ("lifshitz", _run_lifshitz, {"properties": {
         "zeta": NUMBER, "xi": NUMBER, "epsilon0": NUMBER, "l": NUMBER,
-        "l_range": {**NUMBERS, "minItems": 2, "maxItems": 2}}}),
+        "l_range": PAIR}}),
     "large_disorder": ("large-disorder", _run_large_disorder, {
         "required": ["l0", "m0", "xi"],
         "properties": {"l0": NUMBER, "m0": NUMBER, "xi": NUMBER}}),
@@ -418,13 +426,19 @@ CONFIG_SCHEMA = {
             "properties": {
                 "d": {"type": "integer", "minimum": 1},
                 "u": {"type": "object", "required": ["values", "C", "alpha"],
-                      "properties": {"values": {"type": "array"},
-                                     "C": NUMBER, "alpha": NUMBER}},
+                      "properties": {
+                          "values": {"type": "array", "minItems": 1,
+                                     "items": TABLE_ENTRY},
+                          "C": NUMBER, "alpha": NUMBER,
+                          "truncation_radius": COUNT,
+                          "truncation_residual": NUMBER}},
                 "rho": {"type": "object",
                         "anyOf": [{"required": ["uniform"]},
                                   {"required": ["pieces"]}],
-                        "properties": {"uniform": {**NUMBERS, "minItems": 2,
-                                                   "maxItems": 2}}},
+                        "properties": {
+                            "uniform": PAIR,
+                            "pieces": {"type": "array", "minItems": 1,
+                                       "items": DENSITY_PIECE}}},
             },
         },
         "params": {"type": "object"},

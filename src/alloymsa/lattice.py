@@ -37,8 +37,9 @@ def capacity_cap() -> int:
     """Largest box, in points, that an operator may be built on, checked
     by `free_diagonal`, where every operator the package builds starts;
     ALLOYMSA_CAPACITY overrides the default.  One cap serves every path,
-    though their costs differ: a dense solve (spectra, eigenvectors and
-    the Green's functions built from them) needs n x n doubles, an
+    though their costs differ: a dense solve of spectra and eigenvectors
+    (dsyevr) needs about 2 n^2 doubles, one for the Green's functions
+    (dsyevd, whose workspace holds 1 + 6n + 2n^2 doubles) about 3 n^2, an
     eigenvalue count O(w^2) doubles at d >= 2 and (w + 1) n doubles of
     band storage at d = 1."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
@@ -122,6 +123,13 @@ class Box:
         lo = np.asarray(self.lo)
         return (pts - lo) @ np.asarray(self.strides)
 
+    def index_of(self, point: Point) -> int:
+        """Flat index of a lattice point of the box."""
+        pts = np.asarray([point])
+        if pts.shape != (1, self.dimension) or not self.contains_points(pts)[0]:
+            raise ParameterError(f"point {point} not in box")
+        return int(self.flat_indices(pts)[0])
+
     @cached_property
     def interior_boundary(self) -> np.ndarray:
         """Points with fewer than 2d neighbors inside the box."""
@@ -164,10 +172,7 @@ class SingleSitePotential:
     def __post_init__(self):
         if not self.values:
             raise ParameterError("single-site potential must not be identically zero")
-        C, alpha = self.decay_C, self.decay_alpha
-        if not (math.isfinite(C) and C > 0 and math.isfinite(alpha) and alpha > 0):
-            raise ParameterError("decay certificate (C, alpha) must be finite "
-                                 f"and positive, got ({C!r}, {alpha!r})")
+        _check_certificate(self.decay_C, self.decay_alpha)
         if not (math.isfinite(self.truncation_residual)
                 and self.truncation_residual >= 0):
             raise ParameterError("truncation_residual must be finite and "
@@ -221,21 +226,32 @@ class SingleSitePotential:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SingleSitePotential":
+        """The potential of a config's `u` entry, whose shape the CLI's
+        schema has checked: integer keys, an integer truncation_radius >= 0
+        (default: the table's largest ||k||_inf) and, when no
+        truncation_residual is given, the tail bound beyond that radius,
+        computed once the certificate (C, alpha) has been checked."""
         values = {tuple(int(c) for c in k): float(v) for k, v in data["values"]}
+        C, alpha = float(data["C"]), float(data["alpha"])
         radius = data.get("truncation_radius")
-        if radius is None:
-            radius = max(norm_inf(k) for k in values)
+        radius = max(norm_inf(k) for k in values) if radius is None else int(radius)
         residual = data.get("truncation_residual")
         if residual is None:
-            d = data["d"]
-            residual = truncation_tail(data["C"], data["alpha"], d, int(radius))
+            _check_certificate(C, alpha)
+            residual = truncation_tail(C, alpha, data["d"], radius)
         return SingleSitePotential(
             values=values,
-            decay_C=float(data["C"]),
-            decay_alpha=float(data["alpha"]),
-            truncation_radius=int(radius),
+            decay_C=C,
+            decay_alpha=alpha,
+            truncation_radius=radius,
             truncation_residual=float(residual),
         )
+
+
+def _check_certificate(C: float, alpha: float) -> None:
+    if not (math.isfinite(C) and C > 0 and math.isfinite(alpha) and alpha > 0):
+        raise ParameterError("decay certificate (C, alpha) must be finite "
+                             f"and positive, got ({C!r}, {alpha!r})")
 
 
 @dataclass(frozen=True)
@@ -329,21 +345,21 @@ class DisorderModel:
         return float(total)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF draws; vectorized, exact for each polynomial piece."""
+        """Inverse-CDF draws; vectorized, exact for each polynomial piece.
+        A one-piece density maps the uniforms directly: its only offset is
+        cum[0] = 0, and t - 0.0 == t, so the draws are those of the
+        piece-by-piece path bit for bit."""
         t = rng.random(n)
+        if len(self.pieces) == 1:
+            return _inverse_cdf(self.pieces[0], t)
         cum = self._cumulative
         piece_idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0,
                             len(self.pieces) - 1)
         out = np.empty(n)
         for i, p in enumerate(self.pieces):
             mask = piece_idx == i
-            if not mask.any():
-                continue
-            target = t[mask] - cum[i]
-            if len(p.coeffs) == 1:
-                out[mask] = p.lo + target / p.coeffs[0]
-            else:
-                out[mask] = _bisect_cdf(p, target)
+            if mask.any():
+                out[mask] = _inverse_cdf(p, t[mask] - cum[i])
         return out
 
     @staticmethod
@@ -360,6 +376,14 @@ def uniform_density(lo: float, hi: float) -> DisorderModel:
         raise ParameterError("uniform density needs finite endpoints lo < hi, "
                              f"got [{lo!r}, {hi!r}]")
     return DisorderModel((PolynomialPiece(lo, hi, (1.0 / (hi - lo),)),))
+
+
+def _inverse_cdf(piece: PolynomialPiece, target: np.ndarray) -> np.ndarray:
+    """The x in the piece whose mass below x is `target`: closed form for a
+    constant density, bisection otherwise."""
+    if len(piece.coeffs) == 1:
+        return piece.lo + target / piece.coeffs[0]
+    return _bisect_cdf(piece, target)
 
 
 def _bisect_cdf(piece: PolynomialPiece, target: np.ndarray) -> np.ndarray:
@@ -485,13 +509,6 @@ class BoxOperator:
     def dimension(self) -> int:
         return self.box.dimension
 
-    def index_of(self, point: Point) -> int:
-        pts = np.asarray([point])
-        if pts.shape != (1, self.dimension) or \
-                not self.box.contains_points(pts)[0]:
-            raise ParameterError(f"point {point} not in operator box")
-        return int(self.box.flat_indices(pts)[0])
-
     @property
     def matrix(self) -> np.ndarray:
         """Dense symmetric matrix of the operator, a fresh n x n array."""
@@ -501,17 +518,18 @@ class BoxOperator:
 
     def __matmul__(self, x) -> np.ndarray:
         """H x for a vector of length n or an (n, k) block of columns, with
-        one pass per axis over the box-shaped view of x."""
-        rows = np.asarray(x, dtype=float).T  # sites on the last axis
-        lead = (slice(None),) * (rows.ndim - 1)
-        xs = rows.reshape(rows.shape[:-1] + self.box.shape)
-        ys = self.diagonal.reshape(self.box.shape) * xs
+        one pass per axis over the box-shaped view of x.  The sites lead
+        and x is made C-contiguous, so every pass runs over contiguous
+        runs of whole rows, not over the short last axis of the box."""
+        x = np.ascontiguousarray(x, dtype=float)
+        xs = x.reshape(self.box.shape + x.shape[1:])
+        ys = self.diagonal.reshape(self.box.shape + (1,) * (x.ndim - 1)) * xs
         for r in range(self.dimension):
-            lower = lead + (slice(None),) * r + (slice(None, -1),)
-            upper = lead + (slice(None),) * r + (slice(1, None),)
+            lower = (slice(None),) * r + (slice(None, -1),)
+            upper = (slice(None),) * r + (slice(1, None),)
             ys[lower] -= xs[upper]
             ys[upper] -= xs[lower]
-        return ys.reshape(rows.shape).T
+        return ys.reshape(x.shape)
 
     def slice_block(self) -> np.ndarray:
         """The off-diagonal part of the diagonal blocks of H along axis 0,

@@ -21,7 +21,8 @@ from .genfun import LeadingIndexData
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
                       make_box, restrict_hamiltonian)
 from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
-from .spectral import BoundaryGreens, boundary_greens, checked_interval
+from .spectral import (BoundaryGreens, GreensPlan, boundary_greens,
+                       checked_interval)
 from .tails import decay_tail_constant
 from .wegner import chain_formula
 
@@ -33,10 +34,26 @@ CERTIFIED_IRREGULAR = "certified_irregular"
 # deterministic predicates
 
 
-def _irregular(green: BoundaryGreens, m: float, l: float) -> np.ndarray:
-    """Per energy: resonant, or |G(E; center, w)| > e^{-m l} for some
-    interior-boundary site w."""
-    return green.resonant | np.any(green.magnitude > math.exp(-m * l), axis=0)
+def _regularity(green: BoundaryGreens, threshold: float, delta: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of `uniform_regularity_verdicts`, per energy of `green`,
+    with threshold = e^{-m l}: (irregular, certified regular).
+
+    Irregular: resonant, or |G(E; center, w)| > threshold for some
+    interior-boundary site w.  Certified regular: not irregular, and
+    either delta = 0 or the bracket holds: delta < d and |G| + delta/d^2/
+    (1 - delta/d) <= threshold at every w, with d = d(E, spectrum)."""
+    irregular = green.resonant | np.any(green.magnitude > threshold, axis=0)
+    if delta == 0.0:
+        # every completion restricts to the same operator on the box
+        return irregular, ~irregular
+    # a resonant energy may have d = 0; it is irregular, so its slack is unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_norm = 1.0 / green.distance
+        slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
+    bracketed = (delta < green.distance) & \
+        ~np.any(green.magnitude + slack > threshold, axis=0)
+    return irregular, ~irregular & bracketed
 
 
 def uniform_regularity_verdicts(
@@ -59,31 +76,22 @@ def uniform_regularity_verdicts(
     exterior coupling reaches the box (delta = 0); otherwise the verdict
     is indeterminate.  If it is regular, a first-order resolvent bracket
     (radius delta from the perturbation radius) either certifies all
-    completions or stays indeterminate: with d = d(E, spectrum), it needs
-    delta < d and |G| + delta/d^2/(1 - delta/d) <= e^{-m l}.
+    completions or stays indeterminate (see `_regularity`).
 
     One eigendecomposition with one matrix product
     (`spectral.boundary_greens`) serves the whole grid.
     """
     l = box.half_side
-    check_enlarged_domain(config, box)
+    check_enlarged_domain(config.domain, box)
     op = restrict_hamiltonian(u, config, box)
     if delta is None:
         delta = perturbation_radius(u, model, l)
     green = boundary_greens(op, box.center, energies)
-    irregular = _irregular(green, m, l)
-    if delta == 0.0:
-        # every completion restricts to op on the box
-        return np.where(irregular, CERTIFIED_IRREGULAR, CERTIFIED_REGULAR)
-    witness = CERTIFIED_IRREGULAR if model.in_support(0.0) else INDETERMINATE
-    # a resonant energy may have d = 0; it is irregular, so its slack is unused
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_norm = 1.0 / green.distance
-        slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
-    bracketed = (delta < green.distance) & \
-        ~np.any(green.magnitude + slack > math.exp(-m * l), axis=0)
-    return np.where(irregular, witness,
-                    np.where(bracketed, CERTIFIED_REGULAR, INDETERMINATE))
+    irregular, regular = _regularity(green, math.exp(-m * l), delta)
+    witness = CERTIFIED_IRREGULAR if delta == 0.0 or model.in_support(0.0) \
+        else INDETERMINATE
+    return np.where(regular, CERTIFIED_REGULAR,
+                    np.where(irregular, witness, INDETERMINATE))
 
 
 def uniform_regularity_test(
@@ -140,10 +148,15 @@ def estimate_singularity_probability(
 
     `energy_grid` is a number K >= 1 of equally spaced energies on the
     closed `interval`, or an explicit non-empty list of finite energies.
-    Each trial samples one configuration, makes one eigendecomposition of
-    its zeroed-exterior box operator and asks `uniform_regularity_verdicts`
-    for the whole grid at once.  l, m and the grid are checked before any
-    trial.
+    l, m and the grid are checked before any trial.  What no trial
+    changes is built once per call: the enlarged domain (checked), the
+    perturbation radius, the `GreensPlan` of the box (its dense free
+    matrix, source and boundary indices), the energy array and e^{-m l}.
+    A trial then samples the couplings on the enlarged domain, forms the
+    diagonal of its zeroed-exterior box operator, and makes one dsyevd
+    solve and one matrix product (`GreensPlan.boundary_greens`) for the
+    whole grid, to which it applies the rules of
+    `uniform_regularity_verdicts`.
 
     Translation invariance turns this single-box estimate into the pair
     bound by squaring (disjoint enlarged boxes are independent).
@@ -155,18 +168,25 @@ def estimate_singularity_probability(
     d = u.dimension
     box = make_box((0,) * d, l)
     enlarged = make_box((0,) * d, 4 * l)
+    check_enlarged_domain(enlarged, box)
     delta = perturbation_radius(u, model, l)
+    plan = GreensPlan.on(box, box.center)
+    energies = np.asarray(grid, dtype=float)
+    threshold = math.exp(-m * l)
 
     def worker(_i: int, rng: np.random.Generator):
         cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
-        verdicts = uniform_regularity_verdicts(u, model, cfg, box, m, grid,
-                                               delta=delta)
-        return (verdicts != CERTIFIED_REGULAR).tolist()
+        op = restrict_hamiltonian(u, cfg, box)
+        _, regular = _regularity(plan.boundary_greens(op, energies),
+                                 threshold, delta)
+        return ~regular
 
     results = mc.run_trials(trials, worker, seed, threads)
-    singular = [any(bad) for bad in results]
-    per_energy = {E: sum(bad[i] for bad in results) for i, E in enumerate(grid)}
-    p_hi, _ = mc.mean_and_stderr([1.0 if s else 0.0 for s in singular])
+    counts = np.zeros(len(grid), dtype=int)
+    for bad in results:
+        counts += bad
+    per_energy = {E: int(c) for E, c in zip(grid, counts)}
+    p_hi, _ = mc.mean_and_stderr([1.0 if bad.any() else 0.0 for bad in results])
     return SingularityReport(p_hi=p_hi, per_energy=per_energy)
 
 

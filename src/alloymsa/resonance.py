@@ -50,13 +50,13 @@ def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
     return omega_plus * min(analytic, exact)
 
 
-def check_enlarged_domain(config: Configuration, box: Box) -> None:
-    """Raise ParameterError unless the domain of `config` is the 4l-enlarged
-    box Lambda_{4l}(center) of `box`; `config` is then the completion by
-    zero couplings outside it, the zeroed exterior."""
+def check_enlarged_domain(domain: Box, box: Box) -> None:
+    """Raise ParameterError unless `domain` is the 4l-enlarged box
+    Lambda_{4l}(center) of `box`; a configuration on it is then completed
+    by zero couplings outside it, the zeroed exterior."""
     enlarged = make_box(box.center, 4.0 * box.half_side)
-    if tuple(config.domain.lo) != tuple(enlarged.lo) or \
-            tuple(config.domain.hi) != tuple(enlarged.hi):
+    if tuple(domain.lo) != tuple(enlarged.lo) or \
+            tuple(domain.hi) != tuple(enlarged.hi):
         raise ParameterError("configuration domain must equal the 4l-enlarged box")
 
 

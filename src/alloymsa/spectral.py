@@ -16,14 +16,25 @@ L = n / w slices); none of the counts forms an n x n array.
 - Eigenvalue counts at d = 1 (w = 1), and the fallback above, run banded
   LAPACK bisection on the upper band storage: O(n^2 w) flops for the
   reduction to tridiagonal form and (w + 1) n doubles.
-- Full spectra (and eigenvectors) come from the dense LAPACK driver
-  working in place on one n x n buffer, O(n^3) flops, and the eigenpair
-  residual is checked with the stencil product.  Nothing is cached: a
-  caller asks all its energies in one call.  Green's functions come from
-  the eigenpairs, G(E) = V diag(1/(lambda - E)) V^T, so `boundary_greens`
-  answers a grid of K energies with one eigendecomposition and one
-  matrix product: G(E_k; source, w) for every interior-boundary site w
-  from V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :]))."""
+- Full spectra (and eigenvectors) come from dense LAPACK working in place
+  on one n x n buffer, O(n^3) flops, and every eigenpair's residual is
+  checked with the stencil product.  Nothing is cached: a caller asks all
+  its energies in one call.  Two drivers serve two kinds of query.
+  `eigensolve`, whose callers read eigenvalues or individual eigenvectors
+  (`decay` fits each one), uses the relatively robust representations
+  driver (dsyevr, scipy's default): the basis it picks inside a cluster of
+  close eigenvalues fixes the published decay rates.  The Green's functions
+  use the divide-and-conquer driver (dsyevd, Gu & Eisenstat 1995), faster
+  at every box size the probes run, with a workspace that takes a solve
+  from about 2n^2 to about 3n^2 doubles: G(E) = V diag(1/(lambda - E)) V^T
+  is the same for every orthonormal basis of a cluster, so the driver
+  changes no result beyond rounding.  `boundary_greens` answers a grid of
+  K energies with one eigendecomposition and one matrix product:
+  G(E_k; source, w) for every interior-boundary site w from V[boundary]
+  (V[source, :, None] / (lambda[:, None] - E[None, :])).  A `GreensPlan`
+  holds what that product needs of the box alone (the dense free matrix,
+  the source and boundary indices), so a Monte-Carlo probe builds it once
+  and each realization costs one solve plus O(n K) array work."""
 
 from __future__ import annotations
 
@@ -33,7 +44,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FitError, ParameterError, ResonantEnergyError, SolverError
-from .lattice import Box, BoxOperator, Point
+from .lattice import Box, BoxOperator, Point, free_box_matrix
 
 RESONANCE_GUARD = 1e-12
 # shells whose max |psi| is not above this are left out of decay fits
@@ -60,7 +71,7 @@ class SpectrumResult:
 
 
 def eigensolve(op: BoxOperator, want_vectors: bool = False) -> SpectrumResult:
-    """Full spectrum of the box operator (LAPACK tridiagonalization path).
+    """Full spectrum of the box operator (LAPACK dsyevr).
 
     The dense matrix is built once and handed to LAPACK as its
     F-contiguous transpose (equal to it, by symmetry) with overwrite_a, so
@@ -71,26 +82,41 @@ def eigensolve(op: BoxOperator, want_vectors: bool = False) -> SpectrumResult:
     if want_vectors:
         evals, evecs = scipy.linalg.eigh(H, overwrite_a=True)
         del H
-        residual = _residual(op, evals, evecs)
+        residual = _checked_residual(op, evals, evecs)
     else:
         evals = scipy.linalg.eigh(H, eigvals_only=True, overwrite_a=True)
         evecs = None
         residual = 0.0
-    if residual > RESIDUAL_CONTRACT:
-        raise SolverError(f"eigensolver residual {residual:.3e} exceeds 1e-10")
     return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=evecs,
                           residual=residual)
 
 
-def _residual(op: BoxOperator, evals: np.ndarray, evecs: np.ndarray) -> float:
+def _green_eigenpairs(op: BoxOperator, H: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the box
+    operator for its Green's functions, from LAPACK dsyevd working in place
+    on `H`, an F-contiguous buffer holding the dense matrix of `op` that
+    the solve overwrites.  The residual contract of `eigensolve` is checked
+    on every column."""
+    evals, evecs = scipy.linalg.eigh(H, overwrite_a=True, driver="evd")
+    _checked_residual(op, evals, evecs)
+    return evals, evecs
+
+
+def _checked_residual(op: BoxOperator, evals: np.ndarray,
+                      evecs: np.ndarray) -> float:
     """max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), from stencil
-    products on RESIDUAL_BLOCK columns at a time."""
+    products on RESIDUAL_BLOCK columns at a time; SolverError when it
+    exceeds RESIDUAL_CONTRACT."""
     worst = 0.0
     for j in range(0, len(evals), RESIDUAL_BLOCK):
         V = evecs[:, j:j + RESIDUAL_BLOCK]
         r = op @ V - V * evals[j:j + RESIDUAL_BLOCK]
         worst = max(worst, float(np.max(np.linalg.norm(r, axis=0))))
-    return worst / max(1.0, float(np.max(np.abs(evals))))
+    residual = worst / max(1.0, float(np.max(np.abs(evals))))
+    if residual > RESIDUAL_CONTRACT:
+        raise SolverError(f"eigensolver residual {residual:.3e} exceeds 1e-10")
+    return residual
 
 
 def checked_interval(interval) -> tuple[float, float]:
@@ -214,18 +240,17 @@ def _singular_step(S: np.ndarray, null: np.ndarray, g: float):
 
 def greens_column(op: BoxOperator, E: float, source: Point) -> np.ndarray:
     """Column G(E; ., source) of (H - E)^{-1} from the eigenpairs of one
-    vector eigensolve: V (V[source, :] / (lambda - E)).
+    dsyevd solve: V (V[source, :] / (lambda - E)).
 
     E within RESONANCE_GUARD of an eigenvalue raises ResonantEnergyError.
     """
-    res = eigensolve(op, want_vectors=True)
-    gaps = res.eigenvalues - E
+    evals, V = _green_eigenpairs(op, op.matrix.T)
+    gaps = evals - E
     if np.min(np.abs(gaps)) < RESONANCE_GUARD:
         raise ResonantEnergyError(
             f"E={E!r} within {RESONANCE_GUARD:g} of an eigenvalue of the box operator"
         )
-    V = res.eigenvectors
-    return V @ (V[op.index_of(tuple(source))] / gaps)
+    return V @ (V[op.box.index_of(tuple(source))] / gaps)
 
 
 @dataclass(frozen=True)
@@ -242,19 +267,54 @@ class BoundaryGreens:
     resonant: np.ndarray
 
 
+@dataclass(frozen=True)
+class GreensPlan:
+    """What the boundary Green's functions of every operator on one box
+    share: `free`, the dense free matrix (read-only), the flat index of the
+    source and those of the interior boundary.  Built once per box and
+    source by `on`; `boundary_greens` then answers one operator."""
+
+    box: Box
+    free: np.ndarray
+    source: int
+    boundary: np.ndarray
+
+    @staticmethod
+    def on(box: Box, source: Point) -> "GreensPlan":
+        free = free_box_matrix(box)
+        free.flags.writeable = False
+        return GreensPlan(box, free, box.index_of(tuple(source)),
+                          box.interior_boundary_indices)
+
+    def boundary_greens(self, op: BoxOperator, energies: np.ndarray
+                        ) -> BoundaryGreens:
+        """|G(E_k; source, w)| for every interior-boundary site w and every
+        energy E_k of the float array `energies`, from one dsyevd solve of
+        op's matrix (the free matrix copied, its diagonal written) and one
+        matrix product: V[boundary] (V[source, :, None] /
+        (lambda[:, None] - E[None, :]))."""
+        if op.box != self.box:
+            raise ParameterError(f"operator box {op.box} is not the plan's {self.box}")
+        H = self.free.copy()
+        np.fill_diagonal(H, op.diagonal)
+        # the transpose, equal to H by symmetry, is the F-contiguous buffer
+        evals, V = _green_eigenpairs(op, H.T)
+        gaps = evals[:, None] - energies[None, :]
+        distance = np.min(np.abs(gaps), axis=0)
+        resonant = distance < RESONANCE_GUARD
+        gaps[:, resonant] = np.inf
+        coefficients = V[self.source][:, None] / gaps
+        green = V[self.boundary] @ coefficients
+        return BoundaryGreens(np.abs(green), distance, resonant)
+
+
 def boundary_greens(op: BoxOperator, source: Point, energies) -> BoundaryGreens:
     """|G(E_k; source, w)| for every interior-boundary site w and every
-    energy E_k, from one vector eigensolve and one matrix product:
-    V[boundary] (V[source, :, None] / (lambda[:, None] - E[None, :]))."""
-    res = eigensolve(op, want_vectors=True)
-    gaps = res.eigenvalues[:, None] - np.asarray(energies, dtype=float)[None, :]
-    distance = np.min(np.abs(gaps), axis=0)
-    resonant = distance < RESONANCE_GUARD
-    gaps[:, resonant] = np.inf
-    V = res.eigenvectors
-    coefficients = V[op.index_of(tuple(source))][:, None] / gaps
-    green = V[op.box.interior_boundary_indices] @ coefficients
-    return BoundaryGreens(np.abs(green), distance, resonant)
+    energy E_k, from one dsyevd solve and one matrix product; see
+    `GreensPlan.boundary_greens`, which a caller with many operators on
+    one box uses directly."""
+    return GreensPlan.on(op.box, source).boundary_greens(
+        op, np.asarray(energies, dtype=float))
 
 
 def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:

@@ -425,6 +425,26 @@ def delta0_model_with(**u) -> dict:
 
 NAN_ENTRY = delta0_model_with(values=[[[0], 1.0], [[1], math.nan]],
                               truncation_radius=1)
+# the potential of DELTA0_MODEL with no truncation_residual, so that the
+# tail bound beyond the truncation radius is computed from (C, alpha)
+TAIL_FROM_CERTIFICATE = {**DELTA0_MODEL, "u": {
+    k: v for k, v in DELTA0_MODEL["u"].items() if k != "truncation_residual"}}
+
+
+def tail_model_with(**u) -> dict:
+    """TAIL_FROM_CERTIFICATE with the given entries of its potential replaced."""
+    return {**TAIL_FROM_CERTIFICATE,
+            "u": {**TAIL_FROM_CERTIFICATE["u"], **u}}
+
+
+def p2_model_with(**u) -> dict:
+    """P2_MODEL with the given entries of its potential replaced."""
+    return {**P2_MODEL, "u": {**P2_MODEL["u"], **u}}
+
+
+def rho_pieces(pieces) -> dict:
+    """DELTA0_MODEL with the density given in the `pieces` format."""
+    return {**DELTA0_MODEL, "rho": {"pieces": pieces}}
 
 
 class TestRejectedBeforeAnyTrial:
@@ -478,6 +498,16 @@ class TestRejectedBeforeAnyTrial:
          {"ls": [2]}),
         ("decay", {**DELTA0_MODEL, "rho": {"uniform": [0.0, math.nan]}},
          {"l": 3.0}),
+        ("decay", tail_model_with(truncation_radius=math.nan), {"l": 3.0}),
+        ("decay", tail_model_with(alpha=0.0), {"l": 3.0}),
+        ("decay", tail_model_with(alpha=-1.0), {"l": 3.0}),
+        ("decay", p2_model_with(values=[[[0, 0], 1.0], [[0.5, 0], -0.6]]),
+         {"l": 3.0}),
+        ("decay", tail_model_with(truncation_radius=1.5), {"l": 3.0}),
+        ("decay", tail_model_with(values=[]), {"l": 3.0}),
+        ("decay", rho_pieces([{"interval": [0.0, 1.0]}]), {"l": 3.0}),
+        ("decay", rho_pieces([{"coeffs": [1.0]}]), {"l": 3.0}),
+        ("decay", rho_pieces(3), {"l": 3.0}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
@@ -493,7 +523,11 @@ class TestRejectedBeforeAnyTrial:
             "resonance-y-fractional", "decay-u-entry-nan", "wegner-u-entry-nan",
             "analyze-potential-u-entry-nan", "wegner-u-C-nan",
             "decay-u-alpha-nan", "decay-u-residual-nan", "decay-rho-point",
-            "wegner-rho-nan", "decay-rho-nan"])
+            "wegner-rho-nan", "decay-rho-nan", "decay-u-radius-nan",
+            "decay-u-alpha-0-tail", "decay-u-alpha-negative-tail",
+            "decay-u-key-fractional", "decay-u-radius-1.5",
+            "decay-u-values-empty", "decay-rho-piece-without-coeffs",
+            "decay-rho-piece-without-interval", "decay-rho-pieces-number"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
                       SingleSitePotential, assemble_potential, make_box,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
-from alloymsa.lattice import Box, BoxOperator, neighbor_counts
+from alloymsa.lattice import Box, BoxOperator, _bisect_cdf, neighbor_counts
 from helpers import (exact_potential, free_operator,
                      truncated_exponential_potential)
 
@@ -96,6 +96,51 @@ class TestSampleConfiguration:
                             make_box((0,), 30_000.0).count)
         assert abs(values.mean() - 1.0) < 0.01
         assert abs(values.var() - 1.0 / 6.0) < 0.01
+
+
+def piecewise_draws(model: DisorderModel, rng, n: int) -> np.ndarray:
+    """The general inverse-CDF path of `DisorderModel.sample` for any
+    number of pieces: locate each uniform's piece, then invert its CDF."""
+    t = rng.random(n)
+    cum = np.concatenate([[0.0], np.cumsum([p.mass for p in model.pieces])])
+    piece_idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0,
+                        len(model.pieces) - 1)
+    out = np.empty(n)
+    for i, p in enumerate(model.pieces):
+        mask = piece_idx == i
+        if not mask.any():
+            continue
+        target = t[mask] - cum[i]
+        if len(p.coeffs) == 1:
+            out[mask] = p.lo + target / p.coeffs[0]
+        else:
+            out[mask] = _bisect_cdf(p, target)
+    return out
+
+
+class TestOnePieceSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0),
+           slope=st.floats(-1.0, 1.0), linear=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300))
+    def test_bitwise_equal_to_general_path(self, lo, width, slope, linear,
+                                           seed, n):
+        # uniform on [lo, lo + width], or the linear density
+        # (1 + slope (2 (x - lo) / width - 1)) / width, nonnegative for
+        # |slope| <= 1 and of mass 1
+        hi = lo + width
+        if linear:
+            coeffs = ((1.0 - slope - 2.0 * slope * lo / width) / width,
+                      2.0 * slope / width**2)
+        else:
+            coeffs = (1.0 / width,)
+        try:
+            model = DisorderModel((PolynomialPiece(lo, hi, coeffs),))
+        except ParameterError:  # rounding pushed the mass off 1 by > 1e-12
+            assume(False)
+        got = model.sample(np.random.default_rng(seed), n)
+        expect = piecewise_draws(model, np.random.default_rng(seed), n)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestAssemblePotential:

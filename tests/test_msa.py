@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, SingleSitePotential, eigensolve,
-                      find_leading_index, make_box, mc, msa,
+                      find_leading_index, lattice, make_box, mc,
                       perturbation_radius, restrict_hamiltonian,
                       scale_schedule, spectral, uniform_density,
                       validate_parameters)
@@ -335,18 +335,35 @@ class TestSingularityEstimatorReusesSpectrum:
 
     def test_one_green_product_per_trial(self, monkeypatch):
         grids = []
-        boundary_greens = msa.boundary_greens
+        boundary_greens = spectral.GreensPlan.boundary_greens
 
-        def counting_boundary_greens(op, source, energies):
+        def counting_boundary_greens(plan, op, energies):
             grids.append(len(energies))
-            return boundary_greens(op, source, energies)
+            return boundary_greens(plan, op, energies)
 
-        monkeypatch.setattr(msa, "boundary_greens", counting_boundary_greens)
+        monkeypatch.setattr(spectral.GreensPlan, "boundary_greens",
+                            counting_boundary_greens)
         monkeypatch.setattr(spectral, "greens_column", pytest.fail)
         trials = 5
         estimate_singularity_probability(EXP_TAIL, UNIFORM, 3.0, 0.2,
                                          (0.5, 2.5), 21, trials, seed=43)
         assert grids == [21] * trials
+
+    def test_one_free_matrix_per_call(self, monkeypatch):
+        # the trials copy one dense free matrix; none builds its own
+        boxes = []
+        free_box_matrix = spectral.free_box_matrix
+
+        def counting_free_box_matrix(box):
+            boxes.append(box)
+            return free_box_matrix(box)
+
+        monkeypatch.setattr(spectral, "free_box_matrix",
+                            counting_free_box_matrix)
+        monkeypatch.setattr(lattice, "free_box_matrix", pytest.fail)
+        estimate_singularity_probability(P2_TAIL, UNIFORM, 2.0, 0.2,
+                                         (0.5, 2.5), 21, 6, seed=44)
+        assert boxes == [make_box((0, 0), 2.0)]
 
 
 # potentials with and without exterior influence on the box, d = 1 and 2
@@ -356,6 +373,41 @@ DELTA0_2D = exact_potential({(0, 0): 1.0}, 1.0, 1.0)
 # a large truncation residual: delta = 1 is comparable to level spacings
 WIDE_TAIL = SingleSitePotential({(0,): 1.0}, 1.0, 0.05, 0, 1.0)
 SHIFTED = uniform_density(1.0, 2.0)
+
+
+# The `msa-probe` benchmark config: P2_TAIL (P2 with truncation residual 1e-6),
+# rho = uniform[0, 1], l = 4 (81 sites), m = 0.1, 101 energies on
+# [0.4, 0.6], 20 trials.  Per seed, the not-certified-regular count at
+# each energy, one base-36 digit per energy, as recorded before the Green's
+# functions moved to the divide-and-conquer driver.
+PROBE_COUNTS = {
+    11: "000000000000000000000001100000000000222111223233343"
+        "21233342333574433432122335430001100000111101000000",
+    12: "000000000000000000000000000000000000000121210112223"
+        "66544434555422231344544201221100011111100000000000",
+    13: "000000000000000000000000000000000000000012255536764"
+        "44543453213454213414443111121121000011100000000000",
+    14: "000000000000000000000000000000111100100002310001123"
+        "33424545433553542467668644322011111000000000000000",
+    15: "000000000000000000000000000000000012211111012323335"
+        "66542474323332334344342222112222101100000000000000",
+    16: "000000000000000000000000000000000000002322333121123"
+        "44566542355764566875100000000000000000000000000000",
+    17: "000000000000000000000000000000000000001100023220001"
+        "13577544425753644322354311000000000000000000000000",
+    18: "000000000000000000000000000000000001102223100102223"
+        "334556a889a756555553332232100000110000000000000000",
+}
+
+
+class TestProbeCountsFrozen:
+    @pytest.mark.parametrize("seed", sorted(PROBE_COUNTS))
+    def test_benchmark_config_counts(self, seed):
+        rep = estimate_singularity_probability(P2_TAIL, UNIFORM, 4.0, 0.1,
+                                               (0.4, 0.6), 101, 20, seed)
+        counts = [rep.per_energy[E] for E in sorted(rep.per_energy)]
+        assert counts == [int(c, 36) for c in PROBE_COUNTS[seed]]
+        assert rep.p_hi == 1.0
 
 
 class TestBatchedVerdictsAgainstReference:

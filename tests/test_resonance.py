@@ -55,7 +55,7 @@ class TestPerturbationRadius:
 def base_spectrum(u, cfg, box):
     """Spectrum of `box` at the zeroed exterior of `cfg`, whose domain must
     be the 4l-enlarged box: what the resonance worker solves per box."""
-    resonance.check_enlarged_domain(cfg, box)
+    resonance.check_enlarged_domain(cfg.domain, box)
     return eigensolve(restrict_hamiltonian(u, cfg, box)).eigenvalues
 
 

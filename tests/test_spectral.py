@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
                       eigensolve, make_box, restrict_hamiltonian,
                       uniform_density)
-from alloymsa.errors import FitError, ResonantEnergyError
+from alloymsa.errors import FitError, ParameterError, ResonantEnergyError
 from alloymsa.lattice import BoxOperator, neighbor_counts
-from alloymsa.spectral import RESONANCE_GUARD, boundary_greens, greens_column
+from alloymsa.spectral import (RESONANCE_GUARD, GreensPlan,
+                               _green_eigenpairs, boundary_greens,
+                               greens_column)
 from helpers import exact_potential, free_operator
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
@@ -100,21 +102,21 @@ class TestGreensFunction:
     def test_scalar_inverse(self):
         op = free_operator(make_box((0,), 0.5))
         g = greens_column(op, 0.0, (0,))
-        assert g[op.index_of((0,))] == pytest.approx(0.5)
+        assert g[op.box.index_of((0,))] == pytest.approx(0.5)
 
     def test_tridiagonal_corner(self):
         # inverse of tridiag(-1, 2, -1), entry (1, 3) = 1/4
         op = free_operator(make_box((0,), 1.0))
         g = greens_column(op, 0.0, (-1,))
-        assert g[op.index_of((1,))] == pytest.approx(0.25, abs=1e-12)
+        assert g[op.box.index_of((1,))] == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             op = random_operator(rng, l=5.0, w=4.0)
             E = rng.uniform(-1, 0)
-            a = greens_column(op, E, (-3,))[op.index_of((4,))]
-            b = greens_column(op, E, (4,))[op.index_of((-3,))]
+            a = greens_column(op, E, (-3,))[op.box.index_of((4,))]
+            b = greens_column(op, E, (4,))[op.box.index_of((-3,))]
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_rank_one_consistency(self):
@@ -157,7 +159,8 @@ class TestGreensFunction:
         # the interior boundary; energies on or within RESONANCE_GUARD of an
         # eigenvalue are flagged and their columns zeroed
         op = random_operator(np.random.default_rng(seed), l=float(l), d=d, w=w)
-        evals = eigensolve(op, want_vectors=True).eigenvalues
+        # exact distances need the eigenvalues of the decomposition under test
+        evals = _green_eigenpairs(op, op.matrix.T)[0]
         source = tuple(op.box.points[source_index % op.box.count])
         mid = 0.5 * (evals[:-1] + evals[1:]) if len(evals) > 1 else evals + 1.0
         near = [evals[0], evals[-1] + 0.5 * RESONANCE_GUARD,
@@ -177,6 +180,47 @@ class TestGreensFunction:
             expect = np.abs(col[op.box.interior_boundary_indices])
             assert green.magnitude[:, k] == pytest.approx(expect, rel=1e-12,
                                                           abs=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2]), l=st.integers(1, 4),
+           w=st.sampled_from([0.0, 0.5, 5.0]), seed=st.integers(0, 2**32 - 1),
+           source_index=st.integers(0, 1000),
+           gaps=st.lists(st.integers(0, 1000), min_size=1, max_size=6))
+    def test_greens_match_dense_solves(self, d, l, w, seed, source_index, gaps):
+        # boundary_greens and greens_column against columns of dense solves;
+        # w = 0 is the free box, whose spectrum is degenerate at d = 2 (the
+        # driver's basis inside an eigenspace must not matter)
+        l = float(2 * l if d == 1 else l)
+        op = random_operator(np.random.default_rng(seed), l=l, d=d, w=w)
+        n = op.box.count
+        H = op.matrix
+        evals = np.linalg.eigvalsh(H)
+        # midpoints between distinct levels, or one unit past the ends
+        levels = evals[np.concatenate([[True], np.diff(evals) > 1e-6])]
+        edges = np.concatenate([[levels[0] - 2.0], levels, [levels[-1] + 2.0]])
+        energies = [0.5 * (edges[k] + edges[k + 1])
+                    for k in (g % (len(levels) + 1) for g in gaps)]
+        assume(min(np.min(np.abs(evals - E)) for E in energies) > 1e-3)
+        src = source_index % n
+        source = tuple(op.box.points[src])
+        rhs = np.zeros(n)
+        rhs[src] = 1.0
+        green = boundary_greens(op, source, energies)
+        assert not green.resonant.any()
+        boundary = op.box.interior_boundary_indices
+        for k, E in enumerate(energies):
+            expect = np.linalg.solve(H - E * np.eye(n), rhs)
+            scale = np.linalg.norm(expect)
+            col = greens_column(op, E, source)
+            assert np.linalg.norm(col - expect) <= 1e-9 * scale
+            assert np.linalg.norm(green.magnitude[:, k]
+                                  - np.abs(expect[boundary])) <= 1e-9 * scale
+
+    def test_plan_answers_only_its_box(self):
+        plan = GreensPlan.on(make_box((0, 0), 2.0), (0, 0))
+        with pytest.raises(ParameterError, match="not the plan's"):
+            plan.boundary_greens(free_operator(make_box((1, 0), 2.0)),
+                                 np.array([0.5]))
 
     def test_boundary_grid_empty(self):
         op = free_operator(make_box((0, 0), 2.0))
