@@ -83,7 +83,10 @@ def config_hash(config: dict) -> str:
 
 def load_model(model_cfg: dict) -> tuple[SingleSitePotential, DisorderModel]:
     u_cfg = dict(model_cfg["u"])
-    u_cfg.setdefault("d", model_cfg["d"])
+    # the potential's d sizes its computed truncation tail
+    if u_cfg.setdefault("d", model_cfg["d"]) != model_cfg["d"]:
+        raise ParameterError(f"potential d = {u_cfg['d']!r} disagrees with "
+                             f"model d = {model_cfg['d']!r}")
     u = SingleSitePotential.from_json_dict(u_cfg)
     if u.dimension != model_cfg["d"]:
         raise ParameterError("potential dimension disagrees with model d")
@@ -347,7 +350,7 @@ def _run_decay(run: Run) -> None:
     def worker(i, rng):
         cfg = Configuration(domain, model.sample(rng, domain.count))
         op = restrict_hamiltonian(u, cfg, box)
-        res = eigensolve(op, want_vectors=True)
+        res = eigensolve(op, vectors=n_lowest)
         good = 0
         fits = []
         for j in range(n_lowest):
@@ -401,7 +404,10 @@ KINDS = {
                                    "zeta_nr": {"type": ["number", "null"]}}}}}),
     "msa_singularity": ("msa-probe", _run_msa_singularity, {
         "required": ["l", "m"],
-        "properties": {"l": NUMBER, "m": NUMBER,
+        "properties": {"l": NUMBER, "m": NUMBER, "interval": PAIR,
+                       "energy_grid": {"anyOf": [
+                           {"type": "integer", "minimum": 1},
+                           {**NUMBERS, "minItems": 1}]},
                        "p_hi_max": {"type": ["number", "null"]}}}),
     "lifshitz": ("lifshitz", _run_lifshitz, {"properties": {
         "zeta": NUMBER, "xi": NUMBER, "epsilon0": NUMBER, "l": NUMBER,
@@ -427,6 +433,7 @@ CONFIG_SCHEMA = {
                 "d": {"type": "integer", "minimum": 1},
                 "u": {"type": "object", "required": ["values", "C", "alpha"],
                       "properties": {
+                          "d": {"type": "integer", "minimum": 1},
                           "values": {"type": "array", "minItems": 1,
                                      "items": TABLE_ENTRY},
                           "C": NUMBER, "alpha": NUMBER,

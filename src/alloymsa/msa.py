@@ -110,7 +110,8 @@ def uniform_regularity_test(
 
 def _energy_grid(interval, energy_grid) -> list:
     """K >= 1 equally spaced energies on the closed `interval` for an
-    integer K, or the given non-empty list of finite energies."""
+    integer K, or the given non-empty list of finite energies; no energy
+    may repeat, since the report keys its counts by energy."""
     e1, e2 = checked_interval(interval)
     if isinstance(energy_grid, (list, tuple, np.ndarray)):
         grid = list(energy_grid)
@@ -118,12 +119,15 @@ def _energy_grid(interval, energy_grid) -> list:
             raise ParameterError("energy_grid must hold at least one energy")
         if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
             raise ParameterError("energy_grid energies must be finite")
-        return grid
-    if isinstance(energy_grid, bool) or \
+    elif isinstance(energy_grid, bool) or \
             not isinstance(energy_grid, (int, np.integer)) or energy_grid < 1:
         raise ParameterError("energy_grid must be an integer >= 1 or a list "
                              f"of energies, got {energy_grid!r}")
-    return list(np.linspace(e1, e2, energy_grid))
+    else:
+        grid = list(np.linspace(e1, e2, energy_grid))
+    if len(set(grid)) < len(grid):
+        raise ParameterError("energy_grid repeats an energy")
+    return grid
 
 
 @dataclass(frozen=True)

@@ -16,28 +16,36 @@ L = n / w slices); none of the counts forms an n x n array.
 - Eigenvalue counts at d = 1 (w = 1), and the fallback above, run banded
   LAPACK bisection on the upper band storage: O(n^2 w) flops for the
   reduction to tridiagonal form and (w + 1) n doubles.
-- Full spectra (and eigenvectors) come from dense LAPACK working in place
-  on one n x n buffer, O(n^3) flops, and every eigenpair's residual is
-  checked with the stencil product.  Nothing is cached: a caller asks all
-  its energies in one call.  Two drivers serve two kinds of query.
-  `eigensolve`, whose callers read eigenvalues or individual eigenvectors
-  (`decay` fits each one), uses the relatively robust representations
-  driver (dsyevr, scipy's default): the basis it picks inside a cluster of
-  close eigenvalues fixes the published decay rates.  The Green's functions
-  use the divide-and-conquer driver (dsyevd, Gu & Eisenstat 1995), faster
-  at every box size the probes run, with a workspace that takes a solve
-  from about 2n^2 to about 3n^2 doubles: G(E) = V diag(1/(lambda - E)) V^T
-  is the same for every orthonormal basis of a cluster, so the driver
-  changes no result beyond rounding.  `boundary_greens` answers a grid of
-  K energies with one eigendecomposition and one matrix product:
-  G(E_k; source, w) for every interior-boundary site w from V[boundary]
-  (V[source, :, None] / (lambda[:, None] - E[None, :])).  A `GreensPlan`
-  holds what that product needs of the box alone (the dense free matrix,
-  the source and boundary indices), so a Monte-Carlo probe builds it once
-  and each realization costs one solve plus O(n K) array work."""
+- Full spectra and eigenvectors come from dense LAPACK working in place
+  on one n x n buffer, O(n^3) flops, and every returned eigenpair's
+  residual is checked with the stencil product.  Nothing is cached: a
+  caller asks all its energies in one call.  Two LAPACK solvers serve
+  two kinds of query.  `eigensolve`, whose callers read eigenvalues or
+  the lowest few eigenvectors one by one (`decay` fits each), follows the
+  relatively robust representations solver (dsyevr, scipy's default): the
+  basis it picks inside a cluster of close eigenvalues fixes the
+  published decay rates.  A values-only solve calls dsyevr itself.  A solve for the lowest
+  k eigenvectors runs dsyevr's own steps (dsytrd, dstemr, then the
+  back-transform dormtr as dormqr) and back-transforms only a block of W
+  of dstemr's n tridiagonal eigenvectors, W = min(n, 256 ceil((k + 16) /
+  256)): 256 of 1681 columns for `decay`'s benchmark box and k = 3.  With
+  one BLAS thread the k vectors are bit for bit dsyevr's (see
+  `eigensolve`).  The Green's functions use the divide-and-conquer solver
+  (dsyevd, Gu & Eisenstat 1995), faster at every box size the probes run,
+  with a workspace that takes a solve from about 2n^2 to about 3n^2
+  doubles: G(E) = V diag(1/(lambda - E)) V^T is the same for every
+  orthonormal basis of a cluster, so the solver changes no result beyond
+  rounding.  `boundary_greens` answers a grid of K energies with one
+  eigendecomposition and one matrix product: G(E_k; source, w) for every
+  interior-boundary site w from V[boundary] (V[source, :, None] /
+  (lambda[:, None] - E[None, :])).  A `GreensPlan` holds what that product
+  needs of the box alone (the dense free matrix, the source and boundary
+  indices), so a Monte-Carlo probe builds it once and each realization
+  costs one solve plus O(n K) array work."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,36 +67,136 @@ SCHUR_GROWTH_LIMIT = 2.0 ** 20
 
 _sytrf = scipy.linalg.lapack.dsytrf
 _sytri = scipy.linalg.lapack.dsytri
+_sytrd = scipy.linalg.lapack.dsytrd
+_stemr = scipy.linalg.lapack.dstemr
+_ormqr = scipy.linalg.lapack.dormqr
+_syevr_lwork = scipy.linalg.lapack.dsyevr_lwork
+# dsyevr scales a matrix with max|H| outside [RMIN, RMAX] into it before
+# the reduction, and its eigenvalues back by 1 / sigma afterwards
+_SAFMIN = float(scipy.linalg.lapack.dlamch("S"))
+_SMLNUM = _SAFMIN / float(scipy.linalg.lapack.dlamch("P"))
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(_SAFMIN)))
+# dormqr's workspace for its block reflector T (LDT * NBMAX = 65 * 64)
+_ORMQR_TSIZE = 4160
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full spectrum, ascending; optional orthonormal eigenvector matrix."""
+    """Full spectrum, ascending; the lowest eigenvectors as the columns of
+    an orthonormal n x k matrix, or None for a values-only solve."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual: float
 
 
-def eigensolve(op: BoxOperator, want_vectors: bool = False) -> SpectrumResult:
-    """Full spectrum of the box operator (LAPACK dsyevr).
+def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
+    """Every eigenvalue of the box operator, ascending, and the
+    eigenvectors of the lowest `vectors` (0 <= vectors <= n) of them.
 
-    The dense matrix is built once and handed to LAPACK as its
-    F-contiguous transpose (equal to it, by symmetry) with overwrite_a, so
-    the solve runs in that buffer without a copy.  With eigenvectors, the
-    residual max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max) must
-    not exceed RESIDUAL_CONTRACT; it is checked on every column."""
-    H = op.matrix.T
-    if want_vectors:
-        evals, evecs = scipy.linalg.eigh(H, overwrite_a=True)
-        del H
-        residual = _checked_residual(op, evals, evecs)
-    else:
-        evals = scipy.linalg.eigh(H, eigvals_only=True, overwrite_a=True)
-        evecs = None
-        residual = 0.0
-    return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=evecs,
-                          residual=residual)
+    The dense matrix is built and handed to LAPACK as its F-contiguous
+    transpose (equal to it, by symmetry), which the solve overwrites
+    without a copy.  With vectors = 0, dsyevr computes the eigenvalues
+    alone (by dsterf, so they can differ in the last bits from those of a
+    vector solve).  Otherwise `_lowest_eigenpairs` runs dsyevr's own steps
+    and back-transforms only a block of the tridiagonal eigenvectors; where
+    dstemr fails, dsyevr itself solves a fresh matrix, as its fallback
+    would.  At one BLAS thread the eigenvalues and the k eigenvectors are
+    bit for bit those of scipy.linalg.eigh (dsyevr, every eigenpair).  The
+    residual max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), the
+    maximum over the returned columns and the normaliser over the whole
+    spectrum, must not exceed RESIDUAL_CONTRACT."""
+    n = op.box.count
+    if isinstance(vectors, bool) or not isinstance(vectors, (int, np.integer)) \
+            or not 0 <= vectors <= n:
+        raise ParameterError(f"vectors must be an integer in [0, {n}], "
+                             f"got {vectors!r}")
+    if not vectors:
+        evals = scipy.linalg.eigh(op.matrix.T, eigvals_only=True,
+                                  overwrite_a=True)
+        return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=None,
+                              residual=0.0)
+    pairs = _lowest_eigenpairs(op.matrix.T, int(vectors))
+    if pairs is None:  # dstemr failed: dsyevr's own fallback
+        evals, evecs = scipy.linalg.eigh(op.matrix.T, overwrite_a=True)
+        pairs = evals, evecs[:, :vectors].copy()
+    evals, evecs = pairs
+    return SpectrumResult(eigenvalues=evals, eigenvectors=evecs,
+                          residual=_checked_residual(op, evals, evecs))
+
+
+def _lowest_eigenpairs(H: np.ndarray, k: int
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every eigenvalue (ascending) and the first k eigenvectors of the
+    symmetric F-contiguous matrix `H`, which this overwrites, by the steps
+    LAPACK's dsyevr takes for all eigenpairs of a lower triangle; None
+    where dstemr fails, as dsyevr then falls back to bisection and inverse
+    iteration.
+
+    1. dsytrd reduces H to tridiagonal form in place, with dsyevr's
+       workspace (its lwork less 5n), which fixes dsytrd's block size;
+    2. dstemr (range 'A') finds every eigenpair of the tridiagonal matrix,
+       into an n x n array Z;
+    3. dormtr('L') back-transforms Z, as dormqr with the n - 1 reflectors
+       below the subdiagonal on rows 1..n-1; here it runs on the first W
+       columns only, with the block size dsyevr's workspace gives dormqr.
+
+    The back-transform of a column depends on the block's width through
+    OpenBLAS's GEMM: the last W mod 12 rows of a product and its
+    small-matrix path round differently.  W = min(n, 256 ceil((k + 16) /
+    256)) reproduced dsyevr's k columns bit for bit on every n (2 to
+    1681) and k (1 to n) tried with scipy's OpenBLAS 0.3.30 at one thread,
+    and W = n is dsyevr's own computation; with more BLAS threads dsyevr's
+    vectors themselves change with the thread count.  Rows 1..n-1 of the
+    block are packed into the front of Z's buffer, so dormqr overwrites
+    them without a copy of the block.  As in dsyevr, n = 1 is a closed
+    form, and H is scaled first when max|H| lies outside [_RMIN, _RMAX].
+    A nonzero info of dsytrd or dormqr raises SolverError."""
+    n = H.shape[0]
+    if n == 1:
+        return H[0].copy(), np.ones((1, 1))
+    anrm = max(float(H.max()), -float(H.min()))
+    sigma = 1.0
+    if 0.0 < anrm < _RMIN:
+        sigma = _RMIN / anrm
+    elif anrm > _RMAX:
+        sigma = _RMAX / anrm
+    if sigma != 1.0:
+        H *= sigma
+    lwork = int(_syevr_lwork(n, lower=1)[0])
+    _, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
+                                overwrite_a=1)
+    _check_info("dsytrd", info)
+    # dstemr reads e[n - 1] as workspace; range 0 is 'A'
+    m, evals, Z, info = _stemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
+    if info or m != n:
+        return None
+    if sigma != 1.0:
+        evals *= 1.0 / sigma
+    width = min(n, 256 * -(-(k + 16) // 256))
+    block = (lwork - 2 * n - _ORMQR_TSIZE) // n
+    ormqr_lwork = block * width + _ORMQR_TSIZE if block >= 2 else width
+    top = Z[0, :k].copy()
+    z = Z.ravel(order="F")
+    for j in range(width):
+        z[j * (n - 1):(j + 1) * (n - 1)] = z[j * n + 1:(j + 1) * n]
+    # reflector j lies in H[j + 2:, j]: the view starting at H[1, 0]
+    reflectors = H.ravel(order="F")[1:1 + n * (n - 1)].reshape(
+        (n, n - 1), order="F")
+    C, _, info = _ormqr("L", "N", reflectors, tau,
+                        z[:(n - 1) * width].reshape((n - 1, width), order="F"),
+                        ormqr_lwork, overwrite_c=1)
+    _check_info("dormqr", info)
+    evecs = np.empty((n, k))
+    evecs[0] = top
+    evecs[1:] = C[:, :k]
+    return evals, evecs
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info:
+        raise SolverError(f"LAPACK {routine} failed with info {info}")
 
 
 def _green_eigenpairs(op: BoxOperator, H: np.ndarray
@@ -105,13 +213,15 @@ def _green_eigenpairs(op: BoxOperator, H: np.ndarray
 
 def _checked_residual(op: BoxOperator, evals: np.ndarray,
                       evecs: np.ndarray) -> float:
-    """max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), from stencil
-    products on RESIDUAL_BLOCK columns at a time; SolverError when it
-    exceeds RESIDUAL_CONTRACT."""
+    """max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max) over the
+    columns v_j of `evecs`, the eigenvectors of the lowest eigenvalues in
+    `evals`, with |lambda|_max over all of `evals`, from stencil products
+    on RESIDUAL_BLOCK columns at a time; SolverError when it exceeds
+    RESIDUAL_CONTRACT."""
     worst = 0.0
-    for j in range(0, len(evals), RESIDUAL_BLOCK):
+    for j in range(0, evecs.shape[1], RESIDUAL_BLOCK):
         V = evecs[:, j:j + RESIDUAL_BLOCK]
-        r = op @ V - V * evals[j:j + RESIDUAL_BLOCK]
+        r = op @ V - V * evals[j:j + V.shape[1]]
         worst = max(worst, float(np.max(np.linalg.norm(r, axis=0))))
     residual = worst / max(1.0, float(np.max(np.abs(evals))))
     if residual > RESIDUAL_CONTRACT:

@@ -1,7 +1,10 @@
-"""Fixtures shared by the test modules: tabulated potentials and the free
-box operator, built from the package's public constructors."""
+"""Fixtures shared by the test modules: tabulated potentials, the free
+box operator, built from the package's public constructors, and a BLAS
+pinned to one thread."""
 
-from alloymsa import BoxOperator, SingleSitePotential, make_box
+from contextlib import contextmanager
+
+from alloymsa import BoxOperator, SingleSitePotential, make_box, mc
 from alloymsa.lattice import free_diagonal, norm_inf
 from alloymsa.tails import truncation_tail
 
@@ -36,3 +39,19 @@ def truncated_exponential_potential(d: int, decay_C: float, decay_alpha: float,
 def free_operator(box) -> BoxOperator:
     """The free box operator: diagonal 2d, checked against the point cap."""
     return BoxOperator(box=box, diagonal=free_diagonal(box))
+
+
+@contextmanager
+def one_blas_thread():
+    """Every OpenBLAS in this process at one thread, restored on exit: the
+    eigenvectors of dsyevr, and so the decay outputs, are bit-reproducible
+    only at a fixed BLAS thread count."""
+    controls = mc._openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)

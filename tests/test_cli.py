@@ -15,6 +15,7 @@ import alloymsa
 from alloymsa import (Configuration, companion_radius, eigensolve,
                       find_leading_index, make_box, mc, restrict_hamiltonian)
 from alloymsa.cli import load_model, main, run_experiment
+from helpers import one_blas_thread
 
 DELTA0_MODEL = {
     "d": 1,
@@ -160,6 +161,10 @@ class TestSingularityKind:
         {"energy_grid": 2.5},
         {"energy_grid": [0.5, math.inf]},
         {"energy_grid": [], "p_hi_max": 0.0},
+        {"energy_grid": [0.5, 0.5, 0.7]},
+        {"energy_grid": [0.0, -0.0]},
+        {"interval": [0.5, 0.5], "energy_grid": 3},
+        {"energy_grid": "x"},
     ])
     def test_bad_params_exit_3_before_any_trial(self, tmp_path, capsys,
                                                 monkeypatch, params):
@@ -264,7 +269,7 @@ class TestDecayKind:
         domain = make_box((0,), 8.0 + u.truncation_radius + 0.25)
         values = model.sample(mc.trial_rng(4, 0), domain.count)
         op = restrict_hamiltonian(u, Configuration(domain, values), box)
-        psi = np.abs(eigensolve(op, want_vectors=True).eigenvectors[:, 0])
+        psi = np.abs(eigensolve(op, vectors=1).eigenvectors[:, 0])
         dist = np.abs(box.points[:, 0] - box.points[int(np.argmax(psi)), 0])
         shells = [(r, psi[dist == r].max()) for r in range(int(dist.max()) + 1)]
         expect = ["dist_inf,log_abs_psi"] + [
@@ -281,6 +286,72 @@ P2_MODEL = {
           "truncation_residual": 0.0},
     "rho": {"uniform": [0.0, 1.0]},
 }
+
+
+# decay.csv and decay_plot.csv of the `decay-vectors` benchmark config at
+# l = 10 (n = 441) with one BLAS thread, as written when every vector solve
+# back-transformed all n eigenvectors (scipy.linalg.eigh)
+DECAY_OUTPUTS = {
+    11: {
+        "decay.csv": (
+            "trial,eigenvector,rate,r2\n"
+            "0,0,-3.6841779516566007,0.9988121440406386\n"
+            "0,1,-3.3932295465623414,0.9989760221957593\n"
+            "0,2,-3.2416530807729615,0.9975247868602412\n"
+            "1,0,-3.497461677063263,0.9983501832990854\n"
+            "1,1,-3.3637756880470344,0.9929703610985386\n"
+            "1,2,-3.3522577462090584,0.9965178465413815\n"),
+        "decay_plot.csv": (
+            "dist_inf,log_abs_psi\n"
+            "0,-0.0005128784213197083\n"
+            "1,-3.7926062292886527\n"
+            "2,-7.216907779216482\n"
+            "3,-11.427735480518725\n"
+            "4,-15.524432011275426\n"
+            "5,-19.08676765465284\n"
+            "6,-22.287643129016296\n"
+            "7,-25.902422395167097\n"
+            "8,-29.230694310428074\n"),
+    },
+    12: {
+        "decay.csv": (
+            "trial,eigenvector,rate,r2\n"
+            "0,0,-3.519358379087721,0.9994569637381215\n"
+            "0,1,-3.2925529918552505,0.9939526447145524\n"
+            "0,2,-3.1648755202371097,0.9976072042116149\n"
+            "1,0,-3.4648230366808264,0.99959745716713\n"
+            "1,1,-3.380705128342857,0.997661314495977\n"
+            "1,2,-3.302012277086454,0.9947280499691331\n"),
+        "decay_plot.csv": (
+            "dist_inf,log_abs_psi\n"
+            "0,-0.0015934368588709112\n"
+            "1,-2.9859012459453687\n"
+            "2,-6.459936458809129\n"
+            "3,-10.336332801230624\n"
+            "4,-13.900484518376418\n"
+            "5,-17.839752294682015\n"
+            "6,-20.663241688595814\n"
+            "7,-24.364302089676208\n"
+            "8,-27.913985824666224\n"
+            "9,-31.307784315269032\n"),
+    },
+}
+
+
+class TestDecayOutputsFrozen:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("seed", sorted(DECAY_OUTPUTS))
+    def test_benchmark_config_bytes(self, tmp_path, seed, threads):
+        cfg = write_config(tmp_path, "d.json", {
+            "model": {**P2_MODEL, "rho": {"uniform": [0.0, 50.0]}},
+            "params": {"l": 10, "n_lowest": 3}, "trials": 2,
+        })
+        with one_blas_thread():
+            assert main(["decay", "--config", str(cfg), "--seed", str(seed),
+                         "--threads", threads,
+                         "--out", str(tmp_path / "o")]) == 0
+        for name, expect in DECAY_OUTPUTS[seed].items():
+            assert (tmp_path / "o" / name).read_text() == expect
 
 
 def neg_tail_model(mass: float, alpha: float = 4.0, radius: int = 6) -> dict:
@@ -508,6 +579,8 @@ class TestRejectedBeforeAnyTrial:
         ("decay", rho_pieces([{"interval": [0.0, 1.0]}]), {"l": 3.0}),
         ("decay", rho_pieces([{"coeffs": [1.0]}]), {"l": 3.0}),
         ("decay", rho_pieces(3), {"l": 3.0}),
+        ("decay", tail_model_with(d="x"), {"l": 3.0}),
+        ("decay", tail_model_with(d=2), {"l": 3.0}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
@@ -527,7 +600,8 @@ class TestRejectedBeforeAnyTrial:
             "decay-u-alpha-0-tail", "decay-u-alpha-negative-tail",
             "decay-u-key-fractional", "decay-u-radius-1.5",
             "decay-u-values-empty", "decay-rho-piece-without-coeffs",
-            "decay-rho-piece-without-interval", "decay-rho-pieces-number"])
+            "decay-rho-piece-without-interval", "decay-rho-pieces-number",
+            "decay-u-d-string", "decay-u-d-disagrees"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)

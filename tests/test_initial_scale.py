@@ -83,7 +83,7 @@ class TestNeumannGap:
 
     def test_kernel_with_constant_vector(self):
         op = free_neumann_operator(make_box((0,), 3.0))
-        res = eigensolve(op, want_vectors=True)
+        res = eigensolve(op, vectors=1)
         assert abs(res.eigenvalues[0]) < 1e-12
         v = res.eigenvectors[:, 0]
         assert np.max(np.abs(v - v[0])) < 1e-9

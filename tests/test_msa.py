@@ -178,6 +178,14 @@ class TestSingularityProbability:
             estimate_singularity_probability(
                 DELTA0, UNIFORM, 2.0, 0.3, (-0.1, 0.1), [], 20, seed=1)
 
+    @pytest.mark.parametrize("interval, grid", [
+        ((-0.1, 0.1), [0.05, 0.0, 0.05]), ((0.0, 0.0), 2)])
+    def test_repeated_energy(self, interval, grid):
+        # the report counts per energy: a repeat would lose a row
+        with pytest.raises(ParameterError, match="repeats an energy"):
+            estimate_singularity_probability(
+                DELTA0, UNIFORM, 2.0, 0.3, interval, grid, 20, seed=1)
+
     def test_deterministic_density(self):
         # near-point-mass coupling: outcome is the same every trial
         from alloymsa.lattice import DisorderModel, PolynomialPiece
@@ -436,7 +444,7 @@ class TestBatchedVerdictsAgainstReference:
         # the same eigensolve as the code under test, and energies whose
         # distance to the spectrum is near delta
         evals = eigensolve(restrict_hamiltonian(u, cfg, box),
-                           want_vectors=True).eigenvalues
+                           vectors=1).eigenvalues
         onto = [evals[p % len(evals)] for p in picks]
         resonant = onto + [E + 0.5 * RESONANCE_GUARD for E in onto] \
             + [E - 0.3 * RESONANCE_GUARD for E in onto]

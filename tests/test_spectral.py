@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
                       eigensolve, make_box, restrict_hamiltonian,
                       uniform_density)
+from alloymsa import spectral
 from alloymsa.errors import FitError, ParameterError, ResonantEnergyError
 from alloymsa.lattice import BoxOperator, neighbor_counts
 from alloymsa.spectral import (RESONANCE_GUARD, GreensPlan,
                                _green_eigenpairs, boundary_greens,
                                greens_column)
-from helpers import exact_potential, free_operator
+from helpers import exact_potential, free_operator, one_blas_thread
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 
@@ -56,7 +58,7 @@ class TestEigensolve:
     def test_residual_contract(self):
         rng = np.random.default_rng(0)
         op = random_operator(rng, l=8.0, w=5.0)
-        res = eigensolve(op, want_vectors=True)
+        res = eigensolve(op, vectors=op.box.count)
         assert res.residual <= 1e-10
         assert np.all(np.diff(res.eigenvalues) >= -1e-12)
 
@@ -69,6 +71,78 @@ class TestEigensolve:
         b = restrict_hamiltonian(DELTA0, Configuration(dom, vals), box)
         assert np.array_equal(eigensolve(a).eigenvalues,
                               eigensolve(b).eigenvalues)
+
+
+def lowest_counts(n):
+    return sorted({1, min(n, 3), min(n, 5), n})
+
+
+class TestLowestEigenvectorsBitwise:
+    """eigensolve(op, vectors=k) runs dsyevr's steps and back-transforms a
+    block of eigenvectors; at one BLAS thread its eigenvalues and k
+    eigenvectors are those of scipy.linalg.eigh, bit for bit."""
+
+    # n = 1, 41, 81, 169, 441, 777
+    @pytest.mark.parametrize("d, l", [(1, 0.5), (1, 20.0), (2, 4.0), (2, 6.0),
+                                      (2, 10.0), (1, 388.0)])
+    def test_box_operator(self, d, l):
+        op = random_operator(np.random.default_rng(int(l) + d), l=l, d=d, w=50.0)
+        n = op.box.count
+        with one_blas_thread():
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            for k in lowest_counts(n):
+                res = eigensolve(op, vectors=k)
+                assert np.array_equal(res.eigenvalues, evals)
+                assert res.eigenvectors.shape == (n, k)
+                assert np.array_equal(res.eigenvectors, evecs[:, :k])
+
+    # sizes no box has (a box has (2 floor(l) + 1)^d sites), on dense
+    # random symmetric matrices; at scale 1e-160, max|A| lies below
+    # dsyevr's RMIN = 2^-485, so it scales A up first
+    @pytest.mark.parametrize("n", [2, 200, 300, 500])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])
+    def test_symmetric_matrix(self, n, scale):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        A = scale * (A + A.T)
+        with one_blas_thread():
+            evals, evecs = scipy.linalg.eigh(A)
+            for k in lowest_counts(n):
+                got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
+                assert np.array_equal(got[0], evals)
+                assert np.array_equal(got[1], evecs[:, :k])
+
+    # max|H| above dsyevr's RMAX ~ 8e76: it scales H down first; on the
+    # last operator dstemr then fails and dsyevr falls back to bisection
+    @pytest.mark.parametrize("d, l, seed", [(1, 20.0, 3), (2, 7.0, 0),
+                                            (2, 10.0, 0)])
+    def test_scaled_box_operator(self, d, l, seed):
+        op = random_operator(np.random.default_rng(seed), l=l, d=d, w=1e80)
+        assert np.max(op.diagonal) > spectral._RMAX
+        with one_blas_thread():
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            res = eigensolve(op, vectors=3)
+        assert np.array_equal(res.eigenvalues, evals)
+        assert np.array_equal(res.eigenvectors, evecs[:, :3])
+
+    def test_dstemr_failure_takes_dsyevr_fallback(self, monkeypatch):
+        real_stemr = spectral._stemr
+
+        def failing(*args, **kwargs):
+            m, w, z, _ = real_stemr(*args, **kwargs)
+            return m, w, z, 22
+
+        op = random_operator(np.random.default_rng(5), l=4.0, d=2, w=50.0)
+        monkeypatch.setattr(spectral, "_stemr", failing)
+        with one_blas_thread():
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            res = eigensolve(op, vectors=5)
+        assert np.array_equal(res.eigenvalues, evals)
+        assert np.array_equal(res.eigenvectors, evecs[:, :5])
+
+    @pytest.mark.parametrize("vectors", [-1, 10, 2.0, True])
+    def test_vector_count_checked(self, vectors):
+        with pytest.raises(ParameterError, match="vectors"):
+            eigensolve(free_operator(make_box((0,), 4.0)), vectors=vectors)
 
 
 class TestCounting:
@@ -272,7 +346,7 @@ class TestDecayFit:
         model = uniform_density(0.0, 50.0)
         cfg = Configuration(dom, model.sample(rng, dom.count))
         op = restrict_hamiltonian(DELTA0, cfg, box)
-        res = eigensolve(op, want_vectors=True)
+        res = eigensolve(op, vectors=1)
         rate, _ = decay_fit(res.eigenvectors[:, 0], box)
         assert rate < -0.2
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, count_eigenvalues_in, eigensolve,
-                      make_box, restrict_hamiltonian)
+                      make_box, restrict_hamiltonian, spectral)
 from alloymsa.errors import ParameterError, SolverError
 from alloymsa.lattice import Box, BoxOperator, neighbor_counts
 from alloymsa.spectral import RESIDUAL_BLOCK
@@ -124,7 +124,7 @@ class TestStencilAgainstDense:
         op, _ = op_rng
         evals, evecs = scipy.linalg.eigh(op.matrix)
         values_only = scipy.linalg.eigh(op.matrix, eigvals_only=True)
-        res = eigensolve(op, want_vectors=True)
+        res = eigensolve(op, vectors=op.box.count)
         assert np.array_equal(res.eigenvalues, evals)
         assert np.array_equal(res.eigenvectors, evecs)
         assert np.array_equal(eigensolve(op).eigenvalues, values_only)
@@ -169,22 +169,22 @@ class TestResidualContract:
     def test_corrupt_last_eigenvector_raises(self, monkeypatch):
         op = free_operator(make_box((0,), 100.0))
         assert op.box.count > RESIDUAL_BLOCK  # the last column is in a later block
-        real_eigh = scipy.linalg.eigh
+        real_ormqr = spectral._ormqr
 
         def corrupt(*args, **kwargs):
-            evals, evecs = real_eigh(*args, **kwargs)
-            evecs[:, -1] = np.roll(evecs[:, -1], 1)
-            return evals, evecs
+            C, work, info = real_ormqr(*args, **kwargs)
+            C[:, -1] = np.roll(C[:, -1], 1)
+            return C, work, info
 
-        monkeypatch.setattr(scipy.linalg, "eigh", corrupt)
+        monkeypatch.setattr(spectral, "_ormqr", corrupt)
         with pytest.raises(SolverError):
-            eigensolve(op, want_vectors=True)
+            eigensolve(op, vectors=op.box.count)
 
     def test_clean_eigenpairs_pass(self):
         box = make_box((0, 0), 8.0)
         op = BoxOperator(box, free_operator(box).diagonal
                          + boundary_shift(box, "neumann"))
-        assert eigensolve(op, want_vectors=True).residual <= 1e-10
+        assert eigensolve(op, vectors=op.box.count).residual <= 1e-10
 
 
 class TestBuildMemory:
