@@ -16,6 +16,6 @@ from .spectral import SpectrumResult, count_eigenvalues_in, decay_fit, eigensolv
 from .initial_scale import (LifshitzParameters, admissible_lengths,
                             large_disorder_probe, lifshitz_probe)
 from .wegner import (WegnerBoundReport, estimate_partial_expectation,
-                     exponent_fit, wegner_bound, wegner_constant_chain)
+                     wegner_bound, wegner_constant_chain)
 
 __version__ = "0.1.0"

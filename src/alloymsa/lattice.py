@@ -35,13 +35,14 @@ DEFAULT_CAPACITY = 20_000
 
 def capacity_cap() -> int:
     """Largest box, in points, that an operator may be built on, checked
-    by `free_diagonal`, where every operator the package builds starts;
-    ALLOYMSA_CAPACITY overrides the default.  One cap serves every path,
-    though their costs differ: a dense solve of spectra and eigenvectors
-    (dsyevr) needs about 2 n^2 doubles, one for the Green's functions
-    (dsyevd, whose workspace holds 1 + 6n + 2n^2 doubles) about 3 n^2, an
-    eigenvalue count O(w^2) doubles at d >= 2 and (w + 1) n doubles of
-    band storage at d = 1."""
+    by `free_diagonal`, where every operator the package builds starts,
+    and so before each dense n x n build (`free_box_matrix`, once per
+    operator solved); ALLOYMSA_CAPACITY overrides the default.  One cap
+    serves every path, though their costs differ: a dense solve of
+    spectra and eigenvectors (dsyevr) needs about 2 n^2 doubles, one for
+    the Green's functions (dsyevd, whose workspace holds 1 + 6n + 2n^2
+    doubles) about 3 n^2, an eigenvalue count O(w^2) doubles at d >= 2
+    and (w + 1) n doubles of band storage at d = 1."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
     if env:
         return int(env)
@@ -485,12 +486,13 @@ class BoxOperator:
     2d plus v.  The off-diagonal entries are implied: -1 on every
     nearest-neighbour bond inside the box, so H is banded with bandwidth
     w = `box.strides[0]`, and block tridiagonal along axis 0: L slices of
-    w sites, coupled by -I.  `op @ X` applies H with one pass per axis;
-    `slice_block()` gives the in-slice part of the diagonal blocks (the
-    eigenvalue counts at d >= 2 use it, O(w^2) memory), `upper_band()`
-    gives LAPACK band storage (counts at w = 1, (w + 1) n doubles), and
-    `matrix` builds the dense n x n reference on demand (vector solves).
-    The diagonal is read-only.
+    w sites, coupled by -I.  `op @ X` applies H with one pass per axis.
+    `upper_band()` gives LAPACK band storage (counts at w = 1, (w + 1) n
+    doubles), and the other forms are read from the band (`_band`, where
+    the bonds are listed): `slice_block()`, the in-slice part of the
+    diagonal blocks (the eigenvalue counts at d >= 2 use it, O(w^2)
+    memory), and `matrix`, the dense n x n reference built on demand
+    (eigensolves and Green's functions).  The diagonal is read-only.
     """
 
     box: Box
@@ -534,41 +536,65 @@ class BoxOperator:
     def slice_block(self) -> np.ndarray:
         """The off-diagonal part of the diagonal blocks of H along axis 0,
         shape (w, w) with w = box.strides[0]: -1 on every bond inside one
-        slice (the axes after the first).  It is the same for every slice:
-        block k of H is diag(diagonal[k w:(k + 1) w]) + slice_block(), and
-        neighbouring slices are coupled by -I."""
+        slice (the axes after the first), read from the band of the first
+        slice alone, so that it takes O(w^2) memory.  It is the same for
+        every slice: block k of H is diag(diagonal[k w:(k + 1) w]) +
+        slice_block(), and neighbouring slices are coupled by -I."""
         box = self.box
-        w = box.strides[0]
-        block = np.zeros((w, w))
-        sites = np.arange(w).reshape(box.shape[1:])
-        for r, s in enumerate(box.strides[1:]):
-            # site j and j - s are neighbours where j is not first on axis r + 1
-            j = sites[(slice(None),) * r + (slice(1, None),)].ravel()
-            block[j, j - s] = -1.0
-            block[j - s, j] = -1.0
-        return block
+        band = _band((1,) + box.shape[1:], box.strides,
+                     np.zeros(box.strides[0]))
+        return _dense(band, box.strides[1:])
 
     def upper_band(self) -> np.ndarray:
         """Upper band storage of H, shape (w + 1, n) with w = box.strides[0]:
         row w holds the diagonal and row w - s the s-th superdiagonal, so
         entry H[i, j] (i <= j) sits at [w + i - j, j]."""
-        box = self.box
-        w = box.strides[0]
-        band = np.zeros((w + 1, box.count))
-        band[w] = self.diagonal
-        for r, s in enumerate(box.strides):
-            # H[j - s, j] = -1 where site j has an axis-r neighbour below it
-            row = band[w - s].reshape(box.shape)
-            row[(slice(None),) * r + (slice(1, None),)] = -1.0
-        return band
+        return _band(self.box.shape, self.box.strides, self.diagonal)
+
+
+def _band(shape: tuple[int, ...], strides: tuple[int, ...],
+          diagonal: np.ndarray) -> np.ndarray:
+    """Upper band storage, shape (w + 1, m) with w = strides[0], of the
+    operator with `diagonal` on the m sites of a box of `shape`, whose
+    axes have the flat `strides`: the box of a `BoxOperator`, or the
+    first slice of one along axis 0 (the same strides).  It is the one
+    place that lists the bonds inside a box; every other form of H
+    (`upper_band`, `slice_block`, `matrix`, `neighbor_counts`) is read
+    from it."""
+    w = strides[0]
+    band = np.zeros((w + 1, len(diagonal)))
+    band[w] = diagonal
+    for r, s in enumerate(strides):
+        # H[j - s, j] = -1 where site j has an axis-r neighbour below it
+        row = band[w - s].reshape(shape)
+        row[(slice(None),) * r + (slice(1, None),)] = -1.0
+    return band
+
+
+def _dense(band: np.ndarray, strides: Iterable[int]) -> np.ndarray:
+    """The symmetric m x m matrix held in the upper band storage `band`,
+    shape (w + 1, m): row w on the diagonal and, for each s in `strides`,
+    row w - s on the s-th super- and subdiagonal, written through strided
+    views of the flat buffer."""
+    w, m = band.shape[0] - 1, band.shape[1]
+    M = np.zeros((m, m))
+    flat = M.reshape(-1)
+    flat[::m + 1] = band[w]
+    for s in strides:
+        entries = band[w - s, s:]
+        flat[s:(m - s) * m:m + 1] = entries  # M[i, i + s]
+        flat[s * m::m + 1] = entries  # M[i + s, i]
+    return M
 
 
 def neighbor_counts(box: Box) -> np.ndarray:
-    pts = box.points
-    counts = np.zeros(len(pts), dtype=float)
-    for r in range(box.dimension):
-        counts += (pts[:, r] > box.lo[r]).astype(float)
-        counts += (pts[:, r] < box.hi[r]).astype(float)
+    """Neighbours of each site inside the box: the nonzero off-diagonal
+    entries in each row of H, counted on its band."""
+    bonds = _band(box.shape, box.strides, np.zeros(box.count)) != 0
+    counts = bonds.sum(axis=0, dtype=float)  # bonds to a site below
+    # strides repeat only on axes of one site, whose rows share a band row
+    for s in set(box.strides):
+        counts[:-s] += bonds[-1 - s, s:]  # bonds to a site above
     return counts
 
 
@@ -583,22 +609,9 @@ def free_diagonal(box: Box) -> np.ndarray:
 
 
 def free_box_matrix(box: Box) -> np.ndarray:
-    """Dense n x n matrix of the free box operator."""
-    diagonal = free_diagonal(box)
-    n = box.count
-    M = np.zeros((n, n))
-    M[np.arange(n), np.arange(n)] = diagonal
-    pts = box.points
-    lo = np.asarray(box.lo)
-    strides = np.asarray(box.strides)
-    flat = (pts - lo) @ strides
-    for r in range(box.dimension):
-        has_up = pts[:, r] < box.hi[r]
-        rows = flat[has_up]
-        cols = rows + box.strides[r]
-        M[rows, cols] = -1.0
-        M[cols, rows] = -1.0
-    return M
+    """Dense n x n matrix of the free box operator, from its band."""
+    return _dense(_band(box.shape, box.strides, free_diagonal(box)),
+                  box.strides)
 
 
 def restrict_hamiltonian(

@@ -10,18 +10,23 @@ this one included.  Share j holds trials j, j + N, j + 2N, ...: this
 process runs share 0, and each of N - 1 children started with `os.fork`
 runs one other share.  A child inherits the worker closure, which is
 never pickled, so estimators may pass nested functions; it writes its
-share's results, pickled, to a pipe and leaves by `os._exit`.  The
-processes split the BLAS threads this one was given
-(OPENBLAS_NUM_THREADS, else one per core): a loaded OpenBLAS is set to
-max(1, threads // N) before the forks and restored after the run,
-because N copies of a multi-threaded OpenBLAS on the same cores spin
-against each other.  Another BLAS keeps the thread count of the
-environment, so set its variable (MKL_NUM_THREADS=1, say) when N > 1.
+share's results, pickled, to a pipe and leaves by `os._exit`.
+
+Every process runs its trials with one BLAS thread: each loaded OpenBLAS
+is set to one thread for the whole run, at every `threads` (1
+included), and set back to the caller's counts afterwards.  The
+rounding of a multi-threaded BLAS depends on its thread count (dsyevr's
+eigenvectors do), so a fixed count is what keeps the results of a
+config and seed the same at every `threads`; and N copies of a
+multi-threaded OpenBLAS on the same cores spin against each other.
+Another BLAS keeps the thread count of the environment, so set its
+variable (MKL_NUM_THREADS=1, say).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -54,16 +59,20 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
     """(get_num_threads, set_num_threads) of every OpenBLAS mapped into
     this process, under the symbol names of the plain, numpy and scipy
-    builds; empty where /proc/self/maps does not exist."""
+    builds; empty where /proc/self/maps does not exist.  Looked up once
+    per process, since reading the maps takes about a millisecond: the
+    package imports numpy and scipy, which map their OpenBLAS, before
+    any trial runs."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split()[-1] for line in maps
                             if "openblas" in line})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -76,7 +85,7 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
                 put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
                 if get is not None and put is not None:
                     controls.append((get, put))
-    return controls
+    return tuple(controls)
 
 
 # (results of a share's trials in order, (trial, error) of its first
@@ -136,21 +145,23 @@ def run_trials(
 
     With `threads` > 1, N = min(threads, n_trials) processes share the
     trials, this one and N - 1 forked children (see the module docstring);
-    results and errors cross the pipes pickled.  The error the serial loop
+    results and errors cross the pipes pickled.  Every OpenBLAS runs at
+    one thread until this returns or raises.  The error the serial loop
     would raise, that of the lowest failing trial, reaches the caller; a
     child that exits without sending its results (most likely killed for
     memory) raises CapacityError.  Every child is reaped before this
     returns or raises.
     """
     shares = min(resolve_threads(threads), n_trials)
-    if shares <= 1:
-        return [worker(i, trial_rng(master_seed, i)) for i in range(n_trials)]
     blas = _openblas_thread_controls()
     blas_threads = [get() for get, _ in blas]
-    for (_, put), n in zip(blas, blas_threads):
-        put(max(1, n // shares))
+    for _, put in blas:
+        put(1)
     children: list[tuple[int, BinaryIO]] = []  # until reaped
     try:
+        if shares <= 1:
+            return [worker(i, trial_rng(master_seed, i))
+                    for i in range(n_trials)]
         for j in range(1, shares):
             children.append(_fork_share(worker, master_seed,
                                         range(j, n_trials, shares)))

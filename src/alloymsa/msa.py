@@ -21,8 +21,7 @@ from .genfun import LeadingIndexData
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
                       make_box, restrict_hamiltonian)
 from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
-from .spectral import (BoundaryGreens, GreensPlan, boundary_greens,
-                       checked_interval)
+from .spectral import BoundaryGreens, boundary_greens, checked_interval
 from .tails import decay_tail_constant
 from .wegner import chain_formula
 
@@ -153,12 +152,11 @@ def estimate_singularity_probability(
     `energy_grid` is a number K >= 1 of equally spaced energies on the
     closed `interval`, or an explicit non-empty list of finite energies.
     l, m and the grid are checked before any trial.  What no trial
-    changes is built once per call: the enlarged domain (checked), the
-    perturbation radius, the `GreensPlan` of the box (its dense free
-    matrix, source and boundary indices), the energy array and e^{-m l}.
-    A trial then samples the couplings on the enlarged domain, forms the
-    diagonal of its zeroed-exterior box operator, and makes one dsyevd
-    solve and one matrix product (`GreensPlan.boundary_greens`) for the
+    changes is computed once per call: the enlarged domain (checked), the
+    perturbation radius, the energy array and e^{-m l}.  A trial then
+    samples the couplings on the enlarged domain, forms the diagonal of
+    its zeroed-exterior box operator, and calls `spectral.boundary_greens`
+    (one dense build, one dsyevd solve and one matrix product) for the
     whole grid, to which it applies the rules of
     `uniform_regularity_verdicts`.
 
@@ -174,14 +172,13 @@ def estimate_singularity_probability(
     enlarged = make_box((0,) * d, 4 * l)
     check_enlarged_domain(enlarged, box)
     delta = perturbation_radius(u, model, l)
-    plan = GreensPlan.on(box, box.center)
     energies = np.asarray(grid, dtype=float)
     threshold = math.exp(-m * l)
 
     def worker(_i: int, rng: np.random.Generator):
         cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
         op = restrict_hamiltonian(u, cfg, box)
-        _, regular = _regularity(plan.boundary_greens(op, energies),
+        _, regular = _regularity(boundary_greens(op, box.center, energies),
                                  threshold, delta)
         return ~regular
 

@@ -35,13 +35,12 @@ L = n / w slices); none of the counts forms an n x n array.
   with a workspace that takes a solve from about 2n^2 to about 3n^2
   doubles: G(E) = V diag(1/(lambda - E)) V^T is the same for every
   orthonormal basis of a cluster, so the solver changes no result beyond
-  rounding.  `boundary_greens` answers a grid of K energies with one
-  eigendecomposition and one matrix product: G(E_k; source, w) for every
+  rounding.  `boundary_greens` is the one implementation of the boundary
+  Green's functions: it answers a grid of K energies with one
+  eigendecomposition and one matrix product, G(E_k; source, w) for every
   interior-boundary site w from V[boundary] (V[source, :, None] /
-  (lambda[:, None] - E[None, :])).  A `GreensPlan` holds what that product
-  needs of the box alone (the dense free matrix, the source and boundary
-  indices), so a Monte-Carlo probe builds it once and each realization
-  costs one solve plus O(n K) array work."""
+  (lambda[:, None] - E[None, :])), so a Monte-Carlo realization costs one
+  dense build from the band, one solve and O(n K) array work."""
 
 from __future__ import annotations
 
@@ -52,7 +51,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FitError, ParameterError, ResonantEnergyError, SolverError
-from .lattice import Box, BoxOperator, Point, free_box_matrix
+from .lattice import Box, BoxOperator, Point
 
 RESONANCE_GUARD = 1e-12
 # shells whose max |psi| is not above this are left out of decay fits
@@ -377,54 +376,19 @@ class BoundaryGreens:
     resonant: np.ndarray
 
 
-@dataclass(frozen=True)
-class GreensPlan:
-    """What the boundary Green's functions of every operator on one box
-    share: `free`, the dense free matrix (read-only), the flat index of the
-    source and those of the interior boundary.  Built once per box and
-    source by `on`; `boundary_greens` then answers one operator."""
-
-    box: Box
-    free: np.ndarray
-    source: int
-    boundary: np.ndarray
-
-    @staticmethod
-    def on(box: Box, source: Point) -> "GreensPlan":
-        free = free_box_matrix(box)
-        free.flags.writeable = False
-        return GreensPlan(box, free, box.index_of(tuple(source)),
-                          box.interior_boundary_indices)
-
-    def boundary_greens(self, op: BoxOperator, energies: np.ndarray
-                        ) -> BoundaryGreens:
-        """|G(E_k; source, w)| for every interior-boundary site w and every
-        energy E_k of the float array `energies`, from one dsyevd solve of
-        op's matrix (the free matrix copied, its diagonal written) and one
-        matrix product: V[boundary] (V[source, :, None] /
-        (lambda[:, None] - E[None, :]))."""
-        if op.box != self.box:
-            raise ParameterError(f"operator box {op.box} is not the plan's {self.box}")
-        H = self.free.copy()
-        np.fill_diagonal(H, op.diagonal)
-        # the transpose, equal to H by symmetry, is the F-contiguous buffer
-        evals, V = _green_eigenpairs(op, H.T)
-        gaps = evals[:, None] - energies[None, :]
-        distance = np.min(np.abs(gaps), axis=0)
-        resonant = distance < RESONANCE_GUARD
-        gaps[:, resonant] = np.inf
-        coefficients = V[self.source][:, None] / gaps
-        green = V[self.boundary] @ coefficients
-        return BoundaryGreens(np.abs(green), distance, resonant)
-
-
 def boundary_greens(op: BoxOperator, source: Point, energies) -> BoundaryGreens:
     """|G(E_k; source, w)| for every interior-boundary site w and every
-    energy E_k, from one dsyevd solve and one matrix product; see
-    `GreensPlan.boundary_greens`, which a caller with many operators on
-    one box uses directly."""
-    return GreensPlan.on(op.box, source).boundary_greens(
-        op, np.asarray(energies, dtype=float))
+    energy E_k, from one dsyevd solve of op's matrix and one matrix
+    product: V[boundary] (V[source, :, None] / (lambda[:, None] -
+    E[None, :]))."""
+    evals, V = _green_eigenpairs(op, op.matrix.T)
+    gaps = evals[:, None] - np.asarray(energies, dtype=float)[None, :]
+    distance = np.min(np.abs(gaps), axis=0)
+    resonant = distance < RESONANCE_GUARD
+    gaps[:, resonant] = np.inf
+    coefficients = V[op.box.index_of(tuple(source))][:, None] / gaps
+    green = V[op.box.interior_boundary_indices] @ coefficients
+    return BoundaryGreens(np.abs(green), distance, resonant)
 
 
 def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:

@@ -150,15 +150,3 @@ def wegner_bound(
         bv_norm=bv,
         bound=0.5 * bv * (e2 - e1) * chain,
     )
-
-
-def exponent_fit(results, d: int) -> tuple[float, float]:
-    """Volume exponent: slope of log(mean) against log(2l+1), divided by d."""
-    if len(results) < 3:
-        raise ParameterError("need at least 3 scales for the exponent fit")
-    ls = np.array([r[0] for r in results], dtype=float)
-    means = np.array([r[1] for r in results], dtype=float)
-    if np.any(means <= 0):
-        raise ParameterError("zero empirical means: exponent fit undefined")
-    slope, intercept = np.polyfit(np.log(2 * ls + 1), np.log(means), 1)
-    return float(slope) / d, float(intercept)

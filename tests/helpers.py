@@ -1,6 +1,6 @@
 """Fixtures shared by the test modules: tabulated potentials, the free
 box operator, built from the package's public constructors, and a BLAS
-pinned to one thread."""
+pinned to a thread count."""
 
 from contextlib import contextmanager
 
@@ -42,14 +42,14 @@ def free_operator(box) -> BoxOperator:
 
 
 @contextmanager
-def one_blas_thread():
-    """Every OpenBLAS in this process at one thread, restored on exit: the
+def blas_threads(n: int):
+    """Every OpenBLAS in this process at n threads, restored on exit: the
     eigenvectors of dsyevr, and so the decay outputs, are bit-reproducible
     only at a fixed BLAS thread count."""
     controls = mc._openblas_thread_controls()
     saved = [get() for get, _ in controls]
     for _, put in controls:
-        put(1)
+        put(n)
     try:
         yield
     finally:

@@ -15,7 +15,7 @@ import alloymsa
 from alloymsa import (Configuration, companion_radius, eigensolve,
                       find_leading_index, make_box, mc, restrict_hamiltonian)
 from alloymsa.cli import load_model, main, run_experiment
-from helpers import one_blas_thread
+from helpers import blas_threads
 
 DELTA0_MODEL = {
     "d": 1,
@@ -342,11 +342,20 @@ class TestDecayOutputsFrozen:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("seed", sorted(DECAY_OUTPUTS))
     def test_benchmark_config_bytes(self, tmp_path, seed, threads):
+        self.assert_frozen(tmp_path, seed, threads, caller_blas_threads=1)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bytes_with_caller_blas_at_two_threads(self, tmp_path, threads):
+        # the trial runner pins BLAS to one thread itself, at every --threads
+        self.assert_frozen(tmp_path, 11, threads, caller_blas_threads=2)
+
+    @staticmethod
+    def assert_frozen(tmp_path, seed, threads, caller_blas_threads):
         cfg = write_config(tmp_path, "d.json", {
             "model": {**P2_MODEL, "rho": {"uniform": [0.0, 50.0]}},
             "params": {"l": 10, "n_lowest": 3}, "trials": 2,
         })
-        with one_blas_thread():
+        with blas_threads(caller_blas_threads):
             assert main(["decay", "--config", str(cfg), "--seed", str(seed),
                          "--threads", threads,
                          "--out", str(tmp_path / "o")]) == 0

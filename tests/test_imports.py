@@ -7,11 +7,12 @@ package or a test module imports must be used there: a name bound by
 `__init__.py` is skipped, since its imports are the package's re-exports.
 The library holds what the CLI runs: every public top-level function or
 class must be reachable from `cli.py` or allowed, with its reason, in
-`ALLOWED_UNREACHED`, which keeps only the names the benchmark hooks and
-the names a planned CLI kind is to reach.  Test oracles and fixtures live
-in `tests/`.  Every package attribute that the benchmark's
-`perfbench/child.py` hooks by name must exist.  Every field of a
-dataclass in the package must be read somewhere in `src/` or `tests/`.
+`ALLOWED_UNREACHED`, which keeps only the names the benchmark hooks: a
+name kept for a planned CLI kind comes back with that kind.  Test
+oracles and fixtures live in `tests/`.  Every package attribute that the
+benchmark's `perfbench/child.py` hooks by name must exist.  Every field
+of a dataclass in the package must be read somewhere in `src/` or
+`tests/`.
 """
 
 import ast
@@ -60,11 +61,10 @@ def test_no_unused_imports(path):
 
 
 # Public names that no CLI kind reaches, each kept for the reason given.
+PERFBENCH_HOOK = "perfbench/child.py hooks it by name at --trace 1"
 ALLOWED_UNREACHED = {
-    "greens_column": "perfbench/child.py hooks it by name at --trace 1",
-    "uniform_regularity_test":
-        "perfbench/child.py hooks it by name at --trace 1",
-    "exponent_fit": "reserved for the Wegner scale sweep (ROADMAP item 3)",
+    "greens_column": PERFBENCH_HOOK,
+    "uniform_regularity_test": PERFBENCH_HOOK,
 }
 
 
@@ -135,6 +135,9 @@ def test_public_names_reach_the_cli_or_are_allowed():
     sources = {path.stem: path.read_text() for path in MODULES}
     unexplained = unreached_public(sources, "cli", kept=ALLOWED_UNREACHED)
     assert unexplained == {}
+    # the benchmark's hooks are the only reason to keep an unreached name
+    assert [name for name, reason in ALLOWED_UNREACHED.items()
+            if reason != PERFBENCH_HOOK] == []
     # a name the CLI reaches, or that is gone, leaves the allow-list
     unreached = unreached_public(sources, "cli")
     assert [name for name in ALLOWED_UNREACHED if name not in unreached] == []

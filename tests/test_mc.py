@@ -9,6 +9,7 @@ import pytest
 
 from alloymsa import mc
 from alloymsa.errors import CapacityError, ParameterError
+from helpers import blas_threads
 
 
 def float_worker(i, rng):
@@ -98,11 +99,15 @@ class TestRunTrials:
         assert_all_children_reaped()
 
     def test_worker_processes_split_openblas_threads(self):
+        # every process runs its trials at one BLAS thread, at every thread
+        # count; the caller's counts come back afterwards
         def worker(i, rng):
-            time.sleep(0.05)
             return [get() for get, _ in mc._openblas_thread_controls()]
 
-        before = [get() for get, _ in mc._openblas_thread_controls()]
-        seen = mc.run_trials(4, worker, 0, threads=2)
-        assert seen == [[max(1, n // 2) for n in before]] * 4
-        assert [get() for get, _ in mc._openblas_thread_controls()] == before
+        controls = mc._openblas_thread_controls()
+        assert controls and mc._openblas_thread_controls() is controls
+        with blas_threads(2):
+            for threads in (1, 2):
+                seen = mc.run_trials(4, worker, 0, threads=threads)
+                assert seen == [[1] * len(controls)] * 4
+                assert [get() for get, _ in controls] == [2] * len(controls)

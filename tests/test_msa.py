@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, SingleSitePotential, eigensolve,
-                      find_leading_index, lattice, make_box, mc,
+                      find_leading_index, lattice, make_box, mc, msa,
                       perturbation_radius, restrict_hamiltonian,
                       scale_schedule, spectral, uniform_density,
                       validate_parameters)
@@ -343,35 +343,34 @@ class TestSingularityEstimatorReusesSpectrum:
 
     def test_one_green_product_per_trial(self, monkeypatch):
         grids = []
-        boundary_greens = spectral.GreensPlan.boundary_greens
+        boundary_greens = msa.boundary_greens
 
-        def counting_boundary_greens(plan, op, energies):
+        def counting_boundary_greens(op, source, energies):
             grids.append(len(energies))
-            return boundary_greens(plan, op, energies)
+            return boundary_greens(op, source, energies)
 
-        monkeypatch.setattr(spectral.GreensPlan, "boundary_greens",
-                            counting_boundary_greens)
+        monkeypatch.setattr(msa, "boundary_greens", counting_boundary_greens)
         monkeypatch.setattr(spectral, "greens_column", pytest.fail)
         trials = 5
         estimate_singularity_probability(EXP_TAIL, UNIFORM, 3.0, 0.2,
                                          (0.5, 2.5), 21, trials, seed=43)
         assert grids == [21] * trials
 
-    def test_one_free_matrix_per_call(self, monkeypatch):
-        # the trials copy one dense free matrix; none builds its own
+    def test_one_free_matrix_per_trial(self, monkeypatch):
+        # each trial builds the dense matrix of its own operator, once
         boxes = []
-        free_box_matrix = spectral.free_box_matrix
+        free_box_matrix = lattice.free_box_matrix
 
         def counting_free_box_matrix(box):
             boxes.append(box)
             return free_box_matrix(box)
 
-        monkeypatch.setattr(spectral, "free_box_matrix",
+        monkeypatch.setattr(lattice, "free_box_matrix",
                             counting_free_box_matrix)
-        monkeypatch.setattr(lattice, "free_box_matrix", pytest.fail)
+        trials = 6
         estimate_singularity_probability(P2_TAIL, UNIFORM, 2.0, 0.2,
-                                         (0.5, 2.5), 21, 6, seed=44)
-        assert boxes == [make_box((0, 0), 2.0)]
+                                         (0.5, 2.5), 21, trials, seed=44)
+        assert boxes == [make_box((0, 0), 2.0)] * trials
 
 
 # potentials with and without exterior influence on the box, d = 1 and 2

@@ -14,10 +14,9 @@ from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
 from alloymsa import spectral
 from alloymsa.errors import FitError, ParameterError, ResonantEnergyError
 from alloymsa.lattice import BoxOperator, neighbor_counts
-from alloymsa.spectral import (RESONANCE_GUARD, GreensPlan,
-                               _green_eigenpairs, boundary_greens,
-                               greens_column)
-from helpers import exact_potential, free_operator, one_blas_thread
+from alloymsa.spectral import (RESONANCE_GUARD, _green_eigenpairs,
+                               boundary_greens, greens_column)
+from helpers import blas_threads, exact_potential, free_operator
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 
@@ -88,7 +87,7 @@ class TestLowestEigenvectorsBitwise:
     def test_box_operator(self, d, l):
         op = random_operator(np.random.default_rng(int(l) + d), l=l, d=d, w=50.0)
         n = op.box.count
-        with one_blas_thread():
+        with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
             for k in lowest_counts(n):
                 res = eigensolve(op, vectors=k)
@@ -104,7 +103,7 @@ class TestLowestEigenvectorsBitwise:
     def test_symmetric_matrix(self, n, scale):
         A = np.random.default_rng(n).standard_normal((n, n))
         A = scale * (A + A.T)
-        with one_blas_thread():
+        with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(A)
             for k in lowest_counts(n):
                 got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
@@ -118,7 +117,7 @@ class TestLowestEigenvectorsBitwise:
     def test_scaled_box_operator(self, d, l, seed):
         op = random_operator(np.random.default_rng(seed), l=l, d=d, w=1e80)
         assert np.max(op.diagonal) > spectral._RMAX
-        with one_blas_thread():
+        with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
             res = eigensolve(op, vectors=3)
         assert np.array_equal(res.eigenvalues, evals)
@@ -133,7 +132,7 @@ class TestLowestEigenvectorsBitwise:
 
         op = random_operator(np.random.default_rng(5), l=4.0, d=2, w=50.0)
         monkeypatch.setattr(spectral, "_stemr", failing)
-        with one_blas_thread():
+        with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
             res = eigensolve(op, vectors=5)
         assert np.array_equal(res.eigenvalues, evals)
@@ -289,12 +288,6 @@ class TestGreensFunction:
             assert np.linalg.norm(col - expect) <= 1e-9 * scale
             assert np.linalg.norm(green.magnitude[:, k]
                                   - np.abs(expect[boundary])) <= 1e-9 * scale
-
-    def test_plan_answers_only_its_box(self):
-        plan = GreensPlan.on(make_box((0, 0), 2.0), (0, 0))
-        with pytest.raises(ParameterError, match="not the plan's"):
-            plan.boundary_greens(free_operator(make_box((1, 0), 2.0)),
-                                 np.array([0.5]))
 
     def test_boundary_grid_empty(self):
         op = free_operator(make_box((0, 0), 2.0))

@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alloymsa import (Configuration, estimate_partial_expectation, mc,
-                      exponent_fit, find_leading_index, make_box,
+from alloymsa import (Configuration, eigensolve, estimate_partial_expectation,
+                      find_leading_index, make_box, mc, restrict_hamiltonian,
                       uniform_density, wegner_bound, wegner_constant_chain)
 from alloymsa.errors import ParameterError
 from alloymsa.genfun import companion_radius
@@ -17,6 +19,11 @@ from helpers import exact_potential
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
+# finite-support potentials with their leading index I0 and c_u
+P2 = exact_potential({(0, 0): 1.0, (1, 0): -0.6, (0, 1): -0.3,
+                      (1, 1): 0.05}, 2.0, 1.0)
+DIPOLE_2D = exact_potential({(0, 0): 1.0, (1, 0): -1.0}, 2.8, 1.0)
+MECHANISM = {"P2": (P2, (0, 0), 0.15), "dipole": (DIPOLE_2D, (1, 0), 1.0)}
 
 
 class TestConstantChain:
@@ -63,6 +70,32 @@ class TestConstantChain:
             * (2 * math.floor(R) + 1) ** 2
         assert chain_formula(u, lead, L) == pytest.approx(expect, rel=1e-12)
 
+
+
+class TestShiftAlongLeadingMonomial:
+    # the proof's mechanism in operator form: for finite-support u and
+    # Gamma = Lambda_R with R >= l + r, sum_{k in Gamma} k^{I0} u(x - k) =
+    # c_u at every x in Lambda_l, so adding s k^{I0} to every coupling k
+    # in Gamma moves every eigenvalue of h^l by s c_u
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(MECHANISM)), l=st.integers(1, 4),
+           extra=st.integers(0, 2), s=st.floats(-1.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_eigenvalue_moves_by_s_c_u(self, name, l, extra, s, seed):
+        u, I0, c_u = MECHANISM[name]
+        lead = find_leading_index(u)
+        assert lead.leading == I0 and lead.c_u == pytest.approx(c_u)
+        gamma = make_box((0, 0), l + u.truncation_radius + extra)
+        # couplings outside Gamma are drawn too, and stay frozen
+        domain = make_box((0, 0), gamma.half_side + 2.0)
+        couplings = np.random.default_rng(seed).uniform(0.0, 1.0, domain.count)
+        shift = s * np.prod(domain.points ** np.asarray(I0), axis=1) \
+            * gamma.contains_points(domain.points)
+        box = make_box((0, 0), l)
+        before, after = (eigensolve(restrict_hamiltonian(
+            u, Configuration(domain, w), box)).eigenvalues
+            for w in (couplings, couplings + shift))
+        assert np.max(np.abs(after - before - s * lead.c_u)) <= 1e-10
 
 
 class TestAbsMonomialBoxSum:
@@ -189,23 +222,3 @@ class TestBound:
                 PAIR, lead, UNIFORM, l, (1.9, 2.1), ext, 200, seed=14)
             rep = wegner_bound(PAIR, lead, UNIFORM, l, (1.9, 2.1))
             assert mean - 3 * stderr <= rep.bound
-
-
-class TestExponentFit:
-    def test_volume_linear(self):
-        data = [(l, 0.37 * (2 * l + 1) ** 1) for l in (2, 4, 6, 8, 10)]
-        b, _ = exponent_fit(data, d=1)
-        assert b == pytest.approx(1.0, abs=0.05)
-
-    def test_volume_squared(self):
-        data = [(l, 0.11 * (2 * l + 1) ** 2) for l in (2, 4, 6, 8, 10)]
-        b, _ = exponent_fit(data, d=1)
-        assert b == pytest.approx(2.0, abs=0.05)
-
-    def test_too_few_scales(self):
-        with pytest.raises(ParameterError):
-            exponent_fit([(2, 1.0), (4, 2.0)], d=1)
-
-    def test_zero_means(self):
-        with pytest.raises(ParameterError):
-            exponent_fit([(2, 0.0), (4, 1.0), (6, 2.0)], d=1)
