@@ -126,10 +126,14 @@ class Box:
 
     def index_of(self, point: Point) -> int:
         """Flat index of a lattice point of the box."""
-        pts = np.asarray([point])
-        if pts.shape != (1, self.dimension) or not self.contains_points(pts)[0]:
+        if len(point) != self.dimension:
             raise ParameterError(f"point {point} not in box")
-        return int(self.flat_indices(pts)[0])
+        index = 0
+        for c, lo, hi, stride in zip(point, self.lo, self.hi, self.strides):
+            if not lo <= c <= hi:
+                raise ParameterError(f"point {point} not in box")
+            index += (c - lo) * stride
+        return int(index)
 
     @cached_property
     def interior_boundary(self) -> np.ndarray:

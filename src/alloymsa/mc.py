@@ -12,15 +12,15 @@ runs one other share.  A child inherits the worker closure, which is
 never pickled, so estimators may pass nested functions; it writes its
 share's results, pickled, to a pipe and leaves by `os._exit`.
 
-Every process runs its trials with one BLAS thread: each loaded OpenBLAS
-is set to one thread for the whole run, at every `threads` (1
-included), and set back to the caller's counts afterwards.  The
-rounding of a multi-threaded BLAS depends on its thread count (dsyevr's
-eigenvectors do), so a fixed count is what keeps the results of a
-config and seed the same at every `threads`; and N copies of a
-multi-threaded OpenBLAS on the same cores spin against each other.
-Another BLAS keeps the thread count of the environment, so set its
-variable (MKL_NUM_THREADS=1, say).
+Every process runs its trials with one BLAS thread: the OpenBLAS of
+numpy and that of scipy are set to one thread for the whole run, at
+every `threads` (1 included), and set back to the caller's counts
+afterwards.  The rounding of a multi-threaded BLAS depends on its
+thread count (dsyevr's eigenvectors do), so a fixed count is what keeps
+the results of a config and seed the same at every `threads`; and N
+copies of a multi-threaded OpenBLAS on the same cores spin against each
+other.  Another BLAS keeps the thread count of the environment, so set
+its variable (MKL_NUM_THREADS=1, say).
 """
 
 from __future__ import annotations
@@ -61,22 +61,18 @@ def resolve_threads(threads: int | None) -> int:
 
 @functools.cache
 def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
-    """(get_num_threads, set_num_threads) of every OpenBLAS mapped into
-    this process, under the symbol names of the plain, numpy and scipy
-    builds; empty where /proc/self/maps does not exist.  Looked up once
-    per process, since reading the maps takes about a millisecond: the
-    package imports numpy and scipy, which map their OpenBLAS, before
-    any trial runs."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
+    """(get_num_threads, set_num_threads) of the OpenBLAS that numpy and
+    that scipy link, under the symbol names of the plain, numpy and scipy
+    builds; one pair per library.  Each is looked up by dlsym through the
+    extension module that links it (numpy's _multiarray_umath, scipy's
+    cython_blas), since dlsym searches a module's dependencies too.  Both
+    modules are loaded with the package, before any trial runs."""
+    from numpy._core import _multiarray_umath
+    from scipy.linalg import cython_blas
+    controls = {}
+    for module in (_multiarray_umath, cython_blas):
         try:
-            lib = ctypes.CDLL(path)
+            lib = ctypes.CDLL(module.__file__)
         except OSError:
             continue
         for prefix in ("openblas", "scipy_openblas"):
@@ -84,8 +80,8 @@ def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
                 get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
                 put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
                 if get is not None and put is not None:
-                    controls.append((get, put))
-    return tuple(controls)
+                    controls[ctypes.cast(get, ctypes.c_void_p).value] = get, put
+    return tuple(controls.values())
 
 
 # (results of a share's trials in order, (trial, error) of its first

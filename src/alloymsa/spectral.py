@@ -24,12 +24,16 @@ L = n / w slices); none of the counts forms an n x n array.
   the lowest few eigenvectors one by one (`decay` fits each), follows the
   relatively robust representations solver (dsyevr, scipy's default): the
   basis it picks inside a cluster of close eigenvalues fixes the
-  published decay rates.  A values-only solve calls dsyevr itself.  A solve for the lowest
-  k eigenvectors runs dsyevr's own steps (dsytrd, dstemr, then the
-  back-transform dormtr as dormqr) and back-transforms only a block of W
-  of dstemr's n tridiagonal eigenvectors, W = min(n, 256 ceil((k + 16) /
-  256)): 256 of 1681 columns for `decay`'s benchmark box and k = 3.  With
-  one BLAS thread the k vectors are bit for bit dsyevr's (see
+  published decay rates.  A values-only solve calls dsyevr itself.  A
+  solve for the lowest k eigenvectors runs dsyevr's own steps: dsytrd,
+  then dstemr's (dlarrr, dlarre, dlarrv, called through the function
+  pointers of scipy's Cython LAPACK API), then the back-transform dormtr
+  as dormqr.  dlarrv (MRRR, Dhillon & Parlett 2004) computes only a
+  leading block of the tridiagonal eigenvectors, up to a singleton of its
+  representation tree past the first W, and dormqr back-transforms W of
+  them, W = min(n, 256 ceil((k + 16) / 256)): for `decay`'s benchmark box
+  and k = 3, about 260 of 1681 vectors and 256 columns.  With one BLAS
+  thread the k eigenpairs are bit for bit dsyevr's (see
   `eigensolve`).  The Green's functions use the divide-and-conquer solver
   (dsyevd, Gu & Eisenstat 1995), faster at every box size the probes run,
   with a workspace that takes a solve from about 2n^2 to about 3n^2
@@ -44,11 +48,13 @@ L = n / w slices); none of the counts forms an n x n array.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .errors import FitError, ParameterError, ResonantEnergyError, SolverError
 from .lattice import Box, BoxOperator, Point
@@ -73,17 +79,53 @@ _syevr_lwork = scipy.linalg.lapack.dsyevr_lwork
 # dsyevr scales a matrix with max|H| outside [RMIN, RMAX] into it before
 # the reduction, and its eigenvalues back by 1 / sigma afterwards
 _SAFMIN = float(scipy.linalg.lapack.dlamch("S"))
-_SMLNUM = _SAFMIN / float(scipy.linalg.lapack.dlamch("P"))
+_EPS = float(scipy.linalg.lapack.dlamch("P"))
+_SMLNUM = _SAFMIN / _EPS
 _RMIN = math.sqrt(_SMLNUM)
 _RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(_SAFMIN)))
 # dormqr's workspace for its block reflector T (LDT * NBMAX = 65 * 64)
 _ORMQR_TSIZE = 4160
+# dstemr's parameters of dlarre and dlarrv when it computes vectors: the
+# bisection tolerances, the splitting threshold (-eps: split on absolute
+# size, as without relative accuracy) and the relative gap that separates
+# clusters in the representation tree
+_RTOL1 = math.sqrt(_EPS)
+_RTOL2 = max(math.sqrt(_EPS) * 5e-3, 4.0 * _EPS)
+_MINRGP = 1e-3
+# largest max(|d|, |e|) of a tridiagonal matrix whose eigenvectors are
+# computed for a leading block only; a larger one runs dstemr whole
+_MRRR_MAX_NORM = 1e10
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _capsule_routine(name: str):
+    """LAPACK routine `name` from the function pointers of scipy's Cython
+    LAPACK API, the library scipy.linalg.lapack calls; it takes every
+    argument as a pointer, its count read from the capsule's C signature."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    arguments = [ctypes.c_void_p] * (signature.count(b",") + 1)
+    return ctypes.CFUNCTYPE(None, *arguments)(
+        _capsule_pointer(capsule, signature))
+
+
+_larrr = _capsule_routine("dlarrr")
+_larre = _capsule_routine("dlarre")
+_larrv = _capsule_routine("dlarrv")
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full spectrum, ascending; the lowest eigenvectors as the columns of
-    an orthonormal n x k matrix, or None for a values-only solve."""
+    """The spectrum, ascending, and the lowest eigenvectors as the columns
+    of an orthonormal n x k matrix.  A values-only solve holds every
+    eigenvalue and no vectors; a solve for k vectors holds the k
+    eigenvalues they belong to."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
@@ -91,21 +133,24 @@ class SpectrumResult:
 
 
 def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
-    """Every eigenvalue of the box operator, ascending, and the
-    eigenvectors of the lowest `vectors` (0 <= vectors <= n) of them.
+    """Every eigenvalue of the box operator, ascending, for vectors = 0;
+    the lowest k = `vectors` (1 <= k <= n) eigenvalues and their
+    eigenvectors otherwise.
 
     The dense matrix is built and handed to LAPACK as its F-contiguous
     transpose (equal to it, by symmetry), which the solve overwrites
     without a copy.  With vectors = 0, dsyevr computes the eigenvalues
     alone (by dsterf, so they can differ in the last bits from those of a
-    vector solve).  Otherwise `_lowest_eigenpairs` runs dsyevr's own steps
-    and back-transforms only a block of the tridiagonal eigenvectors; where
-    dstemr fails, dsyevr itself solves a fresh matrix, as its fallback
-    would.  At one BLAS thread the eigenvalues and the k eigenvectors are
-    bit for bit those of scipy.linalg.eigh (dsyevr, every eigenpair).  The
-    residual max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), the
-    maximum over the returned columns and the normaliser over the whole
-    spectrum, must not exceed RESIDUAL_CONTRACT."""
+    vector solve).  Otherwise `_lowest_eigenpairs` runs dsyevr's own steps,
+    computes the tridiagonal eigenvectors of a leading block only and
+    back-transforms W of them; where dstemr fails, dsyevr itself solves a
+    fresh matrix, as its fallback would.  At one BLAS thread the k
+    eigenvalues and eigenvectors are bit for bit those of
+    scipy.linalg.eigh (dsyevr, every eigenpair); ask for k = n to get the
+    whole spectrum of a vector solve.  The residual
+    max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), the maximum over
+    the returned columns and |lambda|_max over the whole spectrum, must not
+    exceed RESIDUAL_CONTRACT."""
     n = op.box.count
     if isinstance(vectors, bool) or not isinstance(vectors, (int, np.integer)) \
             or not 0 <= vectors <= n:
@@ -116,45 +161,53 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
                                   overwrite_a=True)
         return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=None,
                               residual=0.0)
-    pairs = _lowest_eigenpairs(op.matrix.T, int(vectors))
-    if pairs is None:  # dstemr failed: dsyevr's own fallback
+    found = _lowest_eigenpairs(op.matrix.T, int(vectors))
+    if found is None:  # dstemr failed: dsyevr's own fallback
         evals, evecs = scipy.linalg.eigh(op.matrix.T, overwrite_a=True)
-        pairs = evals, evecs[:, :vectors].copy()
-    evals, evecs = pairs
+        found = (evals[:vectors].copy(), evecs[:, :vectors].copy(),
+                 max(-evals[0], evals[-1]))
+    evals, evecs, radius = found
     return SpectrumResult(eigenvalues=evals, eigenvectors=evecs,
-                          residual=_checked_residual(op, evals, evecs))
+                          residual=_checked_residual(op, evals, evecs, radius))
 
 
 def _lowest_eigenpairs(H: np.ndarray, k: int
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every eigenvalue (ascending) and the first k eigenvectors of the
-    symmetric F-contiguous matrix `H`, which this overwrites, by the steps
-    LAPACK's dsyevr takes for all eigenpairs of a lower triangle; None
-    where dstemr fails, as dsyevr then falls back to bisection and inverse
-    iteration.
+                       ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The k lowest eigenvalues, their eigenvectors and the spectral radius
+    max |lambda| of the symmetric F-contiguous matrix `H`, which this
+    overwrites, by the steps LAPACK's dsyevr takes for all eigenpairs of a
+    lower triangle; None where dstemr fails, as dsyevr then falls back to
+    bisection and inverse iteration.
 
     1. dsytrd reduces H to tridiagonal form in place, with dsyevr's
        workspace (its lwork less 5n), which fixes dsytrd's block size;
-    2. dstemr (range 'A') finds every eigenpair of the tridiagonal matrix,
-       into an n x n array Z;
-    3. dormtr('L') back-transforms Z, as dormqr with the n - 1 reflectors
-       below the subdiagonal on rows 1..n-1; here it runs on the first W
-       columns only, with the block size dsyevr's workspace gives dormqr.
+    2. `_leading_tridiagonal_pairs` runs dstemr's steps for the
+       tridiagonal eigenvectors of a leading block that holds the first W;
+       where dstemr takes another route, dstemr itself (range 'A') finds
+       all n into an n x n array;
+    3. dormtr('L') back-transforms the first W of them, as dormqr with
+       the n - 1 reflectors below the subdiagonal on rows 1..n-1, with the
+       block size dsyevr's workspace gives dormqr.
 
     The back-transform of a column depends on the block's width through
     OpenBLAS's GEMM: the last W mod 12 rows of a product and its
     small-matrix path round differently.  W = min(n, 256 ceil((k + 16) /
-    256)) reproduced dsyevr's k columns bit for bit on every n (2 to
-    1681) and k (1 to n) tried with scipy's OpenBLAS 0.3.30 at one thread,
-    and W = n is dsyevr's own computation; with more BLAS threads dsyevr's
-    vectors themselves change with the thread count.  Rows 1..n-1 of the
-    block are packed into the front of Z's buffer, so dormqr overwrites
-    them without a copy of the block.  As in dsyevr, n = 1 is a closed
-    form, and H is scaled first when max|H| lies outside [_RMIN, _RMAX].
-    A nonzero info of dsytrd or dormqr raises SolverError."""
+    256)) reproduced dsyevr's k columns bit for bit with scipy's OpenBLAS
+    0.3.30 at one thread on the n from 2 to 1681 and the k tried, except
+    W = 256 at n from 267 to about 395, where the last bits of some
+    columns of dense random matrices (and of a 3-d box operator at
+    k >= 112) differ; W = n is dsyevr's own computation.  With more BLAS
+    threads dsyevr's vectors themselves change with the thread count.
+    Rows 1..n-1 of the block are packed into the front of its buffer, so
+    dormqr overwrites them without a copy.  As in dsyevr, n = 1 is a
+    closed form, and H is scaled first when max|H| lies outside
+    [_RMIN, _RMAX].  The radius, which only the normaliser of the residual
+    check reads, comes from dlarre's eigenvalues where the eigenvalues
+    past the leading block are never refined.  A nonzero info of dsytrd
+    or dormqr raises SolverError."""
     n = H.shape[0]
     if n == 1:
-        return H[0].copy(), np.ones((1, 1))
+        return H[0].copy(), np.ones((1, 1)), abs(float(H[0, 0]))
     anrm = max(float(H.max()), -float(H.min()))
     sigma = 1.0
     if 0.0 < anrm < _RMIN:
@@ -167,13 +220,17 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     _, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
                                 overwrite_a=1)
     _check_info("dsytrd", info)
-    # dstemr reads e[n - 1] as workspace; range 0 is 'A'
-    m, evals, Z, info = _stemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
-    if info or m != n:
-        return None
-    if sigma != 1.0:
-        evals *= 1.0 / sigma
+    # dstemr reads e[n - 1] as workspace
+    e = np.append(e, 0.0)
     width = min(n, 256 * -(-(k + 16) // 256))
+    found = _leading_tridiagonal_pairs(d, e, width)
+    if found is None:  # range 0 is 'A'
+        m, evals, Z, info = _stemr(d, e, 0, 0.0, 0.0, 0, 0)
+        if info or m != n:
+            return None
+        found = evals, Z, max(-evals[0], evals[-1])
+    evals, Z, radius = found
+    evals = evals[:k] * (1.0 / sigma)
     block = (lwork - 2 * n - _ORMQR_TSIZE) // n
     ormqr_lwork = block * width + _ORMQR_TSIZE if block >= 2 else width
     top = Z[0, :k].copy()
@@ -190,7 +247,95 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     evecs = np.empty((n, k))
     evecs[0] = top
     evecs[1:] = C[:, :k]
-    return evals, evecs
+    return evals, evecs, radius / sigma
+
+
+def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
+                               ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """dstemr's eigenvalues and eigenvectors of the symmetric tridiagonal
+    matrix with diagonal `d` and subdiagonal e[:n - 1], bit for bit, for
+    its first m >= `width` eigenpairs (m > `width` where m < n), and its
+    spectral radius; None where dstemr would take another route, or a step
+    fails.  `d` and `e` are left as they are.
+
+    dstemr (range 'A', with vectors) solves n <= 2 in closed form (dlaev2)
+    and scales a matrix with max(|d|, |e|) outside [_RMIN, _RMAX].  Then it
+    1. asks dlarrr whether the matrix warrants relatively accurate
+       eigenvalues (scipy's wrapper passes TRYRAC); if so it splits on
+       relative size and refines the eigenvalues by dlarrj;
+    2. has dlarre split the matrix, pick a root representation
+       L D L^T = T - sigma I and find every eigenvalue of it by dqds (in e
+       comes back L, with sigma in e[n - 1]); it sorts across blocks when
+       there is more than one;
+    3. has dlarrv compute the eigenvectors down the representation tree,
+       whose root has a child boundary after eigenvalue j where the gap
+       to j + 1 is at least _MINRGP |lambda_j - sigma|.
+    This runs 1-3 and returns None on every other route: n <= 2, a
+    relatively accurate matrix, a split, max(|d|, |e|) outside
+    [_RMIN, _MRRR_MAX_NORM].
+
+    dlarrv's own index range DOL:DOU (some of its M vectors) turns off its
+    Rayleigh-quotient correction and changes its tolerance, which moves
+    the last bits of the vectors.  Instead it gets only the first m
+    eigenvalues, as if the spectrum ended there, m - 1 the first root
+    singleton at or past `width` (counting from 1).  A root child is
+    computed from its own eigenvalues and gaps and those of its two
+    neighbours, so every vector up to the singleton m - 1 comes out as in
+    the full run; vector m, now the last, has its right gap forced small.
+    A spectrum with no such singleton runs whole.  Only the first m
+    columns of Z are allocated.  A failure of dlarrv past m goes unseen,
+    where dsyevr would fall back to bisection; dstemr failed on about a
+    third of the random symmetric matrices tried with max(|d|, |e|) of
+    2.5e13 and more and on none of 160 up to 7.6e12, hence the cap."""
+    n = d.size
+    if n <= 2:
+        return None
+    tnrm = max(float(np.max(np.abs(d))), float(np.max(np.abs(e[:-1]))))
+    if not _RMIN <= tnrm <= _MRRR_MAX_NORM:
+        return None
+    d, e = d.copy(), e.copy()
+    ref = ctypes.byref
+    n_, info = ctypes.c_int(n), ctypes.c_int(0)
+    _larrr(ref(n_), d.ctypes.data, e.ctypes.data, ref(info))
+    if info.value == 0:
+        return None
+    e2 = np.zeros(n)
+    np.square(e[:-1], out=e2[:-1])
+    vl, vu, pivmin = ctypes.c_double(), ctypes.c_double(), ctypes.c_double()
+    rtol1, rtol2 = ctypes.c_double(_RTOL1), ctypes.c_double(_RTOL2)
+    thresh, minrgp = ctypes.c_double(-_EPS), ctypes.c_double(_MINRGP)
+    nsplit, m, zero = ctypes.c_int(), ctypes.c_int(), ctypes.c_int(0)
+    isplit, iblock, indexw = (np.zeros(n, np.intc) for _ in range(3))
+    w, werr, wgap = (np.zeros(n) for _ in range(3))
+    gers, work = np.zeros(2 * n), np.zeros(12 * n)
+    iwork = np.zeros(7 * n, np.intc)
+    _larre(b"A", ref(n_), ref(vl), ref(vu), ref(zero), ref(zero),
+           d.ctypes.data, e.ctypes.data, e2.ctypes.data, ref(rtol1),
+           ref(rtol2), ref(thresh), ref(nsplit), isplit.ctypes.data, ref(m),
+           w.ctypes.data, werr.ctypes.data, wgap.ctypes.data,
+           iblock.ctypes.data, indexw.ctypes.data, gers.ctypes.data,
+           ref(pivmin), work.ctypes.data, iwork.ctypes.data, ref(info))
+    if info.value or nsplit.value != 1 or m.value != n:
+        return None
+    # the root shift sits in e[n - 1], the eigenvalues ascend
+    radius = max(-(w[0] + e[-1]), w[-1] + e[-1])
+    boundary = wgap[:-1] >= _MINRGP * np.abs(w[:-1])
+    singleton = boundary & np.append(True, boundary[:-1])
+    after = np.flatnonzero(singleton[width - 1:])
+    m.value = width + 1 + int(after[0]) if after.size else n
+    Z = np.empty((n, m.value), order="F")
+    isuppz = np.empty(2 * n, np.intc)
+    first = ctypes.c_int(1)
+    # DOL:DOU = 1:m, all of the m eigenvalues it is given
+    _larrv(ref(n_), ref(vl), ref(vu), d.ctypes.data, e.ctypes.data,
+           ref(pivmin), isplit.ctypes.data, ref(m), ref(first), ref(m),
+           ref(minrgp), ref(rtol1), ref(rtol2), w.ctypes.data,
+           werr.ctypes.data, wgap.ctypes.data, iblock.ctypes.data,
+           indexw.ctypes.data, gers.ctypes.data, Z.ctypes.data, ref(n_),
+           isuppz.ctypes.data, work.ctypes.data, iwork.ctypes.data, ref(info))
+    if info.value:
+        return None
+    return w[:m.value], Z, radius
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -206,23 +351,23 @@ def _green_eigenpairs(op: BoxOperator, H: np.ndarray
     the solve overwrites.  The residual contract of `eigensolve` is checked
     on every column."""
     evals, evecs = scipy.linalg.eigh(H, overwrite_a=True, driver="evd")
-    _checked_residual(op, evals, evecs)
+    _checked_residual(op, evals, evecs, max(-evals[0], evals[-1]))
     return evals, evecs
 
 
 def _checked_residual(op: BoxOperator, evals: np.ndarray,
-                      evecs: np.ndarray) -> float:
-    """max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max) over the
-    columns v_j of `evecs`, the eigenvectors of the lowest eigenvalues in
-    `evals`, with |lambda|_max over all of `evals`, from stencil products
-    on RESIDUAL_BLOCK columns at a time; SolverError when it exceeds
-    RESIDUAL_CONTRACT."""
+                      evecs: np.ndarray, radius: float) -> float:
+    """max_j ||H v_j - lambda_j v_j|| / max(1, radius) over the columns v_j
+    of `evecs`, the eigenvectors of the first eigenvalues in `evals`, with
+    `radius` the largest |lambda| of the whole spectrum, from stencil
+    products on RESIDUAL_BLOCK columns at a time; SolverError when it
+    exceeds RESIDUAL_CONTRACT."""
     worst = 0.0
     for j in range(0, evecs.shape[1], RESIDUAL_BLOCK):
         V = evecs[:, j:j + RESIDUAL_BLOCK]
         r = op @ V - V * evals[j:j + V.shape[1]]
         worst = max(worst, float(np.max(np.linalg.norm(r, axis=0))))
-    residual = worst / max(1.0, float(np.max(np.abs(evals))))
+    residual = worst / max(1.0, float(radius))
     if residual > RESIDUAL_CONTRACT:
         raise SolverError(f"eigensolver residual {residual:.3e} exceeds 1e-10")
     return residual
@@ -393,11 +538,10 @@ def boundary_greens(op: BoxOperator, source: Point, energies) -> BoundaryGreens:
 
 def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:
     """r -> max |psi(x)| over the sites x of `box` with ||x - center||_inf = r."""
-    radii = np.max(np.abs(box.points - np.asarray(center)), axis=1)
-    shells: dict[int, float] = {}
-    for r, a in zip(radii, np.abs(psi)):
-        shells[int(r)] = max(shells.get(int(r), 0.0), float(a))
-    return shells
+    radii = np.max(np.abs(box.points - np.asarray(center)), axis=1).astype(int)
+    shells = np.zeros(int(radii.max()) + 1)
+    np.maximum.at(shells, radii, np.abs(psi))
+    return {int(r): float(shells[r]) for r in np.unique(radii)}
 
 
 def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None

@@ -65,6 +65,21 @@ class TestMakeBox:
         expect = [order.index(tuple(p)) for p in box.interior_boundary]
         assert box.interior_boundary_indices.tolist() == expect
 
+    @pytest.mark.parametrize("center, half", [((3,), 2.5), ((1, -2), 2.0),
+                                              ((0, 2, -1), 1.5)])
+    def test_index_of_matches_flat_indices(self, center, half):
+        box = make_box(center, half)
+        flat = box.flat_indices(box.points)
+        assert [box.index_of(tuple(p)) for p in box.points] == flat.tolist()
+        assert [box.index_of(tuple(int(c) for c in p))
+                for p in box.points] == list(range(box.count))
+
+    @pytest.mark.parametrize("point", [(2, 0), (-2, -1), (0, 3), (0,),
+                                       (0, 0, 0)])
+    def test_index_of_rejects(self, point):
+        with pytest.raises(ParameterError, match="not in box"):
+            make_box((0, 0), 1.0).index_of(point)
+
 
 class TestSampleConfiguration:
     def test_support_containment(self):

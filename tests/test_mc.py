@@ -1,5 +1,6 @@
 """mc: seeding, trial order and the forked shares."""
 
+import ctypes
 import os
 import signal
 import time
@@ -97,6 +98,25 @@ class TestRunTrials:
         with pytest.raises(CapacityError, match="died"):
             mc.run_trials(6, worker, 0, threads=3)
         assert_all_children_reaped()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs the process's memory maps")
+    def test_openblas_controls_cover_every_mapped_openblas(self):
+        # the oracle: every OpenBLAS file mapped into this process, and
+        # the thread controls each exports
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+        mapped = set()
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for prefix in ("openblas", "scipy_openblas"):
+                for suffix in ("", "64_"):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                    if get is not None:
+                        mapped.add(ctypes.cast(get, ctypes.c_void_p).value)
+        found = {ctypes.cast(get, ctypes.c_void_p).value
+                 for get, _ in mc._openblas_thread_controls()}
+        assert found == mapped and found
 
     def test_worker_processes_split_openblas_threads(self):
         # every process runs its trials at one BLAS thread, at every thread

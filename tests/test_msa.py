@@ -442,8 +442,8 @@ class TestBatchedVerdictsAgainstReference:
         # energies on an eigenvalue and within RESONANCE_GUARD of one, from
         # the same eigensolve as the code under test, and energies whose
         # distance to the spectrum is near delta
-        evals = eigensolve(restrict_hamiltonian(u, cfg, box),
-                           vectors=1).eigenvalues
+        op = restrict_hamiltonian(u, cfg, box)
+        evals = eigensolve(op, vectors=op.box.count).eigenvalues
         onto = [evals[p % len(evals)] for p in picks]
         resonant = onto + [E + 0.5 * RESONANCE_GUARD for E in onto] \
             + [E - 0.3 * RESONANCE_GUARD for E in onto]

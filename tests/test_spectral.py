@@ -1,6 +1,7 @@
 """spectral: eigensolves, counting, Green's functions, decay fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestEigensolve:
                               eigensolve(b).eigenvalues)
 
 
+def decay_box_operator(l=10.0):
+    """A d = 2 box operator with the `decay` benchmark's disorder,
+    uniform on [0, 50]: no relative-accuracy refinement, no split, and
+    at the default l = 10 (n = 441) a block of 257 of its n vectors."""
+    return random_operator(np.random.default_rng(2), l=l, d=2, w=50.0)
+
+
 def lowest_counts(n):
     return sorted({1, min(n, 3), min(n, 5), n})
 
@@ -91,7 +99,7 @@ class TestLowestEigenvectorsBitwise:
             evals, evecs = scipy.linalg.eigh(op.matrix)
             for k in lowest_counts(n):
                 res = eigensolve(op, vectors=k)
-                assert np.array_equal(res.eigenvalues, evals)
+                assert np.array_equal(res.eigenvalues, evals[:k])
                 assert res.eigenvectors.shape == (n, k)
                 assert np.array_equal(res.eigenvectors, evecs[:, :k])
 
@@ -107,7 +115,7 @@ class TestLowestEigenvectorsBitwise:
             evals, evecs = scipy.linalg.eigh(A)
             for k in lowest_counts(n):
                 got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
-                assert np.array_equal(got[0], evals)
+                assert np.array_equal(got[0], evals[:k])
                 assert np.array_equal(got[1], evecs[:, :k])
 
     # max|H| above dsyevr's RMAX ~ 8e76: it scales H down first; on the
@@ -120,23 +128,94 @@ class TestLowestEigenvectorsBitwise:
         with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
             res = eigensolve(op, vectors=3)
-        assert np.array_equal(res.eigenvalues, evals)
+        assert np.array_equal(res.eigenvalues, evals[:3])
         assert np.array_equal(res.eigenvectors, evecs[:, :3])
 
-    def test_dstemr_failure_takes_dsyevr_fallback(self, monkeypatch):
-        real_stemr = spectral._stemr
+    # a failing dlarre or dlarrv hands the solve to dstemr itself; where
+    # that fails too, dsyevr solves a fresh matrix (its bisection fallback)
+    @pytest.mark.parametrize("routine", ["_larre", "_larrv"])
+    @pytest.mark.parametrize("stemr_fails", [False, True])
+    def test_failure_falls_back(self, monkeypatch, routine, stemr_fails):
+        real_routine, real_stemr = getattr(spectral, routine), spectral._stemr
+        stemr_calls = []
 
-        def failing(*args, **kwargs):
-            m, w, z, _ = real_stemr(*args, **kwargs)
-            return m, w, z, 22
+        def failing_routine(*args):
+            real_routine(*args)
+            args[-1]._obj.value = 2  # info, passed by reference
 
-        op = random_operator(np.random.default_rng(5), l=4.0, d=2, w=50.0)
-        monkeypatch.setattr(spectral, "_stemr", failing)
+        def stemr(*args, **kwargs):
+            m, w, z, info = real_stemr(*args, **kwargs)
+            stemr_calls.append(info)
+            return m, w, z, 22 if stemr_fails else info
+
+        op = decay_box_operator()
+        monkeypatch.setattr(spectral, routine, failing_routine)
+        monkeypatch.setattr(spectral, "_stemr", stemr)
         with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
             res = eigensolve(op, vectors=5)
-        assert np.array_equal(res.eigenvalues, evals)
+        assert stemr_calls == [0]
+        assert np.array_equal(res.eigenvalues, evals[:5])
         assert np.array_equal(res.eigenvectors, evecs[:, :5])
+
+    # dstemr's other routes, each left to dstemr itself: n = 2 (its
+    # closed form), a tridiagonal matrix that splits (a block-diagonal
+    # matrix reduces to one, and dstemr sorts across the blocks), and one
+    # that warrants relatively accurate eigenvalues (a graded diagonal,
+    # refined by dlarrj)
+    @pytest.mark.parametrize("case", ["n2", "split", "relative"])
+    def test_dstemr_routes(self, monkeypatch, case):
+        rng = np.random.default_rng(4)
+        if case == "n2":
+            A = rng.standard_normal((2, 2))
+        elif case == "split":
+            A = scipy.linalg.block_diag(rng.standard_normal((150, 150)),
+                                        rng.standard_normal((140, 140)))
+        else:
+            A = np.diag(10.0 ** np.linspace(0.0, 12.0, 290)) + \
+                np.diag(rng.uniform(0.1, 0.5, 289), 1)
+        A = A + A.T
+        real_stemr, stemr_calls = spectral._stemr, []
+
+        def stemr(*args, **kwargs):
+            stemr_calls.append(args[0].size)
+            return real_stemr(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_stemr", stemr)
+        n = A.shape[0]
+        with blas_threads(1):
+            evals, evecs = scipy.linalg.eigh(A)
+            for k in lowest_counts(n):
+                got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
+                assert np.array_equal(got[0], evals[:k])
+                assert np.array_equal(got[1], evecs[:, :k])
+        assert stemr_calls == [n] * len(lowest_counts(n))
+
+    def test_main_route_skips_dstemr(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_stemr", None)
+        op = decay_box_operator()
+        with blas_threads(1):
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            for k in lowest_counts(op.box.count):
+                res = eigensolve(op, vectors=k)
+                assert np.array_equal(res.eigenvalues, evals[:k])
+                assert np.array_equal(res.eigenvectors, evecs[:, :k])
+                assert res.residual <= 1e-10
+
+    def test_vector_solve_memory(self):
+        # n = 961 > W = 256: the solve holds the n x n matrix, and of the
+        # tridiagonal eigenvectors only a leading block (dstemr's n x n
+        # array took the peak past 2 n^2 doubles)
+        op = decay_box_operator(l=15.0)
+        n = op.box.count
+        eigensolve(op, vectors=3)
+        tracemalloc.start()
+        try:
+            eigensolve(op, vectors=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     @pytest.mark.parametrize("vectors", [-1, 10, 2.0, True])
     def test_vector_count_checked(self, vectors):
@@ -309,6 +388,34 @@ class TestGreensFunction:
         a = eigensolve(op).eigenvalues
         b = eigensolve(shifted).eigenvalues
         assert np.max(np.abs(a - b)) <= s + 1e-12
+
+
+def shell_maxima_loop(psi, box, center):
+    """The oracle: one site at a time, the running max per radius."""
+    radii = np.max(np.abs(box.points - np.asarray(center)), axis=1)
+    shells = {}
+    for r, a in zip(radii, np.abs(psi)):
+        shells[int(r)] = max(shells.get(int(r), 0.0), float(a))
+    return shells
+
+
+class TestShellMaxima:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), half=st.floats(0.5, 4.5),
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0),
+           levels=st.integers(1, 4))
+    def test_matches_site_loop(self, d, half, seed, zeros, levels):
+        # few distinct magnitudes of both signs give ties within a shell,
+        # and a share of exact zeros gives shells whose max is 0
+        box = make_box((0,) * d, half)
+        rng = np.random.default_rng(seed)
+        psi = rng.choice(np.linspace(-1.0, 1.0, 2 * levels + 1), box.count)
+        psi[rng.random(box.count) < zeros] = 0.0
+        center = tuple(int(c) for c in box.points[rng.integers(box.count)])
+        got = spectral.shell_maxima(psi, box, center)
+        assert got == shell_maxima_loop(psi, box, center)
+        assert all(type(r) is int and type(v) is float
+                   for r, v in got.items())
 
 
 class TestDecayFit:
