@@ -478,6 +478,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
+    if not isinstance(config, dict):
+        print("error: config must be a JSON object, got "
+              f"{type(config).__name__}", file=sys.stderr)
+        return 3
     config["kind"] = args.kind
     if args.seed is not None:
         config["seed"] = args.seed

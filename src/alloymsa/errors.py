@@ -42,10 +42,6 @@ class GeometryError(ParameterError):
 class ScheduleError(AlloyMSAError):
     """Scale recursion violated one of its asserted bounds."""
 
-    def __init__(self, message, failing_k=None):
-        super().__init__(message)
-        self.failing_k = failing_k
-
 
 class FitError(AlloyMSAError):
     """Too little usable data for a least-squares fit."""

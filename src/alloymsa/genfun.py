@@ -23,6 +23,9 @@ from .tails import decay_tail_constant, poly_exp_axis_sums
 
 MultiIndex = tuple[int, ...]
 
+# the largest shell ||I||_1 the leading-index search scans
+SHELL_CAP = 12
+
 
 def shell_indices(d: int, total: int) -> Iterator[MultiIndex]:
     """All multi-indices with ||I||_1 = total, lexicographic order."""
@@ -125,9 +128,9 @@ def genfun_derivative(u: SingleSitePotential, I: MultiIndex) -> tuple[float, flo
 def find_leading_index(
     u: SingleSitePotential,
     zero_tolerance: float | None = None,
-    shell_cap: int = 12,
 ) -> LeadingIndexData:
-    """Scan shells ||I||_1 = 0, 1, ... for the first certified-nonzero derivative.
+    """Scan shells ||I||_1 = 0, 1, ..., SHELL_CAP for the first
+    certified-nonzero derivative; AnalysisFailure when there is none.
 
     Smaller-shell derivatives must all be zero within tolerance; ties inside
     a shell break lexicographically.  Derivatives with
@@ -143,7 +146,7 @@ def find_leading_index(
         raise ParameterError("zero_tolerance must be finite and nonnegative, "
                              f"got {zero_tolerance!r}")
     table: dict[MultiIndex, tuple[float, float]] = {}
-    for total in range(shell_cap + 1):
+    for total in range(SHELL_CAP + 1):
         hit = None
         for I in shell_indices(d, total):
             value, err = genfun_derivative(u, I)
@@ -158,7 +161,7 @@ def find_leading_index(
                 zero_tolerance=zero_tolerance,
             )
     raise AnalysisFailure(
-        f"no certified-nonzero derivative up to shell {shell_cap}; "
+        f"no certified-nonzero derivative up to shell {SHELL_CAP}; "
         f"largest |value|-to-bound ratio "
         f"{max((abs(v) / (e + zero_tolerance) for v, e in table.values()), default=0):.3e}"
     )

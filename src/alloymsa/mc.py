@@ -5,12 +5,13 @@ so trial i always sees the same random stream no matter which process
 runs it, and results are returned in trial order.  That makes every
 experiment byte-identical across reruns and process counts.
 
-`threads=N > 1` runs the trials in N = min(threads, trials) processes,
-this one included.  Share j holds trials j, j + N, j + 2N, ...: this
-process runs share 0, and each of N - 1 children started with `os.fork`
-runs one other share.  A child inherits the worker closure, which is
-never pickled, so estimators may pass nested functions; it writes its
-share's results, pickled, to a pipe and leaves by `os._exit`.
+The trials run in N = max(1, min(threads, trials)) processes, this one
+included.  Share j holds trials j, j + N, j + 2N, ...: this process runs
+share 0, and each of N - 1 children started with `os.fork` runs one
+other share; with N = 1 there is no child, and share 0 is the serial
+loop.  A child inherits the worker closure, which is never pickled, so
+estimators may pass nested functions; it writes its share's results,
+pickled, to a pipe and leaves by `os._exit`.
 
 Every process runs its trials with one BLAS thread: the OpenBLAS of
 numpy and that of scipy are set to one thread for the whole run, at
@@ -139,25 +140,22 @@ def run_trials(
 ) -> list[T]:
     """Run `worker(i, rng_i)` for i = 0..n_trials-1, results in trial order.
 
-    With `threads` > 1, N = min(threads, n_trials) processes share the
-    trials, this one and N - 1 forked children (see the module docstring);
-    results and errors cross the pipes pickled.  Every OpenBLAS runs at
-    one thread until this returns or raises.  The error the serial loop
-    would raise, that of the lowest failing trial, reaches the caller; a
-    child that exits without sending its results (most likely killed for
-    memory) raises CapacityError.  Every child is reaped before this
-    returns or raises.
+    N = max(1, min(threads, n_trials)) processes share the trials, this one
+    and N - 1 forked children (see the module docstring); results and
+    errors cross the pipes pickled.  Every OpenBLAS runs at one thread
+    until this returns or raises.  The error the serial loop would raise,
+    that of the lowest failing trial, reaches the caller; a child that
+    exits without sending its results (most likely killed for memory)
+    raises CapacityError.  Every child is reaped before this returns or
+    raises.
     """
-    shares = min(resolve_threads(threads), n_trials)
+    shares = max(1, min(resolve_threads(threads), n_trials))
     blas = _openblas_thread_controls()
     blas_threads = [get() for get, _ in blas]
     for _, put in blas:
         put(1)
     children: list[tuple[int, BinaryIO]] = []  # until reaped
     try:
-        if shares <= 1:
-            return [worker(i, trial_rng(master_seed, i))
-                    for i in range(n_trials)]
         for j in range(1, shares):
             children.append(_fork_share(worker, master_seed,
                                         range(j, n_trials, shares)))

@@ -2,6 +2,9 @@
 (all-exterior) certification, event probability estimators, and the
 deterministic parameter/scale recursion.
 
+`uniform_regularity_verdicts` is the one implementation of the
+(m, E)-regularity rules, and the singularity estimator runs it per trial.
+
 Parameter conventions: xi > 2d, kappa in (1, 2xi/(xi+2d)), beta in
 (2-kappa, 1), scales l_{k+1} = l_k^kappa, masses
 m_{k+1} = m_k (1 - l_{k+1}^{-(1-beta)/kappa}) - l_{k+1}^{-(1-beta)/kappa},
@@ -16,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .errors import ParameterError, ScheduleError
+from .errors import CapacityError, ParameterError, ScheduleError
 from .genfun import LeadingIndexData
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
-                      make_box, restrict_hamiltonian)
+                      capacity_cap, make_box, restrict_hamiltonian)
 from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
-from .spectral import BoundaryGreens, boundary_greens, checked_interval
+from .spectral import boundary_greens, checked_interval
 from .tails import decay_tail_constant
 from .wegner import chain_formula
 
@@ -31,28 +34,6 @@ CERTIFIED_IRREGULAR = "certified_irregular"
 
 # ---------------------------------------------------------------------------
 # deterministic predicates
-
-
-def _regularity(green: BoundaryGreens, threshold: float, delta: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The rules of `uniform_regularity_verdicts`, per energy of `green`,
-    with threshold = e^{-m l}: (irregular, certified regular).
-
-    Irregular: resonant, or |G(E; center, w)| > threshold for some
-    interior-boundary site w.  Certified regular: not irregular, and
-    either delta = 0 or the bracket holds: delta < d and |G| + delta/d^2/
-    (1 - delta/d) <= threshold at every w, with d = d(E, spectrum)."""
-    irregular = green.resonant | np.any(green.magnitude > threshold, axis=0)
-    if delta == 0.0:
-        # every completion restricts to the same operator on the box
-        return irregular, ~irregular
-    # a resonant energy may have d = 0; it is irregular, so its slack is unused
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_norm = 1.0 / green.distance
-        slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
-    bracketed = (delta < green.distance) & \
-        ~np.any(green.magnitude + slack > threshold, axis=0)
-    return irregular, ~irregular & bracketed
 
 
 def uniform_regularity_verdicts(
@@ -69,13 +50,18 @@ def uniform_regularity_verdicts(
     `energies`; returns one verdict string per energy.
 
     `config` holds the couplings on Lambda_{4l}(center) (checked), zero
-    outside: its operator on `box` is the zeroed-exterior one.  If it is
-    irregular, the cube is certainly not uniformly regular when the zeroed
-    exterior is an admissible completion (0 in supp rho) or when no
-    exterior coupling reaches the box (delta = 0); otherwise the verdict
-    is indeterminate.  If it is regular, a first-order resolvent bracket
-    (radius delta from the perturbation radius) either certifies all
-    completions or stays indeterminate (see `_regularity`).
+    outside: its operator on `box` is the zeroed-exterior one.  It is
+    irregular at E when E is resonant or |G(E; center, w)| > e^{-m l} for
+    some interior-boundary site w.  If it is irregular, the cube is
+    certainly not uniformly regular when the zeroed exterior is an
+    admissible completion (0 in supp rho) or when no exterior coupling
+    reaches the box (delta = 0); otherwise the verdict is indeterminate.
+    If it is regular, delta = 0 certifies it, as every completion then
+    restricts to the same operator on the box.  Otherwise a first-order
+    resolvent bracket of radius delta (the perturbation radius, computed
+    here unless given) certifies every completion when delta < d and
+    |G| + delta/d^2/(1 - delta/d) <= e^{-m l} at every w, with
+    d = d(E, spectrum); where it fails the verdict is indeterminate.
 
     One eigendecomposition with one matrix product
     (`spectral.boundary_greens`) serves the whole grid.
@@ -85,8 +71,17 @@ def uniform_regularity_verdicts(
     op = restrict_hamiltonian(u, config, box)
     if delta is None:
         delta = perturbation_radius(u, model, l)
+    threshold = math.exp(-m * l)
     green = boundary_greens(op, box.center, energies)
-    irregular, regular = _regularity(green, math.exp(-m * l), delta)
+    irregular = green.resonant | np.any(green.magnitude > threshold, axis=0)
+    regular = ~irregular
+    if delta != 0.0:
+        # a resonant E may have d = 0; it is irregular, so its slack is unused
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_norm = 1.0 / green.distance
+            slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
+        regular &= (delta < green.distance) & \
+            ~np.any(green.magnitude + slack > threshold, axis=0)
     witness = CERTIFIED_IRREGULAR if delta == 0.0 or model.in_support(0.0) \
         else INDETERMINATE
     return np.where(regular, CERTIFIED_REGULAR,
@@ -107,10 +102,12 @@ def uniform_regularity_test(
                                            delta)[0])
 
 
-def _energy_grid(interval, energy_grid) -> list:
+def _energy_grid(interval, energy_grid, n: int) -> list:
     """K >= 1 equally spaced energies on the closed `interval` for an
     integer K, or the given non-empty list of finite energies; no energy
-    may repeat, since the report keys its counts by energy."""
+    may repeat, since the report keys its counts by energy.  CapacityError
+    when n K > cap^2 (cap = `capacity_cap()`), before an integer K's grid
+    is built: the Green's functions of n sites hold several n x K arrays."""
     e1, e2 = checked_interval(interval)
     if isinstance(energy_grid, (list, tuple, np.ndarray)):
         grid = list(energy_grid)
@@ -118,12 +115,19 @@ def _energy_grid(interval, energy_grid) -> list:
             raise ParameterError("energy_grid must hold at least one energy")
         if not np.all(np.isfinite(np.asarray(grid, dtype=float))):
             raise ParameterError("energy_grid energies must be finite")
+        count = len(grid)
     elif isinstance(energy_grid, bool) or \
             not isinstance(energy_grid, (int, np.integer)) or energy_grid < 1:
         raise ParameterError("energy_grid must be an integer >= 1 or a list "
                              f"of energies, got {energy_grid!r}")
     else:
-        grid = list(np.linspace(e1, e2, energy_grid))
+        grid, count = None, int(energy_grid)
+    cap = capacity_cap()
+    if n * count > cap * cap:
+        raise CapacityError(f"{count} energies on {n} sites exceed the cap: "
+                            f"{n * count} > {cap}^2 Green's function entries")
+    if grid is None:
+        grid = list(np.linspace(e1, e2, count))
     if len(set(grid)) < len(grid):
         raise ParameterError("energy_grid repeats an energy")
     return grid
@@ -151,14 +155,12 @@ def estimate_singularity_probability(
 
     `energy_grid` is a number K >= 1 of equally spaced energies on the
     closed `interval`, or an explicit non-empty list of finite energies.
-    l, m and the grid are checked before any trial.  What no trial
-    changes is computed once per call: the enlarged domain (checked), the
-    perturbation radius, the energy array and e^{-m l}.  A trial then
-    samples the couplings on the enlarged domain, forms the diagonal of
-    its zeroed-exterior box operator, and calls `spectral.boundary_greens`
-    (one dense build, one dsyevd solve and one matrix product) for the
-    whole grid, to which it applies the rules of
-    `uniform_regularity_verdicts`.
+    l, m and the grid, its size included (`_energy_grid`), are checked
+    before any trial.  The perturbation radius and the energy array are
+    computed once per call.  A trial samples the couplings on the enlarged
+    domain and takes the verdicts of `uniform_regularity_verdicts` on the
+    box for the whole grid: one dense build, one dsyevd solve and one
+    matrix product.
 
     Translation invariance turns this single-box estimate into the pair
     bound by squaring (disjoint enlarged boxes are independent).
@@ -166,21 +168,17 @@ def estimate_singularity_probability(
     for name, value in (("l", l), ("m", m)):
         if not (math.isfinite(value) and value > 0):
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-    grid = _energy_grid(interval, energy_grid)
     d = u.dimension
     box = make_box((0,) * d, l)
+    grid = _energy_grid(interval, energy_grid, box.count)
     enlarged = make_box((0,) * d, 4 * l)
-    check_enlarged_domain(enlarged, box)
     delta = perturbation_radius(u, model, l)
     energies = np.asarray(grid, dtype=float)
-    threshold = math.exp(-m * l)
 
     def worker(_i: int, rng: np.random.Generator):
         cfg = Configuration(enlarged, model.sample(rng, enlarged.count))
-        op = restrict_hamiltonian(u, cfg, box)
-        _, regular = _regularity(boundary_greens(op, box.center, energies),
-                                 threshold, delta)
-        return ~regular
+        return uniform_regularity_verdicts(u, model, cfg, box, m, energies,
+                                           delta) != CERTIFIED_REGULAR
 
     results = mc.run_trials(trials, worker, seed, threads)
     counts = np.zeros(len(grid), dtype=int)
@@ -243,15 +241,16 @@ def l_bar(p: MSAParameters) -> float:
     return c ** (-p.kappa / (1.0 - p.beta))
 
 
-def mass_loss_series(x: float, kappa: float, terms: int = 4000) -> float:
+def mass_loss_series(x: float, kappa: float) -> float:
     """sum_{k>=0} x^{kappa^(k+1)} for x in (0,1): the exact correction-term
-    series of the mass recursion, truncated when the tail is negligible."""
+    series of the mass recursion, truncated when the tail is negligible or
+    after 4000 terms."""
     if not 0.0 < x < 1.0:
         raise ParameterError("series defined for x in (0,1)")
     log_x = math.log(x)
     total = 0.0
     exponent = kappa
-    for _ in range(terms):
+    for _ in range(4000):
         t = exponent * log_x
         if t < -745.0:
             break
@@ -282,14 +281,15 @@ def l_bar_sharp(p: MSAParameters) -> float:
     return x_max ** (-p.kappa / (1.0 - p.beta))
 
 
-def _smallest_scale(pred, lo: float = 2.0, hi_cap: float = 1e12) -> float:
-    """Smallest integer scale >= lo satisfying an eventually-true predicate."""
-    hi = max(lo, 4.0)
+def _smallest_scale(pred) -> float:
+    """Smallest integer scale >= 2 satisfying an eventually-true predicate,
+    inf when none is found up to 1e12."""
+    hi = 4.0
     while not pred(hi):
         hi *= 2.0
-        if hi > hi_cap:
+        if hi > 1e12:
             return float("inf")
-    lo_b = lo
+    lo_b = 2.0
     while hi - lo_b > 1.0:
         mid = math.floor((lo_b + hi) / 2.0)
         if pred(mid):
@@ -464,13 +464,11 @@ def scale_schedule(p: MSAParameters, k_max: int) -> ScaleSchedule:
         floor = math.exp(floor_log) if floor_log > -745.0 else 0.0
         if not m > floor:
             raise ScheduleError(
-                f"mass window broken at k={k}: m_k={m:.6g} <= l_k^(beta-1)={floor:.6g}",
-                failing_k=k,
+                f"mass window broken at k={k}: m_k={m:.6g} <= l_k^(beta-1)={floor:.6g}"
             )
         if not m >= m_inf:
             raise ScheduleError(
-                f"mass floor broken at k={k}: m_k={m:.6g} < q m0={m_inf:.6g}",
-                failing_k=k,
+                f"mass floor broken at k={k}: m_k={m:.6g} < q m0={m_inf:.6g}"
             )
     return ScaleSchedule(
         log_lengths=np.array(log_lengths),

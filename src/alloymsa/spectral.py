@@ -32,14 +32,16 @@ L = n / w slices); none of the counts forms an n x n array.
   leading block of the tridiagonal eigenvectors, up to a singleton of its
   representation tree past the first W, and dormqr back-transforms W of
   them, W = min(n, 256 ceil((k + 16) / 256)): for `decay`'s benchmark box
-  and k = 3, about 260 of 1681 vectors and 256 columns.  With one BLAS
-  thread the k eigenpairs are bit for bit dsyevr's (see
-  `eigensolve`).  The Green's functions use the divide-and-conquer solver
-  (dsyevd, Gu & Eisenstat 1995), faster at every box size the probes run,
-  with a workspace that takes a solve from about 2n^2 to about 3n^2
-  doubles: G(E) = V diag(1/(lambda - E)) V^T is the same for every
-  orthonormal basis of a cluster, so the solver changes no result beyond
-  rounding.  `boundary_greens` is the one implementation of the boundary
+  and k = 3, about 260 of 1681 vectors and 256 columns.  dsyevr itself
+  takes the vector solves these steps leave out: n = 1, a matrix it would
+  scale first (max|H| outside [_RMIN, _RMAX], for a box operator only
+  at |v| > 8e76) and a failed dstemr.  With one BLAS thread the k
+  eigenpairs are bit for bit dsyevr's (see `eigensolve`).  The Green's
+  functions use the divide-and-conquer solver (dsyevd, Gu & Eisenstat
+  1995), faster at every box size the probes run, with a workspace that
+  takes a solve from about 2n^2 to about 3n^2 doubles: G(E) =
+  V diag(1/(lambda - E)) V^T is the same for every orthonormal basis of a
+  cluster, so the solver changes no result beyond rounding.  `boundary_greens` is the one implementation of the boundary
   Green's functions: it answers a grid of K energies with one
   eigendecomposition and one matrix product, G(E_k; source, w) for every
   interior-boundary site w from V[boundary] (V[source, :, None] /
@@ -77,7 +79,7 @@ _stemr = scipy.linalg.lapack.dstemr
 _ormqr = scipy.linalg.lapack.dormqr
 _syevr_lwork = scipy.linalg.lapack.dsyevr_lwork
 # dsyevr scales a matrix with max|H| outside [RMIN, RMAX] into it before
-# the reduction, and its eigenvalues back by 1 / sigma afterwards
+# the reduction; a vector solve leaves such a matrix to dsyevr itself
 _SAFMIN = float(scipy.linalg.lapack.dlamch("S"))
 _EPS = float(scipy.linalg.lapack.dlamch("P"))
 _SMLNUM = _SAFMIN / _EPS
@@ -143,11 +145,13 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
     alone (by dsterf, so they can differ in the last bits from those of a
     vector solve).  Otherwise `_lowest_eigenpairs` runs dsyevr's own steps,
     computes the tridiagonal eigenvectors of a leading block only and
-    back-transforms W of them; where dstemr fails, dsyevr itself solves a
-    fresh matrix, as its fallback would.  At one BLAS thread the k
-    eigenvalues and eigenvectors are bit for bit those of
-    scipy.linalg.eigh (dsyevr, every eigenpair); ask for k = n to get the
-    whole spectrum of a vector solve.  The residual
+    back-transforms W of them.  dsyevr itself solves a fresh matrix where
+    `_lowest_eigenpairs` returns None: at n = 1, where dsyevr would scale
+    the matrix first (every box operator with n >= 2 has a bond, so
+    max|H| >= 1), and where dstemr fails (dsyevr's own fallback).  At one
+    BLAS thread the k eigenvalues and eigenvectors are bit for bit those
+    of scipy.linalg.eigh (dsyevr, every eigenpair); ask for k = n to get
+    the whole spectrum of a vector solve.  The residual
     max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), the maximum over
     the returned columns and |lambda|_max over the whole spectrum, must not
     exceed RESIDUAL_CONTRACT."""
@@ -162,7 +166,7 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
         return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=None,
                               residual=0.0)
     found = _lowest_eigenpairs(op.matrix.T, int(vectors))
-    if found is None:  # dstemr failed: dsyevr's own fallback
+    if found is None:  # n = 1, a scaled H or a failed dstemr: dsyevr itself
         evals, evecs = scipy.linalg.eigh(op.matrix.T, overwrite_a=True)
         found = (evals[:vectors].copy(), evecs[:, :vectors].copy(),
                  max(-evals[0], evals[-1]))
@@ -176,7 +180,9 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     """The k lowest eigenvalues, their eigenvectors and the spectral radius
     max |lambda| of the symmetric F-contiguous matrix `H`, which this
     overwrites, by the steps LAPACK's dsyevr takes for all eigenpairs of a
-    lower triangle; None where dstemr fails, as dsyevr then falls back to
+    lower triangle.  None, leaving H as it is, at n = 1 (dsyevr's closed
+    form) and where max|H| lies outside [_RMIN, _RMAX] (dsyevr scales H
+    first); None too where dstemr fails, as dsyevr then falls back to
     bisection and inverse iteration.
 
     1. dsytrd reduces H to tridiagonal form in place, with dsyevr's
@@ -199,23 +205,13 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     k >= 112) differ; W = n is dsyevr's own computation.  With more BLAS
     threads dsyevr's vectors themselves change with the thread count.
     Rows 1..n-1 of the block are packed into the front of its buffer, so
-    dormqr overwrites them without a copy.  As in dsyevr, n = 1 is a
-    closed form, and H is scaled first when max|H| lies outside
-    [_RMIN, _RMAX].  The radius, which only the normaliser of the residual
-    check reads, comes from dlarre's eigenvalues where the eigenvalues
-    past the leading block are never refined.  A nonzero info of dsytrd
-    or dormqr raises SolverError."""
+    dormqr overwrites them without a copy.  The radius, which only the
+    normaliser of the residual check reads, comes from dlarre's eigenvalues
+    where the eigenvalues past the leading block are never refined.  A
+    nonzero info of dsytrd or dormqr raises SolverError."""
     n = H.shape[0]
-    if n == 1:
-        return H[0].copy(), np.ones((1, 1)), abs(float(H[0, 0]))
-    anrm = max(float(H.max()), -float(H.min()))
-    sigma = 1.0
-    if 0.0 < anrm < _RMIN:
-        sigma = _RMIN / anrm
-    elif anrm > _RMAX:
-        sigma = _RMAX / anrm
-    if sigma != 1.0:
-        H *= sigma
+    if n == 1 or not _RMIN <= max(float(H.max()), -float(H.min())) <= _RMAX:
+        return None
     lwork = int(_syevr_lwork(n, lower=1)[0])
     _, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
                                 overwrite_a=1)
@@ -230,7 +226,7 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
             return None
         found = evals, Z, max(-evals[0], evals[-1])
     evals, Z, radius = found
-    evals = evals[:k] * (1.0 / sigma)
+    evals = evals[:k].copy()
     block = (lwork - 2 * n - _ORMQR_TSIZE) // n
     ormqr_lwork = block * width + _ORMQR_TSIZE if block >= 2 else width
     top = Z[0, :k].copy()
@@ -247,7 +243,7 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     evecs = np.empty((n, k))
     evecs[0] = top
     evecs[1:] = C[:, :k]
-    return evals, evecs, radius / sigma
+    return evals, evecs, radius
 
 
 def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
@@ -544,16 +540,14 @@ def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:
     return {int(r): float(shells[r]) for r in np.unique(radii)}
 
 
-def decay_fit(psi: np.ndarray, box: Box, center: Point | None = None
-              ) -> tuple[float, float]:
+def decay_fit(psi: np.ndarray, box: Box) -> tuple[float, float]:
     """Least-squares slope of log shell-max |psi| against ||x - center||_inf.
 
-    center defaults to the argmax of |psi|; shells whose max is not above
+    center is the argmax of |psi|; shells whose max is not above
     SHELL_FLOOR are dropped; fewer than 3 usable shells is a fit error.
     """
     psi = np.asarray(psi, dtype=float)
-    if center is None:
-        center = tuple(int(c) for c in box.points[int(np.argmax(np.abs(psi)))])
+    center = tuple(int(c) for c in box.points[int(np.argmax(np.abs(psi)))])
     shells = shell_maxima(psi, box, center)
     xs, ys = [], []
     for r in sorted(shells):

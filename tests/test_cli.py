@@ -149,6 +149,25 @@ class TestSingularityKind:
         assert len(counts) == 21
         assert 0 in counts and any(0 < c < 8 for c in counts)
 
+    @pytest.mark.parametrize("grid, rc", [(123, 0), (124, 4)])
+    def test_grid_capacity(self, tmp_path, capsys, monkeypatch, grid, rc):
+        # n K <= cap^2: 81 sites x 123 energies fit under a cap of 100
+        # points, 124 are refused before any trial
+        monkeypatch.setenv("ALLOYMSA_CAPACITY", "100")
+        if rc:
+            monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        cfg = write_config(tmp_path, "m.json", {
+            "model": P2_MODEL,
+            "params": {"l": 4, "m": 0.1, "interval": [0.4, 0.6],
+                       "energy_grid": grid},
+            "seed": 3, "trials": 1,
+        })
+        assert main(["msa-probe", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == rc
+        err = capsys.readouterr().err
+        assert err.count("\n") == (1 if rc else 0)
+        assert (tmp_path / "o" / "singularity.csv").exists() == (not rc)
+
     @pytest.mark.parametrize("params", [
         {"m": math.nan},
         {"m": 0.0},
@@ -190,6 +209,14 @@ class TestErrorPaths:
 
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["wegner", "--config", str(tmp_path / "nope.json")]) == 3
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x"], ids=["list", "string"])
+    def test_config_not_an_object_exit_3(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["wegner", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_capacity_exit_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ALLOYMSA_CAPACITY", "10")

@@ -116,8 +116,13 @@ class TestFindLeadingIndex:
                 assert abs(value) <= err + lead.zero_tolerance
 
     def test_shell_cap_failure(self):
+        # the 13th difference: every derivative below order 13 vanishes
+        # exactly, so the leading index lies past shell SHELL_CAP = 12
+        u = exact_potential({(k,): (-1) ** k * math.comb(13, k)
+                             for k in range(14)}, 5000.0, 0.1)
+        assert genfun_derivative(u, (13,))[0] != 0.0
         with pytest.raises(AnalysisFailure):
-            find_leading_index(PAIR, shell_cap=0)
+            find_leading_index(u)
 
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
     def test_tolerance_finite_and_nonnegative(self, tolerance):

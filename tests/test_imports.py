@@ -12,7 +12,9 @@ name kept for a planned CLI kind comes back with that kind.  Test
 oracles and fixtures live in `tests/`.  Every package attribute that the
 benchmark's `perfbench/child.py` hooks by name must exist.  Every field
 of a dataclass in the package must be read somewhere in `src/` or
-`tests/`.
+`tests/`.  Every parameter with a default, on a public top-level function
+of the package, must be passed at some call in `src/`: one that only
+tests set is a knob the program never turns.
 """
 
 import ast
@@ -250,3 +252,65 @@ def test_every_dataclass_field_is_read():
     readers = [path.read_text()
                for root in (PACKAGE.parent, TESTS) for path in root.rglob("*.py")]
     assert unread_fields(sources, readers) == []
+
+
+def unpassed_defaults(sources: dict[str, str], exempt=()) -> list[str]:
+    """Parameters with a default of the public top-level functions of
+    `sources` (module name -> source), but not of those named in `exempt`,
+    that no call in `sources` passes, by position or by keyword, as
+    "function.parameter".
+
+    Calls match by the called name alone, bare or as an attribute.  A call
+    with *args passes every positional parameter and one with **kwargs
+    every parameter, so the scan may miss a knob but never flags one that
+    some call sets."""
+    params: dict[str, tuple[list[str], list[str]]] = {}
+    calls = []
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_") and node.name not in exempt:
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, default in
+                              zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                params[node.name] = positional, defaulted
+        calls += [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)]
+    passed: dict[str, set[str]] = {name: set() for name in params}
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name not in params:
+            continue
+        positional, defaulted = params[name]
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            passed[name] |= set(positional)
+        passed[name] |= set(positional[:len(call.args)])
+        for keyword in call.keywords:
+            passed[name] |= set(defaulted) if keyword.arg is None \
+                else {keyword.arg}
+    return [f"{name}.{param}" for name, (_, defaulted) in params.items()
+            for param in defaulted if param not in passed[name]]
+
+
+def test_default_scanner():
+    sources = {"lib": ("def f(a, b=1, c=2, *, d=3, e=4): return a\n"
+                       "def g(x, y=0): return x\n"
+                       "def h(x, y=0): return x\n"
+                       "def _private(x, y=0): return x\n"
+                       "def main(argv=None): return 0\n"),
+               "cli": ("from . import lib\n"
+                       "lib.f(1, 2, e=5)\n"
+                       "g(*[1, 2])\n"
+                       "h(1, **{})\n")}
+    assert unpassed_defaults(sources, exempt=["main"]) == ["f.c", "f.d"]
+
+
+def test_every_default_is_passed_in_src():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unpassed_defaults(sources, ["main", *ALLOWED_UNREACHED]) == []

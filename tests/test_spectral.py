@@ -105,7 +105,8 @@ class TestLowestEigenvectorsBitwise:
 
     # sizes no box has (a box has (2 floor(l) + 1)^d sites), on dense
     # random symmetric matrices; at scale 1e-160, max|A| lies below
-    # dsyevr's RMIN = 2^-485, so it scales A up first
+    # dsyevr's RMIN = 2^-485, so dsyevr would scale A up first: that solve
+    # is left to dsyevr itself
     @pytest.mark.parametrize("n", [2, 200, 300, 500])
     @pytest.mark.parametrize("scale", [1.0, 1e-160])
     def test_symmetric_matrix(self, n, scale):
@@ -115,8 +116,21 @@ class TestLowestEigenvectorsBitwise:
             evals, evecs = scipy.linalg.eigh(A)
             for k in lowest_counts(n):
                 got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
-                assert np.array_equal(got[0], evals[:k])
-                assert np.array_equal(got[1], evecs[:, :k])
+                if scale == 1.0:
+                    assert np.array_equal(got[0], evals[:k])
+                    assert np.array_equal(got[1], evecs[:, :k])
+                else:
+                    assert got is None
+
+    # n = 1 (dsyevr's closed form) and max|A| above RMAX ~ 8e76 (dsyevr
+    # scales A down first) are left to dsyevr too, with A untouched
+    @pytest.mark.parametrize("n, scale", [(1, 1.0), (40, 1e80)])
+    def test_scaled_or_single_left_to_dsyevr(self, n, scale):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        A = scale * (A + A.T)
+        H = np.array(A, order="F")
+        assert spectral._lowest_eigenpairs(H, 1) is None
+        assert np.array_equal(H, A)
 
     # max|H| above dsyevr's RMAX ~ 8e76: it scales H down first; on the
     # last operator dstemr then fails and dsyevr falls back to bisection
@@ -201,6 +215,17 @@ class TestLowestEigenvectorsBitwise:
                 assert np.array_equal(res.eigenvalues, evals[:k])
                 assert np.array_equal(res.eigenvectors, evecs[:, :k])
                 assert res.residual <= 1e-10
+
+    def test_benchmark_operator_skips_dsyevr(self, monkeypatch):
+        # the `decay` benchmark's operator (n = 1681) takes the fast route;
+        # one that always returned None would pass every bitwise test above
+        op = decay_box_operator(l=20.0)
+        with blas_threads(1):
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            monkeypatch.setattr(scipy.linalg, "eigh", pytest.fail)
+            res = eigensolve(op, vectors=3)
+        assert np.array_equal(res.eigenvalues, evals[:3])
+        assert np.array_equal(res.eigenvectors, evecs[:, :3])
 
     def test_vector_solve_memory(self):
         # n = 961 > W = 256: the solve holds the n x n matrix, and of the
@@ -430,7 +455,7 @@ class TestDecayFit:
     def test_constant_vector(self):
         box = make_box((0,), 10.0)
         psi = np.full(box.count, 1.0 / math.sqrt(box.count))
-        rate, _ = decay_fit(psi, box, center=(0,))
+        rate, _ = decay_fit(psi, box)
         assert rate == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_shells(self):
