@@ -13,8 +13,8 @@ from .msa import (MSAParameters, ScaleSchedule, estimate_singularity_probability
                   uniform_regularity_verdicts, validate_parameters)
 from .resonance import estimate_resonance_probabilities, perturbation_radius
 from .spectral import SpectrumResult, count_eigenvalues_in, decay_fit, eigensolve
-from .initial_scale import (LifshitzParameters, admissible_lengths,
-                            large_disorder_probe, lifshitz_probe)
+from .initial_scale import (admissible_lengths, large_disorder_probe,
+                            lifshitz_probe)
 from .wegner import (WegnerBoundReport, estimate_partial_expectation,
                      wegner_bound, wegner_constant_chain)
 

@@ -31,8 +31,8 @@ from . import __version__, mc
 from .errors import AlloyMSAError, ParameterError
 from .genfun import (companion_radius, find_leading_index,
                      positivity_certificate, tail_bound)
-from .initial_scale import (admissible_lengths, large_disorder_probe,
-                            lifshitz_parameters, lifshitz_probe)
+from .initial_scale import (admissible_lengths, beta_floor,
+                            large_disorder_probe, lifshitz_probe)
 from .lattice import (Configuration, DisorderModel, SingleSitePotential,
                       make_box, restrict_hamiltonian, uniform_density)
 from .msa import (MSAParameters, estimate_singularity_probability,
@@ -292,16 +292,14 @@ def _run_lifshitz(run: Run) -> None:
         l = float(params["l"])
     else:
         lo, hi = params.get("l_range", [15, 45])
-        lp0 = lifshitz_parameters(u, model, float(hi), zeta, xi, eps0)
-        ls = admissible_lengths(zeta, lp0.beta0, float(lo), float(hi))
+        ls = admissible_lengths(zeta, beta_floor(u), float(lo), float(hi))
         if not ls:
             raise ParameterError("no admissible l in the requested range")
         l = float(ls[0])
-    lp = lifshitz_parameters(u, model, l, zeta, xi, eps0)
-    rep = lifshitz_probe(u, model, lp, l, run.trials, run.seed,
+    rep = lifshitz_probe(u, model, l, zeta, xi, eps0, run.trials, run.seed,
                          threads=run.threads)
     run.summary["constants"].update({
-        "beta0": lp.beta0, "delta": lp.delta, "l_tilde": rep.l_tilde,
+        "beta0": rep.beta0, "delta": rep.delta, "l_tilde": rep.l_tilde,
         "n_subcubes": rep.n_subcubes,
     })
     run.contract("lifshitz_chain_bound",
@@ -310,7 +308,7 @@ def _run_lifshitz(run: Run) -> None:
     run.write_csv("lifshitz", "lifshitz.csv",
                   ["l", "zeta", "beta0", "delta", "trials", "p_emp",
                    "chain_bound", "paper_bound", "lambda1_mean"],
-                  [[l, zeta, lp.beta0, lp.delta, run.trials, rep.p_emp,
+                  [[l, zeta, rep.beta0, rep.delta, run.trials, rep.p_emp,
                     rep.chain_bound, rep.paper_bound, rep.lambda1_mean]])
 
 
@@ -400,8 +398,7 @@ KINDS = {
                     "additionalProperties": False,
                     "properties": {"xi": NUMBER, "kappa": NUMBER,
                                    "beta": NUMBER, "q": NUMBER, "m0": NUMBER,
-                                   "l0": NUMBER,
-                                   "zeta_nr": {"type": ["number", "null"]}}}}}),
+                                   "l0": NUMBER}}}}),
     "msa_singularity": ("msa-probe", _run_msa_singularity, {
         "required": ["l", "m"],
         "properties": {"l": NUMBER, "m": NUMBER, "interval": PAIR,

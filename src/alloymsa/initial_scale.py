@@ -5,8 +5,10 @@ Two routes are probed at desk scale:
     BV norm is small enough (explicit right-hand side, both printed and
     sign-corrected exponent variants are reported);
   * small negative part: the Bernstein/counting Lifshitz-tail probability
-    probe on the Dirichlet-truncated box, with beta_0 from the certified
-    mean of u and the Assumption-3 check at the probe's delta.
+    probe on the Dirichlet-truncated box.  `lifshitz_probe` takes its
+    inputs (l, zeta, xi, epsilon0) once, checks them, and derives beta_0
+    from the certified mean of u and delta = l^{zeta-2} / (8 w+), at
+    which it checks Assumption 3; its report carries both.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ def beta_floor(u: SingleSitePotential) -> float:
 def admissible_lengths(zeta_lif: float, beta0: float, l_min: float,
                        l_max: float) -> list[int]:
     """Unit-step scan for l with floor(2l+1) / floor(2 l^{1-zeta/2} beta0^{-1/2} + 1)
-    an odd integer (the sub-cube tiling condition)."""
+    an odd integer (the sub-cube tiling condition), for zeta in (0, 2)."""
+    if not 0.0 < zeta_lif < 2.0:
+        raise ParameterError("zeta must lie in (0, 2)")
     if not (math.isfinite(l_min) and math.isfinite(l_max) and l_min < l_max):
         raise ParameterError(f"need finite l_min < l_max, got {l_min!r}, {l_max!r}")
     out = []
@@ -60,42 +64,12 @@ def admissible_lengths(zeta_lif: float, beta0: float, l_min: float,
 
 
 @dataclass(frozen=True)
-class LifshitzParameters:
-    zeta_lif: float
-    xi: float
+class LifshitzReport:
+    """The probe's frequency and bounds, with the beta_0 and delta it
+    derived from its inputs."""
+
     beta0: float
     delta: float
-    epsilon0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.zeta_lif < 2.0:
-            raise ParameterError("zeta must lie in (0, 2)")
-        if self.xi <= 0 or self.delta <= 0 or self.epsilon0 <= 0:
-            raise ParameterError("xi, delta, epsilon0 must be positive")
-
-
-def lifshitz_parameters(
-    u: SingleSitePotential,
-    model: DisorderModel,
-    l: float,
-    zeta_lif: float,
-    xi: float,
-    epsilon0: float,
-) -> LifshitzParameters:
-    """Auto-derived parameter set: beta0 from u, delta = l^{zeta-2} / (8 w+),
-    with the P(w0 < eps0) <= 1/12 check against the model CDF."""
-    beta0 = beta_floor(u)
-    delta = l ** (zeta_lif - 2.0) / (8.0 * model.omega_plus)
-    if model.cdf(epsilon0) > 1.0 / 12.0 + 1e-12:
-        raise ParameterError(
-            f"P(w0 < {epsilon0}) = {model.cdf(epsilon0):.6g} exceeds 1/12"
-        )
-    return LifshitzParameters(zeta_lif=zeta_lif, xi=xi, beta0=beta0,
-                              delta=delta, epsilon0=epsilon0)
-
-
-@dataclass(frozen=True)
-class LifshitzReport:
     p_emp: float
     std_error: float
     chain_bound: float
@@ -108,29 +82,47 @@ class LifshitzReport:
 def lifshitz_probe(
     u: SingleSitePotential,
     model: DisorderModel,
-    params: LifshitzParameters,
     l: float,
+    zeta: float,
+    xi: float,
+    epsilon0: float,
     trials: int,
     seed: int,
     threads: int | None = 1,
 ) -> LifshitzReport:
     """Monte-Carlo frequency of lambda_1(h^l) < l^{-2+zeta} against the
     Bernstein/counting chain bound n^d exp(-|Lambda_ltilde| (11/12)^2) and
-    the asserted decay l^{-xi}."""
+    the asserted decay l^{-xi}.
+
+    Checks zeta in (0, 2), xi > 0, epsilon0 > 0 and P(w0 < epsilon0) <=
+    1/12, then derives beta_0 = `beta_floor(u)` and delta =
+    l^{zeta-2} / (8 w+), at which u must have an Assumption-3
+    decomposition (negative mass <= delta), and l must pass the
+    odd-tiling condition of `admissible_lengths`."""
+    beta0 = beta_floor(u)
+    if model.cdf(epsilon0) > 1.0 / 12.0 + 1e-12:
+        raise ParameterError(
+            f"P(w0 < {epsilon0}) = {model.cdf(epsilon0):.6g} exceeds 1/12"
+        )
+    if not 0.0 < zeta < 2.0:
+        raise ParameterError("zeta must lie in (0, 2)")
+    if xi <= 0 or epsilon0 <= 0:
+        # delta > 0 holds for every l that make_box accepts
+        raise ParameterError("xi, delta, epsilon0 must be positive")
     d = u.dimension
-    box = make_box((0,) * d, l)  # before int(l): rejects a NaN or infinite l
-    zeta = params.zeta_lif
+    box = make_box((0,) * d, l)  # before int(l): rejects l <= 0, NaN or inf
+    delta = l ** (zeta - 2.0) / (8.0 * model.omega_plus)
     l_int = int(l)
-    if l_int not in admissible_lengths(zeta, params.beta0, l - 0.5, l + 0.5):
+    if l_int not in admissible_lengths(zeta, beta0, l - 0.5, l + 0.5):
         raise ParameterError(f"l={l} violates the odd-tiling condition")
-    if u.negative_mass > params.delta:
+    if u.negative_mass > delta:
         raise ParameterError("Assumption-3 decomposition unavailable at the "
-                             f"probe's delta={params.delta:.3e}")
-    l_tilde = l ** (1.0 - zeta / 2.0) / math.sqrt(params.beta0)
+                             f"probe's delta={delta:.3e}")
+    l_tilde = l ** (1.0 - zeta / 2.0) / math.sqrt(beta0)
     n = math.floor(2 * l + 1) // math.floor(2 * l_tilde + 1)
     subcube_sites = (2 * math.floor(l_tilde) + 1) ** d
     chain_bound = n**d * math.exp(-subcube_sites * (11.0 / 12.0) ** 2)
-    paper_bound = l ** (-params.xi)
+    paper_bound = l ** (-xi)
     threshold = l ** (-2.0 + zeta)
     domain = make_box((0,) * d, l + u.truncation_radius + 0.25)
 
@@ -145,9 +137,9 @@ def lifshitz_probe(
     p_emp, stderr = mc.mean_and_stderr(hits)
     lambda1_mean = float(np.mean([lam for _, lam in results]))
     return LifshitzReport(
-        p_emp=p_emp, std_error=stderr, chain_bound=chain_bound,
-        paper_bound=paper_bound, lambda1_mean=lambda1_mean,
-        l_tilde=l_tilde, n_subcubes=n,
+        beta0=beta0, delta=delta, p_emp=p_emp, std_error=stderr,
+        chain_bound=chain_bound, paper_bound=paper_bound,
+        lambda1_mean=lambda1_mean, l_tilde=l_tilde, n_subcubes=n,
     )
 
 

@@ -136,14 +136,11 @@ class Box:
         return int(index)
 
     @cached_property
-    def interior_boundary(self) -> np.ndarray:
-        """Points with fewer than 2d neighbors inside the box."""
-        return self.points[neighbor_counts(self) < 2 * self.dimension]
-
-    @cached_property
     def interior_boundary_indices(self) -> np.ndarray:
-        """Flat indices of `interior_boundary`, in the same order."""
-        return self.flat_indices(self.interior_boundary)
+        """Flat indices, ascending, of the sites with fewer than 2d
+        neighbours inside the box: those with a coordinate at `lo` or `hi`."""
+        pts = self.points
+        return np.flatnonzero(np.any((pts == self.lo) | (pts == self.hi), axis=1))
 
     def disjoint_from(self, other: "Box") -> bool:
         return any(
@@ -235,8 +232,14 @@ class SingleSitePotential:
         schema has checked: integer keys, an integer truncation_radius >= 0
         (default: the table's largest ||k||_inf) and, when no
         truncation_residual is given, the tail bound beyond that radius,
-        computed once the certificate (C, alpha) has been checked."""
-        values = {tuple(int(c) for c in k): float(v) for k, v in data["values"]}
+        computed once the certificate (C, alpha) has been checked.  A point
+        listed twice is refused: a dict would keep its last value alone."""
+        values = {}
+        for k, v in data["values"]:
+            point = tuple(int(c) for c in k)
+            if point in values:
+                raise ParameterError(f"potential table repeats the point {point}")
+            values[point] = float(v)
         C, alpha = float(data["C"]), float(data["alpha"])
         radius = data.get("truncation_radius")
         radius = max(norm_inf(k) for k in values) if radius is None else int(radius)
@@ -563,8 +566,7 @@ def _band(shape: tuple[int, ...], strides: tuple[int, ...],
     axes have the flat `strides`: the box of a `BoxOperator`, or the
     first slice of one along axis 0 (the same strides).  It is the one
     place that lists the bonds inside a box; every other form of H
-    (`upper_band`, `slice_block`, `matrix`, `neighbor_counts`) is read
-    from it."""
+    (`upper_band`, `slice_block`, `matrix`) is read from it."""
     w = strides[0]
     band = np.zeros((w + 1, len(diagonal)))
     band[w] = diagonal
@@ -589,17 +591,6 @@ def _dense(band: np.ndarray, strides: Iterable[int]) -> np.ndarray:
         flat[s:(m - s) * m:m + 1] = entries  # M[i, i + s]
         flat[s * m::m + 1] = entries  # M[i + s, i]
     return M
-
-
-def neighbor_counts(box: Box) -> np.ndarray:
-    """Neighbours of each site inside the box: the nonzero off-diagonal
-    entries in each row of H, counted on its band."""
-    bonds = _band(box.shape, box.strides, np.zeros(box.count)) != 0
-    counts = bonds.sum(axis=0, dtype=float)  # bonds to a site below
-    # strides repeat only on axes of one site, whose rows share a band row
-    for s in set(box.strides):
-        counts[:-s] += bonds[-1 - s, s:]  # bonds to a site above
-    return counts
 
 
 def free_diagonal(box: Box) -> np.ndarray:

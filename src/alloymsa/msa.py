@@ -5,10 +5,13 @@ deterministic parameter/scale recursion.
 `uniform_regularity_verdicts` is the one implementation of the
 (m, E)-regularity rules, and the singularity estimator runs it per trial.
 
-Parameter conventions: xi > 2d, kappa in (1, 2xi/(xi+2d)), beta in
-(2-kappa, 1), scales l_{k+1} = l_k^kappa, masses
-m_{k+1} = m_k (1 - l_{k+1}^{-(1-beta)/kappa}) - l_{k+1}^{-(1-beta)/kappa},
-with the non-resonance exponent zeta = kappa (5d + ||I0||_1 + 2 xi) + 1.
+Parameter conventions: `MSAParameters` holds xi > 2d, kappa in
+(1, 2xi/(xi+2d)), beta in (2-kappa, 1), q in (0, 1), m0 and l0; scales
+l_{k+1} = l_k^kappa, masses
+m_{k+1} = m_k (1 - l_{k+1}^{-(1-beta)/kappa}) - l_{k+1}^{-(1-beta)/kappa}.
+The non-resonance exponent zeta = kappa (5d + ||I0||_1 + 2 xi) + 1 is
+fixed by these and the leading index I0, so it is not a parameter:
+`induction_thresholds` computes it where it is used.
 """
 
 from __future__ import annotations
@@ -201,9 +204,8 @@ class MSAParameters:
     q: float
     m0: float
     l0: float
-    zeta_nr: float | None = None
 
-    def interval_violations(self, d: int, order: int) -> list[str]:
+    def interval_violations(self, d: int) -> list[str]:
         out = []
         if not self.xi > 2 * d:
             out.append(f"xi={self.xi} must exceed 2d={2 * d}")
@@ -222,16 +224,7 @@ class MSAParameters:
             out.append(
                 f"m0={self.m0} must exceed l0^(beta-1)={self.l0 ** (self.beta - 1):.6g}"
             )
-        if self.zeta_nr is not None:
-            want = derived_zeta(self, d, order)
-            if abs(self.zeta_nr - want) > 1e-9:
-                out.append(f"zeta_nr={self.zeta_nr} != derived {want:.6g}")
         return out
-
-
-def derived_zeta(p: MSAParameters, d: int, order: int) -> float:
-    """zeta = kappa (5d + ||I0||_1 + 2 xi) + 1."""
-    return p.kappa * (5 * d + order + 2 * p.xi) + 1.0
 
 
 def l_bar(p: MSAParameters) -> float:
@@ -309,9 +302,8 @@ def induction_thresholds(
     from the displayed inequalities (with the explicit Wegner chain in
     place of the opaque constants)."""
     d = u.dimension
-    N = lead.order
     xi, kappa, beta = p.xi, p.kappa, p.beta
-    zeta = p.zeta_nr if p.zeta_nr is not None else derived_zeta(p, d, N)
+    zeta = kappa * (5 * d + lead.order + 2 * xi) + 1.0
     alpha = u.decay_alpha
     bv = model.bv_norm
     omega_plus = model.omega_plus
@@ -396,7 +388,7 @@ def validate_parameters(
     sharp mass threshold l_bar_sharp is what actually guarantees
     m_k >= q m0 along the recursion.
     """
-    violated = p.interval_violations(u.dimension, lead.order)
+    violated = p.interval_violations(u.dimension)
     if violated:
         return ValidationReport(
             l_star=float("nan"), l_bar=float("nan"), l_bar_sharp=float("nan"),

@@ -508,7 +508,8 @@ class BoundaryGreens:
     """Boundary Green's functions of one operator on an energy grid.
 
     `magnitude[j, k]` is |G(E_k; source, w_j)| for the interior-boundary
-    sites w_j (in `interior_boundary` order), `distance[k]` is
+    sites w_j, whose flat indices `Box.interior_boundary_indices` lists
+    in ascending order, `distance[k]` is
     d(E_k) = min |lambda - E_k|, and `resonant[k]` says d(E_k) <
     RESONANCE_GUARD; the column of a resonant energy holds 0."""
 

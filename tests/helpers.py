@@ -1,8 +1,10 @@
 """Fixtures shared by the test modules: tabulated potentials, the free
-box operator, built from the package's public constructors, and a BLAS
-pinned to a thread count."""
+box operator, built from the package's public constructors, the
+neighbour count of each box site, and a BLAS pinned to a thread count."""
 
 from contextlib import contextmanager
+
+import numpy as np
 
 from alloymsa import BoxOperator, SingleSitePotential, make_box, mc
 from alloymsa.lattice import free_diagonal, norm_inf
@@ -39,6 +41,18 @@ def truncated_exponential_potential(d: int, decay_C: float, decay_alpha: float,
 def free_operator(box) -> BoxOperator:
     """The free box operator: diagonal 2d, checked against the point cap."""
     return BoxOperator(box=box, diagonal=free_diagonal(box))
+
+
+def neighbor_counts(box) -> np.ndarray:
+    """Neighbours of each site inside the box, in lexicographic order: per
+    axis, one below unless the site sits at `lo` and one above unless it
+    sits at `hi` (none on an axis of one site).  As a diagonal it gives the
+    box's Neumann Laplacian, and a site with fewer than 2d neighbours lies
+    on the interior boundary."""
+    pts = box.points
+    below = pts > np.asarray(box.lo)
+    above = pts < np.asarray(box.hi)
+    return (below.sum(axis=1) + above.sum(axis=1)).astype(float)
 
 
 @contextmanager

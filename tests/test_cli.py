@@ -617,6 +617,9 @@ class TestRejectedBeforeAnyTrial:
         ("decay", rho_pieces(3), {"l": 3.0}),
         ("decay", tail_model_with(d="x"), {"l": 3.0}),
         ("decay", tail_model_with(d=2), {"l": 3.0}),
+        ("msa-schedule", DELTA0_MODEL, {"msa": {
+            "xi": 8.0, "kappa": 1.5, "beta": 0.6, "q": 0.5, "m0": 0.5,
+            "l0": 30000.0, "zeta_nr": 1.5 * (5 + 0 + 2 * 8.0) + 1.0}}),
     ], ids=["decay-l-nan", "decay-l-inf", "wegner-ls-nan", "lifshitz-l-nan",
             "large-disorder-l0-nan", "decay-n_lowest-0", "decay-n_lowest-50",
             "wegner-ls-empty", "analyze-potential-ls-empty",
@@ -637,7 +640,8 @@ class TestRejectedBeforeAnyTrial:
             "decay-u-key-fractional", "decay-u-radius-1.5",
             "decay-u-values-empty", "decay-rho-piece-without-coeffs",
             "decay-rho-piece-without-interval", "decay-rho-pieces-number",
-            "decay-u-d-string", "decay-u-d-disagrees"])
+            "decay-u-d-string", "decay-u-d-disagrees",
+            "msa-schedule-zeta_nr"])
     def test_exit_3_one_line(self, tmp_path, capsys, monkeypatch, command,
                              model, params):
         monkeypatch.setattr(mc, "run_trials", pytest.fail)
@@ -648,6 +652,23 @@ class TestRejectedBeforeAnyTrial:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, values, params", [
+        ("decay", [[[0], 1.0], [[0], 0.0]], {"l": 3.0}),
+        ("analyze-potential", [[[0], 1.0], [[0], -0.5]], {})],
+        ids=["then-zero", "then-negative"])
+    def test_repeated_point_named(self, tmp_path, capsys, monkeypatch,
+                                  command, values, params):
+        # a dict built from the table would keep the last entry alone
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        cfg = write_config(tmp_path, "c.json", {
+            "model": delta0_model_with(values=values), "params": params,
+            "seed": 1, "trials": 2,
+        })
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: potential table repeats the point (0,)\n")
 
 
 class TestRunExperimentAPI:

@@ -11,10 +11,9 @@ from alloymsa import (Box, Configuration, eigensolve, find_leading_index,
                       make_box, uniform_density)
 from alloymsa.errors import ParameterError
 from alloymsa.initial_scale import (admissible_lengths, beta_floor,
-                                    large_disorder_probe, lifshitz_parameters,
-                                    lifshitz_probe)
-from alloymsa.lattice import BoxOperator, SingleSitePotential, neighbor_counts
-from helpers import exact_potential
+                                    large_disorder_probe, lifshitz_probe)
+from alloymsa.lattice import BoxOperator, SingleSitePotential
+from helpers import exact_potential, neighbor_counts
 
 UNIFORM = uniform_density(0.0, 1.0)
 
@@ -170,44 +169,70 @@ class TestAdmissibleLengths:
         with pytest.raises(ParameterError):
             admissible_lengths(1.0, 4.0, 10, 10)
 
+    @pytest.mark.parametrize("zeta", [0.0, 2.0, math.nan, -math.inf])
+    def test_zeta_outside_rejected(self, zeta):
+        # l^{1 - zeta/2} is the sub-cube side only for zeta in (0, 2); a NaN
+        # or infinite exponent would reach math.floor
+        with pytest.raises(ParameterError, match="zeta"):
+            admissible_lengths(zeta, 4.0, 10, 14)
+
 
 class TestLifshitzProbe:
-    def _setup(self, l=None, trials=60):
+    def _setup(self, l=None):
         probe = neg_tail_potential(1e-9)
         beta0 = beta_floor(probe)
         ls = admissible_lengths(1.0, beta0, 15, 45)
         l = float(ls[0]) if l is None else l
-        params0 = lifshitz_parameters(probe, UNIFORM, l, 1.0, 2.0, 1 / 12)
-        u = neg_tail_potential(0.5 * params0.delta)
-        params = lifshitz_parameters(u, UNIFORM, l, 1.0, 2.0, 1 / 12)
-        return u, params, l, trials
+        delta = l ** (1.0 - 2.0) / (8.0 * UNIFORM.omega_plus)
+        return neg_tail_potential(0.5 * delta), l
 
     def test_probe_within_chain_bound(self):
-        u, params, l, trials = self._setup()
-        rep = lifshitz_probe(u, UNIFORM, params, l, trials, seed=4)
+        u, l = self._setup()
+        rep = lifshitz_probe(u, UNIFORM, l, 1.0, 2.0, 1 / 12, trials=60, seed=4)
         assert rep.p_emp <= rep.chain_bound + 3 * rep.std_error + 1e-12
+        # the derived values it reports
+        assert rep.beta0 == beta_floor(u)
+        assert rep.delta == l ** -1.0 / 8.0
+        assert u.negative_mass <= rep.delta
 
     def test_point_mass_high_coupling(self):
         # all couplings pinned near 1: lambda_1 stays above the threshold
         spike = uniform_density(1.0 - 2.0**-20, 1.0)
-        u, params, l, _ = self._setup()
-        params = lifshitz_parameters(u, spike, l, 1.0, 2.0, 0.5)
-        rep = lifshitz_probe(u, spike, params, l, trials=20, seed=5)
+        u, l = self._setup()
+        rep = lifshitz_probe(u, spike, l, 1.0, 2.0, 0.5, trials=20, seed=5)
         assert rep.p_emp == 0.0
 
     def test_inadmissible_l_rejected(self):
-        u, params, l, _ = self._setup()
+        u, l = self._setup()
         bad = l + 1
-        beta0 = params.beta0
-        if int(bad) in admissible_lengths(1.0, beta0, bad - 0.5, bad + 0.5):
+        if int(bad) in admissible_lengths(1.0, beta_floor(u), bad - 0.5,
+                                          bad + 0.5):
             bad += 1
-        with pytest.raises(ParameterError):
-            lifshitz_probe(u, UNIFORM, params, float(bad), trials=5, seed=6)
+        with pytest.raises(ParameterError, match="odd-tiling"):
+            lifshitz_probe(u, UNIFORM, float(bad), 1.0, 2.0, 1 / 12,
+                           trials=5, seed=6)
 
     def test_epsilon0_check(self):
-        u, params, l, _ = self._setup()
-        with pytest.raises(ParameterError):
-            lifshitz_parameters(u, UNIFORM, l, 1.0, 2.0, epsilon0=0.5)
+        u, l = self._setup()
+        with pytest.raises(ParameterError, match="exceeds 1/12"):
+            lifshitz_probe(u, UNIFORM, l, 1.0, 2.0, epsilon0=0.5, trials=5,
+                           seed=7)
+
+    @pytest.mark.parametrize("zeta, xi, epsilon0, message", [
+        (0.0, 2.0, 1 / 12, "zeta"), (2.0, 2.0, 1 / 12, "zeta"),
+        (math.nan, 2.0, 1 / 12, "zeta"), (1.0, 0.0, 1 / 12, "xi"),
+        (1.0, 2.0, 0.0, "epsilon0")])
+    def test_parameter_checks(self, zeta, xi, epsilon0, message):
+        u, l = self._setup()
+        with pytest.raises(ParameterError, match=message):
+            lifshitz_probe(u, UNIFORM, l, zeta, xi, epsilon0, trials=5, seed=8)
+
+    @pytest.mark.parametrize("l", [0.0, -2.0, math.inf, math.nan])
+    def test_box_rejects_bad_l(self, l):
+        # delta = l^{zeta-2} / (8 w+) is only formed for a box's l
+        u, _ = self._setup()
+        with pytest.raises(ParameterError, match="half_side"):
+            lifshitz_probe(u, UNIFORM, l, 1.0, 2.0, 1 / 12, trials=5, seed=9)
 
 
 class TestLargeDisorderProbe:

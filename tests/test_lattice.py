@@ -11,8 +11,8 @@ from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
                       SingleSitePotential, assemble_potential, make_box,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
-from alloymsa.lattice import Box, BoxOperator, _bisect_cdf, neighbor_counts
-from helpers import (exact_potential, free_operator,
+from alloymsa.lattice import Box, BoxOperator, _bisect_cdf
+from helpers import (exact_potential, free_operator, neighbor_counts,
                      truncated_exponential_potential)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
@@ -53,7 +53,7 @@ class TestMakeBox:
 
     def test_interior_boundary_2d(self):
         box = make_box((0, 0), 2.0)
-        ring = {tuple(p) for p in box.interior_boundary}
+        ring = {tuple(p) for p in box.points[box.interior_boundary_indices]}
         assert (0, 0) not in ring
         assert (2, 2) in ring and (-2, 0) in ring
         assert len(ring) == 25 - 9
@@ -61,9 +61,24 @@ class TestMakeBox:
     def test_interior_boundary_indices(self):
         box = make_box((1, -2), 2.0)
         # positions in the lexicographic enumeration of the box
-        order = [tuple(p) for p in box.points]
-        expect = [order.index(tuple(p)) for p in box.interior_boundary]
+        expect = [i for i, p in enumerate(box.points)
+                  if any(c in (lo, hi) for c, lo, hi in zip(p, box.lo, box.hi))]
         assert box.interior_boundary_indices.tolist() == expect
+
+    @pytest.mark.parametrize("center, half", [
+        ((0,), 0.5), ((0.5,), 0.5), ((3,), 2.5), ((0.5,), 4.0),
+        ((0, 0), 0.5), ((0.5, 0), 0.5), ((0, 0.5), 0.5), ((0.5, 0), 1.0),
+        ((1, -2), 2.0), ((0.5, 0.5), 3.0),
+        ((0, 0, 0.5), 0.5), ((0.5, 0.5, 0), 0.5), ((0, 0.5, 0.5), 0.5),
+        ((0, 2, -1), 1.5), ((0.5, 0, 0.5), 2.0)])
+    def test_interior_boundary_matches_neighbor_counts(self, center, half):
+        # one-site axes (half 1/2 at an integer centre) and even axes
+        # (half-integer centres), as in the stencil tests' shapes
+        box = Box(center, half)
+        got = box.interior_boundary_indices
+        expect = np.flatnonzero(neighbor_counts(box) < 2 * box.dimension)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("center, half", [((3,), 2.5), ((1, -2), 2.0),
                                               ((0, 2, -1), 1.5)])

@@ -14,10 +14,11 @@ from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
                       uniform_density)
 from alloymsa import spectral
 from alloymsa.errors import FitError, ParameterError, ResonantEnergyError
-from alloymsa.lattice import BoxOperator, neighbor_counts
+from alloymsa.lattice import BoxOperator
 from alloymsa.spectral import (RESONANCE_GUARD, _green_eigenpairs,
                                boundary_greens, greens_column)
-from helpers import blas_threads, exact_potential, free_operator
+from helpers import (blas_threads, exact_potential, free_operator,
+                     neighbor_counts)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from alloymsa import (Configuration, count_eigenvalues_in, eigensolve,
                       make_box, restrict_hamiltonian, spectral)
 from alloymsa.errors import ParameterError, SolverError
-from alloymsa.lattice import Box, BoxOperator, neighbor_counts
+from alloymsa.lattice import Box, BoxOperator
 from alloymsa.spectral import RESIDUAL_BLOCK
-from helpers import exact_potential, free_operator
+from helpers import exact_potential, free_operator, neighbor_counts
 
 # twice the largest half side per dimension: boxes have at most 512 sites
 MAX_HALF = {1: 200, 2: 20, 3: 6}
