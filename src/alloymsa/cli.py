@@ -74,6 +74,16 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number literal as a float; ParameterError for NaN, Infinity,
+    -Infinity (which Python's json accepts) and literals such as 1e999
+    that overflow, since no parameter has a meaning at a non-finite value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParameterError(f"number {text} is not finite")
+    return value
+
+
 def config_hash(config: dict) -> str:
     # threads and output location must not change the science
     hashed = {k: v for k, v in config.items() if k not in ("threads", "out")}
@@ -471,8 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(args.config).read_text(),
+                            parse_float=_finite_number,
+                            parse_constant=_finite_number)
+    except (OSError, json.JSONDecodeError, ParameterError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     if not isinstance(config, dict):

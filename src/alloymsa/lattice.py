@@ -11,6 +11,9 @@ truncation (free diagonal 2d, bonds leaving the box dropped).
 A box operator is stored as its stencil: the diagonal, with -1 implied
 on every bond inside the box.
 
+One capacity rule bounds every array built here from a box, checked by
+`check_capacity` before the array is allocated: at most cap^2 entries.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -34,19 +37,21 @@ DEFAULT_CAPACITY = 20_000
 
 
 def capacity_cap() -> int:
-    """Largest box, in points, that an operator may be built on, checked
-    by `free_diagonal`, where every operator the package builds starts,
-    and so before each dense n x n build (`free_box_matrix`, once per
-    operator solved); ALLOYMSA_CAPACITY overrides the default.  One cap
-    serves every path, though their costs differ: a dense solve of
-    spectra and eigenvectors (dsyevr) needs about 2 n^2 doubles, one for
-    the Green's functions (dsyevd, whose workspace holds 1 + 6n + 2n^2
-    doubles) about 3 n^2, an eigenvalue count O(w^2) doubles at d >= 2
-    and (w + 1) n doubles of band storage at d = 1."""
+    """Points of the largest box whose dense matrix (cap^2 entries) may be
+    built; ALLOYMSA_CAPACITY overrides the default."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
     if env:
         return int(env)
     return DEFAULT_CAPACITY
+
+
+def check_capacity(entries: int, what: str) -> None:
+    """CapacityError, before an array of `entries` entries (`what`) is
+    allocated, when entries > cap^2, cap = `capacity_cap()`."""
+    cap = capacity_cap()
+    if entries > cap * cap:
+        raise CapacityError(f"{what} would hold {entries} entries, over "
+                            f"the cap^2 = {cap}^2")
 
 
 def norm1(k: Iterable[int]) -> int:
@@ -110,6 +115,7 @@ class Box:
     @cached_property
     def points(self) -> np.ndarray:
         """All lattice points, shape (count, d), lexicographic order."""
+        check_capacity(self.count * self.dimension, "the points of a box")
         axes = [np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
@@ -357,6 +363,7 @@ class DisorderModel:
         A one-piece density maps the uniforms directly: its only offset is
         cum[0] = 0, and t - 0.0 == t, so the draws are those of the
         piece-by-piece path bit for bit."""
+        check_capacity(n, "the couplings")
         t = rng.random(n)
         if len(self.pieces) == 1:
             return _inverse_cdf(self.pieces[0], t)
@@ -470,6 +477,7 @@ def assemble_potential(u: SingleSitePotential, config: Configuration,
     """
     domain = config.domain
     w = config.values.reshape(domain.shape)
+    check_capacity(box.count, "the potential on a box")
     v = np.zeros(box.shape)
     for j, uj in zip(u.support.tolist(), u.support_values):
         target, source = [], []
@@ -499,7 +507,9 @@ class BoxOperator:
     the bonds are listed): `slice_block()`, the in-slice part of the
     diagonal blocks (the eigenvalue counts at d >= 2 use it, O(w^2)
     memory), and `matrix`, the dense n x n reference built on demand
-    (eigensolves and Green's functions).  The diagonal is read-only.
+    (eigensolves and Green's functions).  Each form must fit the capacity
+    rule: past n = cap a count runs while its w x w block fits, and only
+    the dense matrix is refused.  The diagonal is read-only.
     """
 
     box: Box
@@ -568,6 +578,7 @@ def _band(shape: tuple[int, ...], strides: tuple[int, ...],
     place that lists the bonds inside a box; every other form of H
     (`upper_band`, `slice_block`, `matrix`) is read from it."""
     w = strides[0]
+    check_capacity((w + 1) * len(diagonal), "a band matrix")
     band = np.zeros((w + 1, len(diagonal)))
     band[w] = diagonal
     for r, s in enumerate(strides):
@@ -583,6 +594,7 @@ def _dense(band: np.ndarray, strides: Iterable[int]) -> np.ndarray:
     row w - s on the s-th super- and subdiagonal, written through strided
     views of the flat buffer."""
     w, m = band.shape[0] - 1, band.shape[1]
+    check_capacity(m * m, "a dense matrix")
     M = np.zeros((m, m))
     flat = M.reshape(-1)
     flat[::m + 1] = band[w]
@@ -593,20 +605,10 @@ def _dense(band: np.ndarray, strides: Iterable[int]) -> np.ndarray:
     return M
 
 
-def free_diagonal(box: Box) -> np.ndarray:
-    """Diagonal of the free box operator, 2d at every site.  Enforces the
-    point cap."""
-    n = box.count
-    cap = capacity_cap()
-    if n > cap:
-        raise CapacityError(f"box has {n} points, dense cap is {cap}")
-    return np.full(n, 2.0 * box.dimension)
-
-
 def free_box_matrix(box: Box) -> np.ndarray:
     """Dense n x n matrix of the free box operator, from its band."""
-    return _dense(_band(box.shape, box.strides, free_diagonal(box)),
-                  box.strides)
+    return _dense(_band(box.shape, box.strides,
+                        np.full(box.count, 2.0 * box.dimension)), box.strides)
 
 
 def restrict_hamiltonian(
@@ -615,6 +617,6 @@ def restrict_hamiltonian(
     box: Box,
 ) -> BoxOperator:
     """Dirichlet truncation of h0 + v to `box`."""
-    diagonal = free_diagonal(box)
-    diagonal += assemble_potential(u, config, box)
+    diagonal = assemble_potential(u, config, box)
+    diagonal += 2.0 * box.dimension
     return BoxOperator(box=box, diagonal=diagonal)

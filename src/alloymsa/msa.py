@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .errors import CapacityError, ParameterError, ScheduleError
+from .errors import ParameterError, ScheduleError
 from .genfun import LeadingIndexData
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
-                      capacity_cap, make_box, restrict_hamiltonian)
+                      check_capacity, make_box, restrict_hamiltonian)
 from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
 from .spectral import boundary_greens, checked_interval
 from .tails import decay_tail_constant
@@ -108,9 +108,9 @@ def uniform_regularity_test(
 def _energy_grid(interval, energy_grid, n: int) -> list:
     """K >= 1 equally spaced energies on the closed `interval` for an
     integer K, or the given non-empty list of finite energies; no energy
-    may repeat, since the report keys its counts by energy.  CapacityError
-    when n K > cap^2 (cap = `capacity_cap()`), before an integer K's grid
-    is built: the Green's functions of n sites hold several n x K arrays."""
+    may repeat, since the report keys its counts by energy.  The n x K
+    Green's functions obey `lattice`'s capacity rule, checked before an
+    integer K's grid is built."""
     e1, e2 = checked_interval(interval)
     if isinstance(energy_grid, (list, tuple, np.ndarray)):
         grid = list(energy_grid)
@@ -125,10 +125,7 @@ def _energy_grid(interval, energy_grid, n: int) -> list:
                              f"of energies, got {energy_grid!r}")
     else:
         grid, count = None, int(energy_grid)
-    cap = capacity_cap()
-    if n * count > cap * cap:
-        raise CapacityError(f"{count} energies on {n} sites exceed the cap: "
-                            f"{n * count} > {cap}^2 Green's function entries")
+    check_capacity(n * count, f"the Green's functions at {count} energies")
     if grid is None:
         grid = list(np.linspace(e1, e2, count))
     if len(set(grid)) < len(grid):

@@ -31,12 +31,13 @@ L = n / w slices); none of the counts forms an n x n array.
   as dormqr.  dlarrv (MRRR, Dhillon & Parlett 2004) computes only a
   leading block of the tridiagonal eigenvectors, up to a singleton of its
   representation tree past the first W, and dormqr back-transforms W of
-  them, W = min(n, 256 ceil((k + 16) / 256)): for `decay`'s benchmark box
-  and k = 3, about 260 of 1681 vectors and 256 columns.  dsyevr itself
-  takes the vector solves these steps leave out: n = 1, a matrix it would
-  scale first (max|H| outside [_RMIN, _RMAX], for a box operator only
-  at |v| > 8e76) and a failed dstemr.  With one BLAS thread the k
-  eigenpairs are bit for bit dsyevr's (see `eigensolve`).  The Green's
+  them, W = n up to n = 512 and min(n, 256 ceil((k + 16) / 256)) past
+  it: for `decay`'s benchmark box and k = 3, about 260 of 1681 vectors
+  and 256 columns.  dsyevr itself takes the vector solves these steps
+  leave out: n = 1, a matrix it would scale first (max|H| outside
+  [_RMIN, _RMAX], for a box operator only at |v| > 8e76) and a failed
+  dstemr.  With one BLAS thread the k eigenpairs are bit for bit
+  dsyevr's (see `eigensolve`).  The Green's
   functions use the divide-and-conquer solver (dsyevd, Gu & Eisenstat
   1995), faster at every box size the probes run, with a workspace that
   takes a solve from about 2n^2 to about 3n^2 doubles: G(E) =
@@ -97,6 +98,9 @@ _MINRGP = 1e-3
 # largest max(|d|, |e|) of a tridiagonal matrix whose eigenvectors are
 # computed for a leading block only; a larger one runs dstemr whole
 _MRRR_MAX_NORM = 1e10
+# largest n whose vector solve computes and back-transforms all n
+# tridiagonal eigenvectors (see `_lowest_eigenpairs`)
+_FULL_WIDTH_MAX = 512
 
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -197,12 +201,14 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
 
     The back-transform of a column depends on the block's width through
     OpenBLAS's GEMM: the last W mod 12 rows of a product and its
-    small-matrix path round differently.  W = min(n, 256 ceil((k + 16) /
-    256)) reproduced dsyevr's k columns bit for bit with scipy's OpenBLAS
-    0.3.30 at one thread on the n from 2 to 1681 and the k tried, except
-    W = 256 at n from 267 to about 395, where the last bits of some
-    columns of dense random matrices (and of a 3-d box operator at
-    k >= 112) differ; W = n is dsyevr's own computation.  With more BLAS
+    small-matrix path round differently.  So W = n, dsyevr's own
+    computation, up to n = _FULL_WIDTH_MAX = 512, and W = min(n,
+    256 ceil((k + 16) / 256)) past it.  On the random symmetric matrices
+    A + A^T, A standard normal from default_rng(n), with scipy's OpenBLAS
+    0.3.30 at one thread, W = n matched dsyevr's k columns bit for bit at
+    every n from 2 to 900 for k = 1, 3, 112 and 240.  The 256-wide block
+    did not at 101 of the n in 267..415 (k = 3 at 21 of them, in
+    267..293), and matched at every n from 416 to 900.  With more BLAS
     threads dsyevr's vectors themselves change with the thread count.
     Rows 1..n-1 of the block are packed into the front of its buffer, so
     dormqr overwrites them without a copy.  The radius, which only the
@@ -218,7 +224,7 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     _check_info("dsytrd", info)
     # dstemr reads e[n - 1] as workspace
     e = np.append(e, 0.0)
-    width = min(n, 256 * -(-(k + 16) // 256))
+    width = n if n <= _FULL_WIDTH_MAX else min(n, 256 * -(-(k + 16) // 256))
     found = _leading_tridiagonal_pairs(d, e, width)
     if found is None:  # range 0 is 'A'
         m, evals, Z, info = _stemr(d, e, 0, 0.0, 0.0, 0, 0)

@@ -229,13 +229,14 @@ class TestErrorPaths:
 
     def test_capacity_error_in_worker_process_exit_4(self, tmp_path,
                                                      monkeypatch, capsys):
-        # Lambda_6 has 13 sites, over the cap: each worker process raises
+        # Lambda_20 has 41 sites, whose 41 x 41 dense matrix is over the
+        # cap^2 = 100 entries: each worker process raises at its first trial
         monkeypatch.setenv("ALLOYMSA_CAPACITY", "10")
-        cfg = write_config(tmp_path, "w.json", {
-            "model": DELTA0_MODEL, "params": {"ls": [6]}, "seed": 1,
+        cfg = write_config(tmp_path, "d.json", {
+            "model": DELTA0_MODEL, "params": {"l": 20.0}, "seed": 1,
             "trials": 4,
         })
-        assert main(["wegner", "--config", str(cfg), "--threads", "2",
+        assert main(["decay", "--config", str(cfg), "--threads", "2",
                      "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -478,6 +479,26 @@ DELTA0_3D = {  # alpha = 3 keeps R_l = 8, so Gamma holds 4913 couplings
 }
 
 
+def wegner_operators(model, l, seed, trials):
+    """The operators of the trials of wegner.estimate_partial_expectation."""
+    u, rho = load_model(model)
+    origin = (0,) * u.dimension
+    R = companion_radius(u, find_leading_index(u), l)
+    domain = make_box(origin, max(R, l + u.truncation_radius) + 0.25)
+    gamma = make_box(origin, R).contains_points(domain.points)
+    for i in range(trials):
+        values = np.zeros(domain.count)
+        values[gamma] = rho.sample(mc.trial_rng(mc.splitmix64(seed, 0), i),
+                                   int(gamma.sum()))
+        yield restrict_hamiltonian(u, Configuration(domain, values),
+                                   make_box(origin, l))
+
+
+def wegner_mean(files) -> float:
+    header, row = files["wegner.csv"].decode().splitlines()
+    return float(dict(zip(header.split(","), row.split(",")))["mean"])
+
+
 class TestWegnerAgainstBandedCounts:
     @pytest.mark.parametrize("model,l,interval", [
         (P2_MODEL, 3, [3.0, 5.0]),     # n = 49, 7 sites per slice
@@ -490,30 +511,62 @@ class TestWegnerAgainstBandedCounts:
             "model": model, "params": {"ls": [l], "interval": interval},
             "seed": seed, "trials": trials,
         }, expect_rc=0)
-        header, row = files["wegner.csv"].decode().splitlines()
-        mean = float(dict(zip(header.split(","), row.split(",")))["mean"])
-        # the trials of wegner.estimate_partial_expectation, counted banded
-        u, rho = load_model(model)
-        origin = (0,) * u.dimension
-        R = companion_radius(u, find_leading_index(u), l)
-        domain = make_box(origin, max(R, l + u.truncation_radius) + 0.25)
-        gamma = make_box(origin, R).contains_points(domain.points)
-        counts = []
-        for i in range(trials):
-            values = np.zeros(domain.count)
-            values[gamma] = rho.sample(mc.trial_rng(mc.splitmix64(seed, 0), i),
-                                       int(gamma.sum()))
-            op = restrict_hamiltonian(u, Configuration(domain, values),
-                                      make_box(origin, l))
-            counts.append(len(scipy.linalg.eigvals_banded(
-                op.upper_band(), select="v",
-                select_range=(np.nextafter(interval[0], -np.inf), interval[1]))))
+        counts = [len(scipy.linalg.eigvals_banded(
+            op.upper_band(), select="v",
+            select_range=(np.nextafter(interval[0], -np.inf), interval[1])))
+            for op in wegner_operators(model, l, seed, trials)]
+        mean = wegner_mean(files)
         assert mean > 0
         assert mean == mc.mean_and_stderr(counts)[0]
 
 
+class TestCountsPastTheCap:
+    def test_count_runs_where_dense_solve_is_refused(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # Lambda_6 has 169 sites: its 13 x 13 slice blocks fit a cap of 100
+        # points (10^4 entries), its 169 x 169 dense matrix does not
+        seed, trials, interval = 5, 6, [3.0, 5.0]
+        monkeypatch.setenv("ALLOYMSA_CAPACITY", "100")
+        files = run_both_thread_counts(tmp_path, "wegner", {
+            "model": P2_MODEL, "params": {"ls": [6], "interval": interval},
+            "seed": seed, "trials": trials,
+        }, expect_rc=0)
+        cfg = write_config(tmp_path, "d.json", {
+            "model": P2_MODEL, "params": {"l": 6.0}, "seed": seed,
+            "trials": 1})
+        capsys.readouterr()
+        assert main(["decay", "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: a dense matrix") and err.count("\n") == 1
+        monkeypatch.delenv("ALLOYMSA_CAPACITY")
+        counts = []
+        for op in wegner_operators(P2_MODEL, 6, seed, trials):
+            evals = np.linalg.eigvalsh(op.matrix)
+            counts.append(int(np.sum((evals >= interval[0])
+                                     & (evals <= interval[1]))))
+        assert wegner_mean(files) == mc.mean_and_stderr(counts)[0] > 0
+
+    @pytest.mark.parametrize("command, params", [
+        ("decay", {"l": 1e6}), ("wegner", {"ls": [1e6]})])
+    def test_oversized_box_exit_4_one_line(self, tmp_path, capsys,
+                                           monkeypatch, command, params):
+        # Lambda_{10^6} in d = 2 has 4 10^12 sites: at the default cap it
+        # is refused before any array of its size, such as its 29 TiB of
+        # couplings, is allocated
+        monkeypatch.delenv("ALLOYMSA_CAPACITY", raising=False)
+        cfg = write_config(tmp_path, "c.json", {
+            "model": P2_MODEL, "params": params, "seed": 1, "trials": 2})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "20000^2" in err
+
+
 class TestWegnerIntervalChecked:
-    @pytest.mark.parametrize("interval", [[1.9, 2.1, 3.0], [math.nan, 2.1]])
+    # a NaN endpoint no longer gets past the config parser
+    @pytest.mark.parametrize("interval", [[1.9, 2.1, 3.0], [2.1, 1.9]])
     def test_exit_3_one_line(self, tmp_path, capsys, interval):
         cfg = write_config(tmp_path, "w.json", {
             "model": DELTA0_MODEL, "params": {"ls": [2], "interval": interval},
@@ -669,6 +722,85 @@ class TestRejectedBeforeAnyTrial:
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
             "error: potential table repeats the point (0,)\n")
+
+
+# one admitted config per kind, each numeric leaf of which is replaced in
+# turn by a literal that Python's json reads as a non-finite float
+ADMITTED = {
+    "analyze-potential": (DELTA0_MODEL, {"ls": [2.0], "zero_tolerance": 0.0}),
+    "wegner": (DELTA0_MODEL, {"ls": [2], "interval": [1.9, 2.1],
+                              "exteriors": 1}),
+    "resonance": (P2_MODEL, {"x": [0, 0], "y": [200, 0], "l1": 3, "l2": 10,
+                             "eps_list": [0.1]}),
+    "msa-schedule": (DELTA0_MODEL, {"k_max": 5, "msa": {
+        "xi": 8.0, "kappa": 1.5, "beta": 0.6, "q": 0.5, "m0": 0.5,
+        "l0": 25000.0}}),
+    "msa-probe": (DELTA0_MODEL, {"l": 2.0, "m": 0.3, "interval": [0.4, 0.6],
+                                 "energy_grid": 11, "p_hi_max": 1.0}),
+    "lifshitz": (neg_tail_model(1e-6), {"zeta": 1.0, "xi": 2.0, "l": 16,
+                                        "epsilon0": 0.05}),
+    "large-disorder": ({**P2_MODEL, "rho": {"uniform": [0.0, 50.0]}},
+                       {"l0": 6, "m0": 5.0, "xi": 3.0}),
+    "decay": (DELTA0_MODEL, {"l": 3.0, "n_lowest": 1, "rate_max": -0.2,
+                             "r2_min": 0.8, "frac_min": 0.0}),
+}
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+def admitted_config(command) -> dict:
+    model, params = ADMITTED[command]
+    return {"model": model, "params": params, "seed": 1, "trials": 2,
+            "threads": 1}
+
+
+def numeric_leaves(node, path=()):
+    """The path of every number (bool excepted) in a JSON value."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+        else:
+            yield from numeric_leaves(value, path + (key,))
+
+
+def with_literal(config, path, literal: str) -> str:
+    """The JSON text of `config` with the number at `path` written as
+    `literal`."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    text = json.dumps(config)
+    assert text.count('"@"') == 1
+    return text.replace('"@"', literal)
+
+
+class TestNonFiniteNumbersRefused:
+    @pytest.mark.parametrize("command", list(ADMITTED))
+    def test_admitted(self, tmp_path, command):
+        cfg = write_config(tmp_path, "c.json", admitted_config(command))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) in (0, 2)
+
+    @pytest.mark.parametrize("command", list(ADMITTED))
+    def test_every_leaf_exit_3_one_line(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        config = admitted_config(command)
+        leaves = list(numeric_leaves(config))
+        assert len(leaves) >= 10
+        cfg, out = tmp_path / "c.json", tmp_path / "o"
+        for path in leaves:
+            for literal in NON_FINITE:
+                cfg.write_text(with_literal(config, path, literal))
+                assert main([command, "--config", str(cfg),
+                             "--out", str(out)]) == 3, (path, literal)
+                assert capsys.readouterr().err == (
+                    f"error: cannot read config: number {literal} is not "
+                    "finite\n")
+                assert not out.exists()
 
 
 class TestRunExperimentAPI:

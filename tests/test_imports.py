@@ -14,7 +14,9 @@ benchmark's `perfbench/child.py` hooks by name must exist.  Every field
 of a dataclass in the package must be read somewhere in `src/` or
 `tests/`.  Every parameter with a default, on a public top-level function
 of the package, must be passed at some call in `src/`: one that only
-tests set is a knob the program never turns.
+tests set is a knob the program never turns.  The capacity policy lives
+in `lattice` alone: only `lattice` calls `capacity_cap`, and no other
+module raises `CapacityError`, but for `mc`'s lost worker processes.
 """
 
 import ast
@@ -314,3 +316,57 @@ def test_default_scanner():
 def test_every_default_is_passed_in_src():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unpassed_defaults(sources, ["main", *ALLOWED_UNREACHED]) == []
+
+
+def capacity_sites(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Where `sources` (module name -> source) call `capacity_cap` and
+    raise `CapacityError`, as "calls" / "raises" -> {"module.function"},
+    the innermost enclosing function ("module" at module level)."""
+    sites = {"calls": set(), "raises": set()}
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.split('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name == "capacity_cap":
+                sites["calls"].add(where)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else \
+                exc.attr if isinstance(exc, ast.Attribute) else None
+            if name == "CapacityError":
+                sites["raises"].add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sites
+
+
+def test_capacity_scanner():
+    sources = {
+        "lattice": ("CAP = capacity_cap()\n"
+                    "def check(n):\n"
+                    "    if n > capacity_cap():\n"
+                    "        raise CapacityError('big')\n"),
+        "mc": ("def run():\n"
+               "    def inner():\n"
+               "        raise errors.CapacityError\n"
+               "    raise ValueError\n"),
+    }
+    assert capacity_sites(sources) == {
+        "calls": {"lattice", "lattice.check"},
+        "raises": {"lattice.check", "mc.inner"}}
+
+
+def test_capacity_policy_in_lattice_alone():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert capacity_sites(sources) == {
+        "calls": {"lattice.check_capacity"},
+        # mc's: a worker process that cannot be started or that died
+        "raises": {"lattice.check_capacity", "mc._fork_share",
+                   "mc.run_trials"}}

@@ -1,6 +1,7 @@
 """model_core: boxes, potentials, densities, configurations, operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
                       restrict_hamiltonian, uniform_density)
 from alloymsa.errors import CapacityError, ParameterError
 from alloymsa.lattice import Box, BoxOperator, _bisect_cdf
+from alloymsa.msa import _energy_grid
 from helpers import (exact_potential, free_operator, neighbor_counts,
                      truncated_exponential_potential)
 
@@ -281,11 +283,79 @@ class TestRestrictHamiltonian:
         assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-14
 
     def test_capacity(self):
+        # the operator itself is 100,001 entries; its dense matrix is refused
         with pytest.raises(CapacityError):
-            free_operator(make_box((0,), 50_000.0))
+            free_operator(make_box((0,), 50_000.0)).matrix
 
 
 PAIR_2D = exact_potential({(0, 0): 1.0, (1, 1): -0.5}, 3.8, 1.0)
+
+
+def _points(n):
+    return make_box((0,), (n - 1) / 2).points
+
+
+def _couplings(n):
+    return uniform_density(0.0, 1.0).sample(np.random.default_rng(0), n)
+
+
+def _potential(n):
+    return assemble_potential(DELTA0, constant_configuration(
+        make_box((0,), 1.0), 1.0), make_box((0,), (n - 1) / 2))
+
+
+def _band(n):
+    return free_operator(make_box((0,), (n - 1) / 2)).upper_band()
+
+
+def _dense(n):
+    return free_operator(make_box((0,), (n - 1) / 2)).matrix
+
+
+def _grid(n):
+    return _energy_grid((0.0, 1.0), n, 1)
+
+
+class TestCapacityRule:
+    """No array built from a box holds more than cap^2 entries: each
+    builder refuses the smallest array over cap^2 before allocating it,
+    and builds the largest one that fits."""
+
+    # name -> (builder of an array from n, entries of that array, cap, the
+    # smallest refused n).  A 1-d box has an odd number of sites, so the
+    # points (n entries) take an even cap and the band (2n entries) an odd
+    # one; no square is cap^2 + 1, so the dense matrix is refused at cap + 1
+    CASES = {
+        "points": (_points, lambda n: n, 1000, 1000 ** 2 + 1),
+        "couplings": (_couplings, lambda n: n, 1000, 1000 ** 2 + 1),
+        "potential": (_potential, lambda n: n, 1000, 1000 ** 2 + 1),
+        "band": (_band, lambda n: 2 * n, 999, (999 ** 2 + 1) // 2),
+        "dense": (_dense, lambda n: n * n, 1000, 1001),
+        "grid": (_grid, lambda n: n, 1000, 1000 ** 2 + 1),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_refused_before_allocating(self, monkeypatch, name):
+        build, entries, cap, n = self.CASES[name]
+        monkeypatch.setenv("ALLOYMSA_CAPACITY", str(cap))
+        assert entries(n - 2) <= cap * cap < entries(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"over the cap\\^2 = {cap}\\^2"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * entries(n)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_largest_fitting_array_built(self, monkeypatch, name):
+        build, entries, _, _ = self.CASES[name]
+        monkeypatch.setenv("ALLOYMSA_CAPACITY", "10")
+        n = max(n for n in range(1, 101, 2) if entries(n) <= 100)
+        build(n)
+        with pytest.raises(CapacityError):
+            build(n + 2)
 
 
 class TestDensityBVNorm:

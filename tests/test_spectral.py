@@ -123,6 +123,20 @@ class TestLowestEigenvectorsBitwise:
                 else:
                     assert got is None
 
+    # sizes at which a 256-wide back-transform block missed dsyevr's bits
+    # (k = 1 at 11 of the n in 267..279, k = 3 at 21 in 267..293, k = 112
+    # and 240 at 101 in 267..415): up to n = 512 a vector solve takes W = n
+    @pytest.mark.parametrize("n", [267, 279, 293, 396, 414, 415])
+    def test_full_width_sizes(self, n):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        A = A + A.T
+        with blas_threads(1):
+            evals, evecs = scipy.linalg.eigh(A)
+            for k in (1, 3, 112, 240):
+                got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
+                assert np.array_equal(got[0], evals[:k])
+                assert np.array_equal(got[1], evecs[:, :k])
+
     # n = 1 (dsyevr's closed form) and max|A| above RMAX ~ 8e76 (dsyevr
     # scales A down first) are left to dsyevr too, with A untouched
     @pytest.mark.parametrize("n, scale", [(1, 1.0), (40, 1e80)])
