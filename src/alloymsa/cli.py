@@ -8,8 +8,8 @@ output files it reports into through `Run.contract`, `Run.write_csv`
 and `Run.write_json`.  Every run embeds the config hash and the computed
 constants in its summary, and identical config+seed produce
 byte-identical outputs across reruns and thread counts.  Exit codes:
-0 pass, 2 contract violation, 3 precondition/parameter error,
-4 capacity error.
+0 pass, 2 contract violation, 3 precondition/parameter error (a usage
+error too), 4 capacity error.
 `--threads N` runs the trials in N processes, this one and N - 1 forked
 children that inherit the closure (never pickled); see `mc`.
 """
@@ -38,7 +38,7 @@ from .lattice import (Configuration, DisorderModel, SingleSitePotential,
 from .msa import (MSAParameters, estimate_singularity_probability,
                   scale_schedule, schedule_to_json_dict, validate_parameters)
 from .resonance import estimate_resonance_probabilities
-from .spectral import SHELL_FLOOR, decay_fit, eigensolve, shell_maxima
+from .spectral import decay_fit, decay_shells, eigensolve
 from .wegner import coupling_domain, estimate_partial_expectation, wegner_bound
 
 # draft-07: checking a schema against its metaschema costs a fraction of
@@ -82,6 +82,29 @@ def _finite_number(text: str) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"number {text} is not finite")
     return value
+
+
+def _finite_integer(text: str) -> int:
+    """A JSON integer literal as an int; ParameterError for one too large
+    to be read as a float, as every numeric parameter is somewhere, and
+    for one past Python's limit on the digits of an int."""
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):
+        raise ParameterError(f"integer of {len(text.lstrip('-'))} digits "
+                             "is too large") from None
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print argparse's usage and
+    message and exit 3, a parameter error: argparse's own 2 means a failed
+    contract here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def config_hash(config: dict) -> str:
@@ -381,10 +404,8 @@ def _run_decay(run: Run) -> None:
             rows.append([t, j, rate, r2])
     run.write_csv("decay", "decay.csv", ["trial", "eigenvector", "rate", "r2"],
                   rows)
-    psi = results[0][2]
-    shell = shell_maxima(psi, box, box.points[int(np.argmax(psi))])
-    prows = [[r, math.log(v)] for r, v in sorted(shell.items())
-             if v > SHELL_FLOOR]
+    shells = decay_shells(results[0][2], box)
+    prows = [[r, math.log(v)] for r, v in shells.items()]
     run.write_csv("plotdata", "decay_plot.csv", ["dist_inf", "log_abs_psi"],
                   prows)
 
@@ -465,7 +486,7 @@ CONFIG_SCHEMA = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alloymsa",
         description="Batch experiments on the discrete alloy-type Anderson model",
     )
@@ -483,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = json.loads(Path(args.config).read_text(),
                             parse_float=_finite_number,
+                            parse_int=_finite_integer,
                             parse_constant=_finite_number)
     except (OSError, json.JSONDecodeError, ParameterError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

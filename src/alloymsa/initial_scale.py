@@ -100,15 +100,16 @@ def lifshitz_probe(
     decomposition (negative mass <= delta), and l must pass the
     odd-tiling condition of `admissible_lengths`."""
     beta0 = beta_floor(u)
-    if model.cdf(epsilon0) > 1.0 / 12.0 + 1e-12:
+    # each check is written so that NaN fails it
+    if not 0.0 < zeta < 2.0:
+        raise ParameterError("zeta must lie in (0, 2)")
+    if not (xi > 0 and epsilon0 > 0):
+        # delta > 0 holds for every l that make_box accepts
+        raise ParameterError("xi, delta, epsilon0 must be positive")
+    if not model.cdf(epsilon0) <= 1.0 / 12.0 + 1e-12:
         raise ParameterError(
             f"P(w0 < {epsilon0}) = {model.cdf(epsilon0):.6g} exceeds 1/12"
         )
-    if not 0.0 < zeta < 2.0:
-        raise ParameterError("zeta must lie in (0, 2)")
-    if xi <= 0 or epsilon0 <= 0:
-        # delta > 0 holds for every l that make_box accepts
-        raise ParameterError("xi, delta, epsilon0 must be positive")
     d = u.dimension
     box = make_box((0,) * d, l)  # before int(l): rejects l <= 0, NaN or inf
     delta = l ** (zeta - 2.0) / (8.0 * model.omega_plus)
@@ -175,8 +176,13 @@ def large_disorder_probe(
     against the target l0^{-2 xi}.  The printed display has a positive
     exponent, which cannot close for large l0; the sign-corrected variant
     is computed alongside, and both maximal admissible BV norms (the bound
-    is linear in ||rho||_Var) are reported.
+    is linear in ||rho||_Var) are reported.  Where the sign-corrected rhs
+    is 0 (delta0 = 0 and e^{-m0 l0} below the smallest double), every BV
+    norm closes it, and its maximal BV norm is inf.  m0 and xi must be
+    positive (NaN fails the check).
     """
+    if not (m0 > 0 and xi > 0):
+        raise ParameterError(f"m0 and xi must be positive, got {m0!r}, {xi!r}")
     d = u.dimension
     notes = []
     if 4.0 * l0 < companion_radius(u, lead, l0):
@@ -194,7 +200,8 @@ def large_disorder_probe(
         return count * bv * (eps + 2.0 * delta0) * chain
 
     def max_bv(eps: float) -> float:
-        return target / (count * (eps + 2.0 * delta0) * chain)
+        per_unit_bv = count * (eps + 2.0 * delta0) * chain
+        return target / per_unit_bv if per_unit_bv > 0 else math.inf
 
     eps_printed = 2.0 * math.exp(min(m0 * l0, 700.0))
     eps_neg = 2.0 * math.exp(-m0 * l0)

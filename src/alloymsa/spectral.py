@@ -24,19 +24,19 @@ L = n / w slices); none of the counts forms an n x n array.
   the lowest few eigenvectors one by one (`decay` fits each), follows the
   relatively robust representations solver (dsyevr, scipy's default): the
   basis it picks inside a cluster of close eigenvalues fixes the
-  published decay rates.  A values-only solve calls dsyevr itself.  A
-  solve for the lowest k eigenvectors runs dsyevr's own steps: dsytrd,
-  then dstemr's (dlarrr, dlarre, dlarrv, called through the function
-  pointers of scipy's Cython LAPACK API), then the back-transform dormtr
-  as dormqr.  dlarrv (MRRR, Dhillon & Parlett 2004) computes only a
-  leading block of the tridiagonal eigenvectors, up to a singleton of its
-  representation tree past the first W, and dormqr back-transforms W of
-  them, W = n up to n = 512 and min(n, 256 ceil((k + 16) / 256)) past
-  it: for `decay`'s benchmark box and k = 3, about 260 of 1681 vectors
-  and 256 columns.  dsyevr itself takes the vector solves these steps
-  leave out: n = 1, a matrix it would scale first (max|H| outside
-  [_RMIN, _RMAX], for a box operator only at |v| > 8e76) and a failed
-  dstemr.  With one BLAS thread the k eigenpairs are bit for bit
+  published decay rates.  A values-only solve and a vector solve at
+  n <= 512 call dsyevr itself.  Past n = 512 a solve for the lowest k
+  eigenvectors runs dsyevr's own steps: dsytrd, then dstemr's (dlarrr,
+  dlarre, dlarrv, called through the function pointers of scipy's Cython
+  LAPACK API), then the back-transform dormtr as dormqr.  dlarrv (MRRR,
+  Dhillon & Parlett 2004) computes only a leading block of the
+  tridiagonal eigenvectors, up to a singleton of its representation tree
+  past the first W, and dormqr back-transforms W = min(n, 256 ceil((k +
+  16) / 256)) of them: for `decay`'s benchmark box and k = 3, about 260
+  of 1681 vectors and 256 columns.  dsyevr itself also takes the vector
+  solves these steps leave out: a matrix it would scale first (max|H|
+  outside [_RMIN, _RMAX], for a box operator only at |v| > 8e76) and a
+  failed dstemr.  With one BLAS thread the k eigenpairs are bit for bit
   dsyevr's (see `eigensolve`).  The Green's
   functions use the divide-and-conquer solver (dsyevd, Gu & Eisenstat
   1995), faster at every box size the probes run, with a workspace that
@@ -47,7 +47,9 @@ L = n / w slices); none of the counts forms an n x n array.
   eigendecomposition and one matrix product, G(E_k; source, w) for every
   interior-boundary site w from V[boundary] (V[source, :, None] /
   (lambda[:, None] - E[None, :])), so a Monte-Carlo realization costs one
-  dense build from the band, one solve and O(n K) array work."""
+  dense build from the band, one solve and O(n K) array work.
+- A decay fit and the decay plot read the same shells of an eigenvector,
+  picked by `decay_shells`."""
 
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ from .lattice import Box, BoxOperator, Point
 
 RESONANCE_GUARD = 1e-12
 # shells whose max |psi| is not above this are left out of decay fits
-# and of the decay plot
+# and of the decay plot (see `decay_shells`)
 SHELL_FLOOR = 1e-14
 RESIDUAL_CONTRACT = 1e-10
 # eigenvector columns per stencil product in the residual check
@@ -98,8 +100,8 @@ _MINRGP = 1e-3
 # largest max(|d|, |e|) of a tridiagonal matrix whose eigenvectors are
 # computed for a leading block only; a larger one runs dstemr whole
 _MRRR_MAX_NORM = 1e10
-# largest n whose vector solve computes and back-transforms all n
-# tridiagonal eigenvectors (see `_lowest_eigenpairs`)
+# largest n whose vector solve dsyevr itself runs, computing and
+# back-transforming all n tridiagonal eigenvectors (see `_lowest_eigenpairs`)
 _FULL_WIDTH_MAX = 512
 
 
@@ -147,15 +149,16 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
     transpose (equal to it, by symmetry), which the solve overwrites
     without a copy.  With vectors = 0, dsyevr computes the eigenvalues
     alone (by dsterf, so they can differ in the last bits from those of a
-    vector solve).  Otherwise `_lowest_eigenpairs` runs dsyevr's own steps,
-    computes the tridiagonal eigenvectors of a leading block only and
-    back-transforms W of them.  dsyevr itself solves a fresh matrix where
-    `_lowest_eigenpairs` returns None: at n = 1, where dsyevr would scale
-    the matrix first (every box operator with n >= 2 has a bond, so
-    max|H| >= 1), and where dstemr fails (dsyevr's own fallback).  At one
-    BLAS thread the k eigenvalues and eigenvectors are bit for bit those
-    of scipy.linalg.eigh (dsyevr, every eigenpair); ask for k = n to get
-    the whole spectrum of a vector solve.  The residual
+    vector solve).  Otherwise, past n = _FULL_WIDTH_MAX = 512,
+    `_lowest_eigenpairs` runs dsyevr's own steps, computes the tridiagonal
+    eigenvectors of a leading block only and back-transforms W of them.
+    dsyevr itself solves a fresh matrix where `_lowest_eigenpairs` returns
+    None: at n <= 512, where dsyevr would scale the matrix first (every
+    box operator with n >= 2 has a bond, so max|H| >= 1), and where dstemr
+    fails (dsyevr's own fallback).  At one BLAS thread the k eigenvalues
+    and eigenvectors are bit for bit those of scipy.linalg.eigh (dsyevr,
+    every eigenpair); ask for k = n to get the whole spectrum of a vector
+    solve.  The residual
     max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), the maximum over
     the returned columns and |lambda|_max over the whole spectrum, must not
     exceed RESIDUAL_CONTRACT."""
@@ -170,7 +173,7 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
         return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=None,
                               residual=0.0)
     found = _lowest_eigenpairs(op.matrix.T, int(vectors))
-    if found is None:  # n = 1, a scaled H or a failed dstemr: dsyevr itself
+    if found is None:  # n <= 512, a scaled H or a failed dstemr: dsyevr itself
         evals, evecs = scipy.linalg.eigh(op.matrix.T, overwrite_a=True)
         found = (evals[:vectors].copy(), evecs[:, :vectors].copy(),
                  max(-evals[0], evals[-1]))
@@ -184,8 +187,8 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     """The k lowest eigenvalues, their eigenvectors and the spectral radius
     max |lambda| of the symmetric F-contiguous matrix `H`, which this
     overwrites, by the steps LAPACK's dsyevr takes for all eigenpairs of a
-    lower triangle.  None, leaving H as it is, at n = 1 (dsyevr's closed
-    form) and where max|H| lies outside [_RMIN, _RMAX] (dsyevr scales H
+    lower triangle.  None, leaving H as it is, at n <= _FULL_WIDTH_MAX =
+    512 and where max|H| lies outside [_RMIN, _RMAX] (dsyevr scales H
     first); None too where dstemr fails, as dsyevr then falls back to
     bisection and inverse iteration.
 
@@ -199,24 +202,24 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
        the n - 1 reflectors below the subdiagonal on rows 1..n-1, with the
        block size dsyevr's workspace gives dormqr.
 
-    The back-transform of a column depends on the block's width through
-    OpenBLAS's GEMM: the last W mod 12 rows of a product and its
-    small-matrix path round differently.  So W = n, dsyevr's own
-    computation, up to n = _FULL_WIDTH_MAX = 512, and W = min(n,
-    256 ceil((k + 16) / 256)) past it.  On the random symmetric matrices
-    A + A^T, A standard normal from default_rng(n), with scipy's OpenBLAS
-    0.3.30 at one thread, W = n matched dsyevr's k columns bit for bit at
-    every n from 2 to 900 for k = 1, 3, 112 and 240.  The 256-wide block
-    did not at 101 of the n in 267..415 (k = 3 at 21 of them, in
-    267..293), and matched at every n from 416 to 900.  With more BLAS
-    threads dsyevr's vectors themselves change with the thread count.
+    W = min(n, 256 ceil((k + 16) / 256)).  The back-transform of a column
+    depends on the block's width through OpenBLAS's GEMM: the last W mod
+    12 rows of a product and its small-matrix path round differently.  On
+    the random symmetric matrices A + A^T, A standard normal from
+    default_rng(n), with scipy's OpenBLAS 0.3.30 at one thread, the
+    256-wide block missed dsyevr's k columns at 101 of the n in 267..415
+    (k = 3 at 21 of them, in 267..293) and matched them at every n from
+    416 to 900, for k = 1, 3, 112 and 240; hence dsyevr itself up to 512,
+    where these steps also saved no time.  With more BLAS threads dsyevr's
+    vectors themselves change with the thread count.
     Rows 1..n-1 of the block are packed into the front of its buffer, so
     dormqr overwrites them without a copy.  The radius, which only the
     normaliser of the residual check reads, comes from dlarre's eigenvalues
     where the eigenvalues past the leading block are never refined.  A
     nonzero info of dsytrd or dormqr raises SolverError."""
     n = H.shape[0]
-    if n == 1 or not _RMIN <= max(float(H.max()), -float(H.min())) <= _RMAX:
+    if n <= _FULL_WIDTH_MAX or \
+            not _RMIN <= max(float(H.max()), -float(H.min())) <= _RMAX:
         return None
     lwork = int(_syevr_lwork(n, lower=1)[0])
     _, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
@@ -224,7 +227,7 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     _check_info("dsytrd", info)
     # dstemr reads e[n - 1] as workspace
     e = np.append(e, 0.0)
-    width = n if n <= _FULL_WIDTH_MAX else min(n, 256 * -(-(k + 16) // 256))
+    width = min(n, 256 * -(-(k + 16) // 256))
     found = _leading_tridiagonal_pairs(d, e, width)
     if found is None:  # range 0 is 'A'
         m, evals, Z, info = _stemr(d, e, 0, 0.0, 0.0, 0, 0)
@@ -260,8 +263,8 @@ def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
     spectral radius; None where dstemr would take another route, or a step
     fails.  `d` and `e` are left as they are.
 
-    dstemr (range 'A', with vectors) solves n <= 2 in closed form (dlaev2)
-    and scales a matrix with max(|d|, |e|) outside [_RMIN, _RMAX].  Then it
+    dstemr (range 'A', with vectors, n > 2) scales a matrix with
+    max(|d|, |e|) outside [_RMIN, _RMAX].  Then it
     1. asks dlarrr whether the matrix warrants relatively accurate
        eigenvalues (scipy's wrapper passes TRYRAC); if so it splits on
        relative size and refines the eigenvalues by dlarrj;
@@ -272,9 +275,8 @@ def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
     3. has dlarrv compute the eigenvectors down the representation tree,
        whose root has a child boundary after eigenvalue j where the gap
        to j + 1 is at least _MINRGP |lambda_j - sigma|.
-    This runs 1-3 and returns None on every other route: n <= 2, a
-    relatively accurate matrix, a split, max(|d|, |e|) outside
-    [_RMIN, _MRRR_MAX_NORM].
+    This runs 1-3 and returns None on every other route: a relatively
+    accurate matrix, a split, max(|d|, |e|) outside [_RMIN, _MRRR_MAX_NORM].
 
     dlarrv's own index range DOL:DOU (some of its M vectors) turns off its
     Rayleigh-quotient correction and changes its tolerance, which moves
@@ -290,8 +292,6 @@ def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
     third of the random symmetric matrices tried with max(|d|, |e|) of
     2.5e13 and more and on none of 160 up to 7.6e12, hence the cap."""
     n = d.size
-    if n <= 2:
-        return None
     tnrm = max(float(np.max(np.abs(d))), float(np.max(np.abs(e[:-1]))))
     if not _RMIN <= tnrm <= _MRRR_MAX_NORM:
         return None
@@ -547,24 +547,25 @@ def shell_maxima(psi: np.ndarray, box: Box, center) -> dict[int, float]:
     return {int(r): float(shells[r]) for r in np.unique(radii)}
 
 
-def decay_fit(psi: np.ndarray, box: Box) -> tuple[float, float]:
-    """Least-squares slope of log shell-max |psi| against ||x - center||_inf.
+def decay_shells(psi: np.ndarray, box: Box) -> dict[int, float]:
+    """The shells a decay fit and the decay plot read, r -> max |psi(x)|
+    over ||x - center||_inf = r, ascending in r: center is the site of
+    max |psi| (the first, on a tie), and a shell whose max is not above
+    SHELL_FLOOR is left out."""
+    center = box.points[int(np.argmax(np.abs(psi)))]
+    return {r: v for r, v in shell_maxima(psi, box, center).items()
+            if v > SHELL_FLOOR}
 
-    center is the argmax of |psi|; shells whose max is not above
-    SHELL_FLOOR are dropped; fewer than 3 usable shells is a fit error.
-    """
-    psi = np.asarray(psi, dtype=float)
-    center = tuple(int(c) for c in box.points[int(np.argmax(np.abs(psi)))])
-    shells = shell_maxima(psi, box, center)
-    xs, ys = [], []
-    for r in sorted(shells):
-        if shells[r] > SHELL_FLOOR:
-            xs.append(float(r))
-            ys.append(np.log(shells[r]))
-    if len(xs) < 3:
-        raise FitError(f"only {len(xs)} usable shells for decay fit")
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+
+def decay_fit(psi: np.ndarray, box: Box) -> tuple[float, float]:
+    """Least-squares slope of log shell-max |psi| against ||x - center||_inf
+    over the shells of `decay_shells`, and its r^2; fewer than 3 shells is
+    a fit error."""
+    shells = decay_shells(psi, box)
+    if len(shells) < 3:
+        raise FitError(f"only {len(shells)} usable shells for decay fit")
+    xs = np.asarray([float(r) for r in shells])
+    ys = np.asarray([np.log(v) for v in shells.values()])
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(np.sum((ys - pred) ** 2))

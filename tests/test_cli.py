@@ -210,6 +210,49 @@ class TestErrorPaths:
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["wegner", "--config", str(tmp_path / "nope.json")]) == 3
 
+    # argparse's own exit code, 2, is that of a failed contract here
+    @pytest.mark.parametrize("argv, message", [
+        (["wegner"], "the following arguments are required: --config"),
+        (["wegner", "--config", "c.json", "--bogus"],
+         "unrecognized arguments: --bogus")],
+        ids=["without-config", "unknown-flag"])
+    def test_usage_error_exit_3(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: alloymsa")
+        assert err.endswith(f" error: {message}\n")
+
+    def test_table_dimension_disagrees_with_model_exit_3(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # a 1-d table whose own d is left to the model's d = 2
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        u = {k: v for k, v in DELTA0_MODEL["u"].items() if k != "d"}
+        cfg = write_config(tmp_path, "c.json", {
+            "model": {**DELTA0_MODEL, "d": 2, "u": u},
+            "params": {"l": 3.0}, "seed": 1, "trials": 2})
+        assert main(["decay", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: potential dimension disagrees with model d\n")
+
+    def test_trials_flag_overrides_config(self, tmp_path):
+        # the summary hashes the config after the override, so every file
+        # equals that of a config that sets the same trials
+        payload = {"model": DELTA0_MODEL, "params": {"ls": [2]}, "seed": 5}
+        outs = []
+        for name, trials, flag in (("a", 6, []), ("b", 40, ["--trials", "6"])):
+            cfg = write_config(tmp_path, f"{name}.json",
+                               {**payload, "trials": trials})
+            assert main(["wegner", "--config", str(cfg), *flag,
+                         "--out", str(tmp_path / name)]) == 0
+            outs.append({p.name: p.read_bytes()
+                         for p in sorted((tmp_path / name).iterdir())})
+        assert outs[0] == outs[1]
+        header, row = outs[1]["wegner.csv"].decode().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["trials"] == "6"
+
     @pytest.mark.parametrize("payload", [[1, 2], "x"], ids=["list", "string"])
     def test_config_not_an_object_exit_3(self, tmp_path, capsys, payload):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -317,8 +360,8 @@ P2_MODEL = {
 
 
 # decay.csv and decay_plot.csv of the `decay-vectors` benchmark config at
-# l = 10 (n = 441) with one BLAS thread, as written when every vector solve
-# back-transformed all n eigenvectors (scipy.linalg.eigh)
+# l = 10 (n = 441) with one BLAS thread, as written by scipy.linalg.eigh
+# (dsyevr), which solves every n <= 512
 DECAY_OUTPUTS = {
     11: {
         "decay.csv": (
@@ -469,6 +512,46 @@ class TestLargeDisorderKind:
         constants = json.loads(files["large_disorder.json"])
         assert constants["rhs_negative_exponent"] <= constants["target"]
         assert constants["rhs_printed"] > constants["target"]
+
+    def test_unbounded_bv_norm_written_as_infinity(self, tmp_path):
+        # delta_0 has no tail (delta0 = 0) and e^{-m0 l0} = e^{-1000} is 0 in
+        # floating point: the sign-corrected rhs is 0, every BV norm closes
+        # it, and the maximum is written as msa-schedule writes an
+        # unbounded threshold
+        files = run_both_thread_counts(tmp_path, "large-disorder", {
+            "model": DELTA0_MODEL,
+            "params": {"l0": 10, "m0": 100.0, "xi": 1.0}, "seed": 1,
+        }, expect_rc=0)
+        text = files["large_disorder.json"].decode()
+        assert '"max_bv_negative_exponent": Infinity,' in text
+        constants = json.loads(text)
+        assert constants["delta0"] == constants["rhs_negative_exponent"] == 0.0
+        summary = json.loads(files["large_disorder_summary.json"])
+        assert summary["constants"]["max_bv_negative_exponent"] == math.inf
+        assert summary["contracts"][0]["passed"]
+
+
+class TestDensityPieces:
+    @pytest.mark.parametrize("command, params", [
+        ("decay", {"l": 8.0, "n_lowest": 2, "frac_min": 0.0}),
+        ("wegner", {"ls": [2, 3]})])
+    def test_one_constant_piece_as_uniform(self, tmp_path, command, params):
+        # the same density in both formats draws the same couplings; only
+        # the summary, which hashes the config, differs
+        csvs = []
+        for name, rho in (("uniform", {"uniform": [0.0, 2.0]}),
+                          ("pieces", {"pieces": [{"interval": [0.0, 2.0],
+                                                  "coeffs": [0.5]}]})):
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "model": {**DELTA0_MODEL, "rho": rho}, "params": params,
+                "seed": 3, "trials": 6})
+            out = tmp_path / name
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            csvs.append({p.name: p.read_bytes()
+                         for p in sorted(out.glob("*.csv"))})
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0]) == 2
 
 
 DELTA0_3D = {  # alpha = 3 keeps R_l = 8, so Gamma holds 4913 couplings
@@ -800,6 +883,25 @@ class TestNonFiniteNumbersRefused:
                 assert capsys.readouterr().err == (
                     f"error: cannot read config: number {literal} is not "
                     "finite\n")
+                assert not out.exists()
+
+
+    # 10^400 overflows a float; past 4300 digits int() itself refuses
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_exit_3_one_line(self, tmp_path, capsys, monkeypatch,
+                                          digits):
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        literal = "1" + "0" * digits
+        cfg, out = tmp_path / "c.json", tmp_path / "o"
+        for command in ADMITTED:
+            config = admitted_config(command)
+            for path in numeric_leaves(config):
+                cfg.write_text(with_literal(config, path, literal))
+                assert main([command, "--config", str(cfg),
+                             "--out", str(out)]) == 3, (command, path)
+                assert capsys.readouterr().err == (
+                    f"error: cannot read config: integer of {digits + 1} "
+                    "digits is too large\n")
                 assert not out.exists()
 
 

@@ -83,6 +83,25 @@ class TestGenfunDerivative:
             v_coarse, err = genfun_derivative(coarse, I)
             assert abs(v_fine - v_coarse) <= err
 
+    @pytest.mark.parametrize("I", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
+    @pytest.mark.parametrize("sides", [(1.0, 1.0), (0.5, -0.5)],
+                             ids=["even", "one-sided"])
+    def test_2d_truncated_error_bound_dominates(self, sides, I):
+        # the entries between radius 2 and 25 that the coarse table drops
+        # (past 25 they are below 1e-10 of the sum); on the even profile
+        # the odd derivatives vanish, and at I = (0, 0) the difference is
+        # 0.96 of the bound; on the one-sided one none vanishes
+        def profile(k):
+            scale = (1.0 if k[0] >= 0 else sides[0]) * \
+                (1.0 if k[1] >= 0 else sides[1])
+            return scale * math.exp(-abs(k[0]) - abs(k[1]))
+
+        fine = truncated_exponential_potential(2, 1.0, 1.0, 25, profile)
+        coarse = truncated_exponential_potential(2, 1.0, 1.0, 2, profile)
+        v_fine, _ = genfun_derivative(fine, I)
+        v_coarse, err = genfun_derivative(coarse, I)
+        assert abs(v_fine - v_coarse) <= err
+
 
 class TestFindLeadingIndex:
     def test_positive_mean_gives_zero_index(self):

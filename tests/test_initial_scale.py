@@ -221,7 +221,8 @@ class TestLifshitzProbe:
     @pytest.mark.parametrize("zeta, xi, epsilon0, message", [
         (0.0, 2.0, 1 / 12, "zeta"), (2.0, 2.0, 1 / 12, "zeta"),
         (math.nan, 2.0, 1 / 12, "zeta"), (1.0, 0.0, 1 / 12, "xi"),
-        (1.0, 2.0, 0.0, "epsilon0")])
+        (1.0, 2.0, 0.0, "epsilon0"), (1.0, math.nan, 1 / 12, "xi"),
+        (1.0, 2.0, math.nan, "epsilon0")])
     def test_parameter_checks(self, zeta, xi, epsilon0, message):
         u, l = self._setup()
         with pytest.raises(ParameterError, match=message):
@@ -261,3 +262,22 @@ class TestLargeDisorderProbe:
                 for w in (10.0, 100.0, 1000.0)]
         rhs = [r.rhs_negative_exponent for r in reps]
         assert rhs[0] > rhs[1] > rhs[2]
+
+    @pytest.mark.parametrize("m0, xi", [(math.nan, 4.0), (0.3, math.nan),
+                                        (0.0, 4.0), (0.3, -1.0)])
+    def test_parameter_checks(self, m0, xi):
+        u = neg_tail_potential(1e-9)
+        with pytest.raises(ParameterError, match="m0 and xi"):
+            large_disorder_probe(u, UNIFORM, find_leading_index(u), l0=8.0,
+                                 m0=m0, xi=xi)
+
+    def test_unbounded_when_rhs_vanishes(self):
+        # delta_0 has no tail, so delta0 = 0, and e^{-m0 l0} = e^{-1000}
+        # is 0 in floating point: every BV norm closes the bound
+        u = exact_potential({(0,): 1.0}, 1.0, 1.0)
+        rep = large_disorder_probe(u, UNIFORM, find_leading_index(u),
+                                   l0=10.0, m0=100.0, xi=1.0)
+        assert rep.delta0 == 0.0 and rep.rhs_negative_exponent == 0.0
+        assert rep.satisfies_negative_exponent
+        assert rep.max_bv_negative_exponent == math.inf
+        assert 0.0 <= rep.max_bv_printed < math.inf

@@ -14,6 +14,7 @@ from alloymsa import (Configuration, DisorderModel, PolynomialPiece,
 from alloymsa.errors import CapacityError, ParameterError
 from alloymsa.lattice import Box, BoxOperator, _bisect_cdf
 from alloymsa.msa import _energy_grid
+from alloymsa.tails import truncation_tail
 from helpers import (exact_potential, free_operator, neighbor_counts,
                      truncated_exponential_potential)
 
@@ -479,6 +480,17 @@ class TestSerialization:
     def test_decay_certificate_enforced(self):
         with pytest.raises(ParameterError):
             SingleSitePotential({(0,): 1.0, (5,): 0.9}, 1.0, 1.0, 5, 0.0)
+
+    @pytest.mark.parametrize("d, radius", [(1, 1), (2, 1), (2, 3)])
+    def test_residual_from_certificate(self, d, radius):
+        # with no truncation_residual, the tail of the certificate past
+        # the truncation radius
+        config = {"d": d, "values": [[[0] * d, 1.0], [[1] + [0] * (d - 1),
+                                                      -0.6]],
+                  "C": 2.0, "alpha": 1.0, "truncation_radius": radius}
+        u = SingleSitePotential.from_json_dict(config)
+        assert u.truncation_residual == truncation_tail(2.0, 1.0, d, radius)
+        assert u.truncation_residual > 0.0
 
     @pytest.mark.parametrize("entries, match", [
         ({"values": [[[0], 1.0], [[1], math.nan]]}, r"entry u\(1,\)=nan"),

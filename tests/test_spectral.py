@@ -74,10 +74,10 @@ class TestEigensolve:
                               eigensolve(b).eigenvalues)
 
 
-def decay_box_operator(l=10.0):
+def decay_box_operator(l=12.0):
     """A d = 2 box operator with the `decay` benchmark's disorder,
-    uniform on [0, 50]: no relative-accuracy refinement, no split, and
-    at the default l = 10 (n = 441) a block of 257 of its n vectors."""
+    uniform on [0, 50]: no relative-accuracy refinement and no split;
+    the default l = 12 (n = 625) is past the sizes left to dsyevr."""
     return random_operator(np.random.default_rng(2), l=l, d=2, w=50.0)
 
 
@@ -86,11 +86,12 @@ def lowest_counts(n):
 
 
 class TestLowestEigenvectorsBitwise:
-    """eigensolve(op, vectors=k) runs dsyevr's steps and back-transforms a
-    block of eigenvectors; at one BLAS thread its eigenvalues and k
-    eigenvectors are those of scipy.linalg.eigh, bit for bit."""
+    """eigensolve(op, vectors=k) leaves n <= 512 to dsyevr itself; past it
+    it runs dsyevr's steps and back-transforms a block of eigenvectors.  At
+    one BLAS thread its eigenvalues and k eigenvectors are those of
+    scipy.linalg.eigh, bit for bit."""
 
-    # n = 1, 41, 81, 169, 441, 777
+    # n = 1, 41, 81, 169, 441 (dsyevr itself), 777
     @pytest.mark.parametrize("d, l", [(1, 0.5), (1, 20.0), (2, 4.0), (2, 6.0),
                                       (2, 10.0), (1, 388.0)])
     def test_box_operator(self, d, l):
@@ -104,13 +105,14 @@ class TestLowestEigenvectorsBitwise:
                 assert res.eigenvectors.shape == (n, k)
                 assert np.array_equal(res.eigenvectors, evecs[:, :k])
 
-    # sizes no box has (a box has (2 floor(l) + 1)^d sites), on dense
-    # random symmetric matrices; at scale 1e-160, max|A| lies below
-    # dsyevr's RMIN = 2^-485, so dsyevr would scale A up first: that solve
-    # is left to dsyevr itself
-    @pytest.mark.parametrize("n", [2, 200, 300, 500])
+    # sizes no box has (a box has (2 floor(l) + 1)^d sites), n = 512 +
+    # `past`, on dense random symmetric matrices; at scale 1e-160, max|A|
+    # lies below dsyevr's RMIN = 2^-485, so dsyevr would scale A up first:
+    # that solve is left to dsyevr itself
+    @pytest.mark.parametrize("past", [2, 200, 300, 500])
     @pytest.mark.parametrize("scale", [1.0, 1e-160])
-    def test_symmetric_matrix(self, n, scale):
+    def test_symmetric_matrix(self, past, scale):
+        n = spectral._FULL_WIDTH_MAX + past
         A = np.random.default_rng(n).standard_normal((n, n))
         A = scale * (A + A.T)
         with blas_threads(1):
@@ -125,21 +127,20 @@ class TestLowestEigenvectorsBitwise:
 
     # sizes at which a 256-wide back-transform block missed dsyevr's bits
     # (k = 1 at 11 of the n in 267..279, k = 3 at 21 in 267..293, k = 112
-    # and 240 at 101 in 267..415): up to n = 512 a vector solve takes W = n
+    # and 240 at 101 in 267..415): up to n = 512 dsyevr itself solves
     @pytest.mark.parametrize("n", [267, 279, 293, 396, 414, 415])
     def test_full_width_sizes(self, n):
         A = np.random.default_rng(n).standard_normal((n, n))
         A = A + A.T
-        with blas_threads(1):
-            evals, evecs = scipy.linalg.eigh(A)
-            for k in (1, 3, 112, 240):
-                got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
-                assert np.array_equal(got[0], evals[:k])
-                assert np.array_equal(got[1], evecs[:, :k])
+        for k in (1, 3, 112, 240):
+            H = np.array(A, order="F")
+            assert spectral._lowest_eigenpairs(H, k) is None
+            assert np.array_equal(H, A)
 
-    # n = 1 (dsyevr's closed form) and max|A| above RMAX ~ 8e76 (dsyevr
-    # scales A down first) are left to dsyevr too, with A untouched
-    @pytest.mark.parametrize("n, scale", [(1, 1.0), (40, 1e80)])
+    # n <= 512 (1 and 40) and max|A| above RMAX ~ 8e76 (dsyevr scales A
+    # down first) are left to dsyevr, with A untouched
+    @pytest.mark.parametrize("n, scale", [(1, 1.0), (40, 1e80),
+                                          (600, 1e80)])
     def test_scaled_or_single_left_to_dsyevr(self, n, scale):
         A = np.random.default_rng(n).standard_normal((n, n))
         A = scale * (A + A.T)
@@ -148,9 +149,10 @@ class TestLowestEigenvectorsBitwise:
         assert np.array_equal(H, A)
 
     # max|H| above dsyevr's RMAX ~ 8e76: it scales H down first; on the
-    # last operator dstemr then fails and dsyevr falls back to bisection
+    # third operator dstemr then fails and dsyevr falls back to bisection;
+    # the last one (n = 601) is past the sizes left to dsyevr anyway
     @pytest.mark.parametrize("d, l, seed", [(1, 20.0, 3), (2, 7.0, 0),
-                                            (2, 10.0, 0)])
+                                            (2, 10.0, 0), (1, 300.0, 3)])
     def test_scaled_box_operator(self, d, l, seed):
         op = random_operator(np.random.default_rng(seed), l=l, d=d, w=1e80)
         assert np.max(op.diagonal) > spectral._RMAX
@@ -187,22 +189,23 @@ class TestLowestEigenvectorsBitwise:
         assert np.array_equal(res.eigenvalues, evals[:5])
         assert np.array_equal(res.eigenvectors, evecs[:, :5])
 
-    # dstemr's other routes, each left to dstemr itself: n = 2 (its
-    # closed form), a tridiagonal matrix that splits (a block-diagonal
-    # matrix reduces to one, and dstemr sorts across the blocks), and one
-    # that warrants relatively accurate eigenvalues (a graded diagonal,
-    # refined by dlarrj)
+    # dstemr's other routes: n = 2 (its closed form) is left to dsyevr
+    # itself, as every n <= 512; past 512 a tridiagonal matrix that splits
+    # (a block-diagonal matrix reduces to one, and dstemr sorts across the
+    # blocks) and one that warrants relatively accurate eigenvalues (a
+    # graded diagonal, refined by dlarrj; its max(|d|, |e|) of 2e9 stays
+    # under _MRRR_MAX_NORM, so dlarrr decides) are each left to dstemr
     @pytest.mark.parametrize("case", ["n2", "split", "relative"])
     def test_dstemr_routes(self, monkeypatch, case):
         rng = np.random.default_rng(4)
         if case == "n2":
             A = rng.standard_normal((2, 2))
         elif case == "split":
-            A = scipy.linalg.block_diag(rng.standard_normal((150, 150)),
-                                        rng.standard_normal((140, 140)))
+            A = scipy.linalg.block_diag(rng.standard_normal((300, 300)),
+                                        rng.standard_normal((280, 280)))
         else:
-            A = np.diag(10.0 ** np.linspace(0.0, 12.0, 290)) + \
-                np.diag(rng.uniform(0.1, 0.5, 289), 1)
+            A = np.diag(10.0 ** np.linspace(0.0, 9.0, 580)) + \
+                np.diag(rng.uniform(0.1, 0.5, 579), 1)
         A = A + A.T
         real_stemr, stemr_calls = spectral._stemr, []
 
@@ -212,13 +215,17 @@ class TestLowestEigenvectorsBitwise:
 
         monkeypatch.setattr(spectral, "_stemr", stemr)
         n = A.shape[0]
+        routed = n > spectral._FULL_WIDTH_MAX
         with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(A)
             for k in lowest_counts(n):
                 got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
+                if not routed:
+                    assert got is None
+                    continue
                 assert np.array_equal(got[0], evals[:k])
                 assert np.array_equal(got[1], evecs[:, :k])
-        assert stemr_calls == [n] * len(lowest_counts(n))
+        assert stemr_calls == [n] * len(lowest_counts(n)) * routed
 
     def test_main_route_skips_dstemr(self, monkeypatch):
         monkeypatch.setattr(spectral, "_stemr", None)
@@ -230,6 +237,20 @@ class TestLowestEigenvectorsBitwise:
                 assert np.array_equal(res.eigenvalues, evals[:k])
                 assert np.array_equal(res.eigenvectors, evecs[:, :k])
                 assert res.residual <= 1e-10
+
+    # n = 1, 3, 441 and 511: dsyevr itself, no reduction by hand
+    @pytest.mark.parametrize("d, l", [(1, 0.5), (1, 1.0), (2, 10.0),
+                                      (1, 255.0)])
+    def test_small_solves_skip_sytrd(self, monkeypatch, d, l):
+        op = random_operator(np.random.default_rng(int(l) + d), l=l, d=d,
+                             w=50.0)
+        monkeypatch.setattr(spectral, "_sytrd", pytest.fail)
+        with blas_threads(1):
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            for k in lowest_counts(op.box.count):
+                res = eigensolve(op, vectors=k)
+                assert np.array_equal(res.eigenvalues, evals[:k])
+                assert np.array_equal(res.eigenvectors, evecs[:, :k])
 
     def test_benchmark_operator_skips_dsyevr(self, monkeypatch):
         # the `decay` benchmark's operator (n = 1681) takes the fast route;
@@ -456,6 +477,24 @@ class TestShellMaxima:
         assert got == shell_maxima_loop(psi, box, center)
         assert all(type(r) is int and type(v) is float
                    for r, v in got.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), half=st.floats(0.5, 4.5),
+           seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4))
+    def test_decay_shells(self, d, half, seed, levels):
+        # centred on the first site of max |psi|, shells at or below the
+        # floor left out; magnitudes 10^-20..1 put some shells below it
+        box = make_box((0,) * d, half)
+        rng = np.random.default_rng(seed)
+        psi = rng.choice([-1.0, 1.0], box.count) * \
+            10.0 ** -rng.choice(np.linspace(0.0, 20.0, levels + 1), box.count)
+        center = box.points[np.flatnonzero(np.abs(psi)
+                                           == np.abs(psi).max())[0]]
+        expect = {r: v for r, v in shell_maxima_loop(psi, box, center).items()
+                  if v > spectral.SHELL_FLOOR}
+        got = spectral.decay_shells(psi, box)
+        assert got == expect
+        assert list(got) == sorted(expect)
 
 
 class TestDecayFit:
