@@ -9,7 +9,8 @@ and `Run.write_json`.  Every run embeds the config hash and the computed
 constants in its summary, and identical config+seed produce
 byte-identical outputs across reruns and thread counts.  Exit codes:
 0 pass, 2 contract violation, 3 precondition/parameter error (a usage
-error too), 4 capacity error.
+error, or an output directory or report that cannot be written, too),
+4 capacity error.
 `--threads N` runs the trials in N processes, this one and N - 1 forked
 children that inherit the closure (never pickled); see `mc`.
 """
@@ -71,7 +72,15 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write a report; ParameterError when the file cannot be written."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _finite_number(text: str) -> float:
@@ -159,7 +168,7 @@ class Run:
 
     def write_json(self, key: str, name: str, data: dict) -> None:
         path = self.out_dir / name
-        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
         self.files[key] = path
 
 
@@ -171,7 +180,11 @@ def run_experiment(config: dict, out_dir: Path) -> Run:
     # wrapped, so that an error's path starts at params
     jsonschema.validate({"params": params}, {
         "$schema": SCHEMA_DRAFT, "properties": {"params": params_schema}})
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create the output directory {out_dir}: "
+                             f"{exc.strerror}") from None
     u, model = load_model(config["model"])
     run = Run(u=u, model=model, params=params,
               seed=int(config.get("seed", 0)),
@@ -477,7 +490,9 @@ CONFIG_SCHEMA = {
             },
         },
         "params": {"type": "object"},
-        "seed": {"type": "integer", "minimum": 0},
+        # the Monte-Carlo streams read a seed as 64 bits: a larger one
+        # would alias a smaller one
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "trials": {"type": "integer", "minimum": 1},
         "threads": {"type": "integer", "minimum": 1},
         "out": {"type": "string"},

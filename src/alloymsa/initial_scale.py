@@ -14,6 +14,7 @@ Two routes are probed at desk scale:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,9 +177,12 @@ def large_disorder_probe(
     against the target l0^{-2 xi}.  The printed display has a positive
     exponent, which cannot close for large l0; the sign-corrected variant
     is computed alongside, and both maximal admissible BV norms (the bound
-    is linear in ||rho||_Var) are reported.  Where the sign-corrected rhs
-    is 0 (delta0 = 0 and e^{-m0 l0} below the smallest double), every BV
-    norm closes it, and its maximal BV norm is inf.  m0 and xi must be
+    is linear in ||rho||_Var) are reported.  An rhs past the largest
+    double is inf.  A maximal BV norm is the quotient target / (rhs per
+    unit BV norm) where both are normal doubles, and otherwise exp of its
+    logarithm, the true value: subnormal or 0 below the normal range, inf
+    above the doubles (as where the sign-corrected rhs is 0, delta0 = 0
+    and e^{-m0 l0} below the smallest double).  m0 and xi must be
     positive (NaN fails the check).
     """
     if not (m0 > 0 and xi > 0):
@@ -196,21 +200,43 @@ def large_disorder_probe(
     bv = model.bv_norm
     target = l0 ** (-2.0 * xi)
 
-    def rhs(eps: float) -> float:
-        return count * bv * (eps + 2.0 * delta0) * chain
-
-    def max_bv(eps: float) -> float:
+    def rhs_and_max_bv(exponent: float) -> tuple[float, float]:
+        """rhs and the maximal BV norm at eps = 2 e^exponent."""
+        eps = 2.0 * _exp(exponent)
         per_unit_bv = count * (eps + 2.0 * delta0) * chain
-        return target / per_unit_bv if per_unit_bv > 0 else math.inf
+        if _TINY <= min(per_unit_bv, target) and per_unit_bv < math.inf:
+            max_bv = target / per_unit_bv
+        else:  # a factor over- or underflowed
+            max_bv = _exp(-2.0 * xi * math.log(l0) - math.log(count)
+                          - _log(chain) - float(np.logaddexp(
+                              math.log(2.0) + exponent, _log(2.0 * delta0))))
+        return count * bv * (eps + 2.0 * delta0) * chain, max_bv
 
-    eps_printed = 2.0 * math.exp(min(m0 * l0, 700.0))
-    eps_neg = 2.0 * math.exp(-m0 * l0)
+    rhs_printed, max_bv_printed = rhs_and_max_bv(m0 * l0)
+    rhs_neg, max_bv_neg = rhs_and_max_bv(-m0 * l0)
     return LargeDisorderReport(
         target=target, delta0=delta0, chain=chain,
-        rhs_printed=rhs(eps_printed),
-        rhs_negative_exponent=rhs(eps_neg),
-        satisfies_negative_exponent=rhs(eps_neg) <= target,
-        max_bv_printed=max_bv(eps_printed),
-        max_bv_negative_exponent=max_bv(eps_neg),
+        rhs_printed=rhs_printed,
+        rhs_negative_exponent=rhs_neg,
+        satisfies_negative_exponent=rhs_neg <= target,
+        max_bv_printed=max_bv_printed,
+        max_bv_negative_exponent=max_bv_neg,
         notes=notes,
     )
+
+
+# the smallest normal double
+_TINY = sys.float_info.min
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the largest double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log(x: float) -> float:
+    """log x for x >= 0, -inf at 0."""
+    return math.log(x) if x > 0 else -math.inf

@@ -38,11 +38,19 @@ DEFAULT_CAPACITY = 20_000
 
 def capacity_cap() -> int:
     """Points of the largest box whose dense matrix (cap^2 entries) may be
-    built; ALLOYMSA_CAPACITY overrides the default."""
+    built; ALLOYMSA_CAPACITY overrides the default.  ParameterError when
+    it is set to anything but a positive integer."""
     env = os.environ.get("ALLOYMSA_CAPACITY")
-    if env:
-        return int(env)
-    return DEFAULT_CAPACITY
+    if not env:
+        return DEFAULT_CAPACITY
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParameterError(
+            f"ALLOYMSA_CAPACITY must be a positive integer, got {env!r}")
+    return cap
 
 
 def check_capacity(entries: int, what: str) -> None:
@@ -147,6 +155,22 @@ class Box:
         neighbours inside the box: those with a coordinate at `lo` or `hi`."""
         pts = self.points
         return np.flatnonzero(np.any((pts == self.lo) | (pts == self.hi), axis=1))
+
+    @cached_property
+    def slice_block(self) -> np.ndarray:
+        """The upper triangle of the off-diagonal part of the diagonal
+        blocks of a box operator along axis 0, shape (w, w) with
+        w = strides[0]: -1 on every bond inside one slice (the axes after
+        the first), 0 on and below the diagonal.  It is read from the band
+        of the first slice alone, O(w^2) memory, once per box, and is
+        read-only.  It is the same for every slice and every operator on
+        the box: block k of H is diag(diagonal[k w:(k + 1) w]) + B + B^T,
+        B = slice_block, and neighbouring slices are coupled by -I."""
+        band = _band((1,) + self.shape[1:], self.strides,
+                     np.zeros(self.strides[0]))
+        block = np.triu(_dense(band, self.strides[1:]))
+        block.flags.writeable = False
+        return block
 
     def disjoint_from(self, other: "Box") -> bool:
         return any(
@@ -503,13 +527,14 @@ class BoxOperator:
     w = `box.strides[0]`, and block tridiagonal along axis 0: L slices of
     w sites, coupled by -I.  `op @ X` applies H with one pass per axis.
     `upper_band()` gives LAPACK band storage (counts at w = 1, (w + 1) n
-    doubles), and the other forms are read from the band (`_band`, where
-    the bonds are listed): `slice_block()`, the in-slice part of the
-    diagonal blocks (the eigenvalue counts at d >= 2 use it, O(w^2)
-    memory), and `matrix`, the dense n x n reference built on demand
-    (eigensolves and Green's functions).  Each form must fit the capacity
-    rule: past n = cap a count runs while its w x w block fits, and only
-    the dense matrix is refused.  The diagonal is read-only.
+    doubles), and `matrix` the dense n x n reference built on demand
+    (eigensolves and Green's functions), both read from the band
+    (`_band`, where the bonds are listed).  The in-slice part of the
+    diagonal blocks, which the eigenvalue counts at d >= 2 read, depends
+    on the box alone and lives on it (`Box.slice_block`, O(w^2) memory,
+    built once per box).  Each form must fit the capacity rule: past
+    n = cap a count runs while its w x w block fits, and only the dense
+    matrix is refused.  The diagonal is read-only.
     """
 
     box: Box
@@ -550,18 +575,6 @@ class BoxOperator:
             ys[upper] -= xs[lower]
         return ys.reshape(x.shape)
 
-    def slice_block(self) -> np.ndarray:
-        """The off-diagonal part of the diagonal blocks of H along axis 0,
-        shape (w, w) with w = box.strides[0]: -1 on every bond inside one
-        slice (the axes after the first), read from the band of the first
-        slice alone, so that it takes O(w^2) memory.  It is the same for
-        every slice: block k of H is diag(diagonal[k w:(k + 1) w]) +
-        slice_block(), and neighbouring slices are coupled by -I."""
-        box = self.box
-        band = _band((1,) + box.shape[1:], box.strides,
-                     np.zeros(box.strides[0]))
-        return _dense(band, box.strides[1:])
-
     def upper_band(self) -> np.ndarray:
         """Upper band storage of H, shape (w + 1, n) with w = box.strides[0]:
         row w holds the diagonal and row w - s the s-th superdiagonal, so
@@ -576,7 +589,7 @@ def _band(shape: tuple[int, ...], strides: tuple[int, ...],
     axes have the flat `strides`: the box of a `BoxOperator`, or the
     first slice of one along axis 0 (the same strides).  It is the one
     place that lists the bonds inside a box; every other form of H
-    (`upper_band`, `slice_block`, `matrix`) is read from it."""
+    (`upper_band`, `Box.slice_block`, `matrix`) is read from it."""
     w = strides[0]
     check_capacity((w + 1) * len(diagonal), "a band matrix")
     band = np.zeros((w + 1, len(diagonal)))

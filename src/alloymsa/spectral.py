@@ -8,11 +8,14 @@ L = n / w slices); none of the counts forms an n x n array.
 - Eigenvalue counts at d >= 2 (w > 1) run the slice recursion: a block
   LDL^T of H - E along axis 0, whose inertia is that of H - E (its
   S_k^{-1} are the left-connected Green's functions of the recursive
-  Green's function method).  It costs O(L w^3) flops and O(w^2) memory
-  per energy.  A Schur complement that is singular to working precision,
-  as when an endpoint sits on an eigenvalue, gets +0 eigenvalues, which
-  keeps the interval closed; one that is merely ill-conditioned hands the
-  count to the banded path.
+  Green's function method).  It costs O(L w^3) flops and O(w^2 + n)
+  memory per energy: each Schur complement is factored and inverted in
+  place in one of two w x w buffers, the in-slice block is built once per
+  box (`Box.slice_block`), and the inertia of every trusted slice is read
+  from its kept pivots in one step after the loop.  A Schur complement
+  that is singular to working precision, as when an endpoint sits on an
+  eigenvalue, gets +0 eigenvalues, which keeps the interval closed; one
+  that is merely ill-conditioned hands the count to the banded path.
 - Eigenvalue counts at d = 1 (w = 1), and the fallback above, run banded
   LAPACK bisection on the upper band storage: O(n^2 w) flops for the
   reduction to tridiagonal form and (w + 1) n doubles.
@@ -401,13 +404,13 @@ def count_eigenvalues_in(op: BoxOperator, interval: tuple[float, float]) -> int:
 
     At d >= 2 (w = box.strides[0] > 1) it is n - #{lambda > E2} -
     #{lambda < E1}, both strict counts from the slice recursion, at
-    O(L w^3) flops and O(w^2) memory.  At d = 1, or when the recursion
+    O(L w^3) flops and O(w^2 + n) memory.  At d = 1, or when the recursion
     meets a Schur complement too close to singular to trust, it is banded
     LAPACK bisection on the half-open (vl, vu] = (the double just below
     E1, E2], at O(n^2 w) flops and (w + 1) n doubles."""
     e1, e2 = checked_interval(interval)
     if op.box.strides[0] > 1:
-        block = np.triu(op.slice_block())
+        block = op.box.slice_block
         below = _count_negative(op, block, e1, 1.0)
         above = None if below is None else _count_negative(op, block, e2, -1.0)
         if above is not None:
@@ -427,44 +430,57 @@ def _count_negative(op: BoxOperator, block: np.ndarray, E: float,
     With A_k the diagonal blocks and -I the couplings, the Schur
     complements are S_0 = sign (A_0 - E) and S_k = sign (A_k - E) -
     S_{k-1}^{-1}, and by Haynsworth's inertia additivity the count is the
-    sum over k of the negative eigenvalues of S_k.  Each S_k is factored
-    by Bunch-Kaufman (LAPACK sytrf on the upper triangle; `block`, the
-    in-slice part, is upper triangular, so the strict lower triangles stay
-    0): a 1x1 pivot carries its sign, a 2x2 pivot has a negative
-    determinant, so one eigenvalue of each sign.  S_k^{-1} comes from the
-    same factors (sytri).  The factorization is trusted when S_k is
-    nonsingular and g max|S_k^{-1}| <= SCHUR_GROWTH_LIMIT, with
-    g = max|diagonal - E| + 2d >= ||H - E||; otherwise `_singular_step`
-    redoes the slice.  The two signs run the same arithmetic negated, so a
-    zero pivot at E1 = E2 counts on neither side: the interval stays
-    closed."""
+    sum over k of the negative eigenvalues of S_k.  S_k is built in one of
+    two w x w buffers, taken in turn, so that S_{k-1}^{-1} in the other
+    survives until S_k is trusted.  Bunch-Kaufman (LAPACK sytrf on the
+    upper triangle; `block`, the in-slice part, is upper triangular, so
+    the strict lower triangles stay 0) factors S_k in place, and sytri
+    turns the factors into S_k^{-1} in place.  The factorization is
+    trusted when S_k is nonsingular and g max|S_k^{-1}| <=
+    SCHUR_GROWTH_LIMIT, with g = max|diagonal - E| + 2d >= ||H - E||;
+    otherwise S_k is built again and `_singular_step` redoes the slice.
+    The pivots and the factor's diagonal of each trusted slice are kept,
+    and their inertia is read once, after the loop: a 1x1 pivot carries
+    its sign, a 2x2 pivot (two negative pivot entries) has a negative
+    determinant, so one eigenvalue of each sign.  The two signs run the
+    same arithmetic negated, so a zero pivot at E1 = E2 counts on neither
+    side: the interval stays closed."""
     w = op.box.strides[0]
     shifted = sign * (op.diagonal.reshape(-1, w) - E)
     g = float(np.max(np.abs(shifted))) + 2.0 * op.dimension
     signed_block = sign * block
-    inverse = np.zeros((w, w), order="F")
+    buffers = [np.zeros((w, w), order="F") for _ in range(2)]
+    on_diagonal = [b.ravel(order="F")[::w + 1] for b in buffers]  # views
+    inverse = buffers[1]  # S_{-1}^{-1} = 0
+    # a slice left to `_singular_step` keeps zero pivots: no 1x1, no 2x2
+    pivots = np.zeros(shifted.shape, np.intc)
+    diagonals = np.empty(shifted.shape)
     null = np.zeros((w, 0))
     negative = 0
-    for d_k in shifted:
-        S = np.subtract(signed_block, inverse, order="F")
-        S.ravel(order="F")[::w + 1] += d_k  # the diagonal, through a view
+    for k, d_k in enumerate(shifted):
+        i = inverse is buffers[0]  # the buffer not holding S_{k-1}^{-1}
+        S = buffers[i]
+        np.subtract(signed_block, inverse, out=S)
+        on_diagonal[i] += d_k
         if not null.shape[1]:
-            factor, pivots, info = _sytrf(S)
+            factor, ipiv, info = _sytrf(S, overwrite_a=1)
             if not info:
-                single = pivots > 0
-                n_negative = (w - np.count_nonzero(single)) // 2 + \
-                    np.count_nonzero(factor.diagonal()[single] < 0)
-                X, info = _sytri(factor, pivots, overwrite_a=1)
+                diagonals[k] = factor.diagonal()
+                X, info = _sytri(factor, ipiv, overwrite_a=1)
                 if not info and g * np.abs(X).max() <= SCHUR_GROWTH_LIMIT:
-                    negative += n_negative
+                    pivots[k] = ipiv
                     inverse = X
                     continue
+            # sytrf and sytri overwrote S_k: build it again
+            np.subtract(signed_block, inverse, out=S)
+            on_diagonal[i] += d_k
         step = _singular_step(S, null, g)
         if step is None:
             return None
         n_negative, inverse, null = step
         negative += n_negative
-    return negative
+    return negative + np.count_nonzero(pivots < 0) // 2 + \
+        np.count_nonzero(diagonals[pivots > 0] < 0)
 
 
 def _singular_step(S: np.ndarray, null: np.ndarray, g: float):

@@ -1,12 +1,15 @@
 """Fixtures shared by the test modules: tabulated potentials, the free
 box operator, built from the package's public constructors, the
-neighbour count of each box site, and a BLAS pinned to a thread count."""
+neighbour count of each box site, a BLAS pinned to a thread count, and
+the slice recursion one slice at a time, the oracle of the counts."""
 
 from contextlib import contextmanager
 
 import numpy as np
 
-from alloymsa import BoxOperator, SingleSitePotential, make_box, mc
+import scipy.linalg
+
+from alloymsa import BoxOperator, SingleSitePotential, make_box, mc, spectral
 from alloymsa.lattice import norm_inf
 from alloymsa.tails import truncation_tail
 
@@ -69,3 +72,57 @@ def blas_threads(n: int):
     finally:
         for (_, put), n in zip(controls, saved):
             put(n)
+
+
+def slice_recursion_negative(op, E: float, sign: float):
+    """#{negative eigenvalues of sign (H - E)} by the slice recursion, or
+    None where it hands the count to the banded path, one slice at a
+    time: the in-slice block is read from the dense matrix, each S_k is a
+    fresh array that LAPACK copies before factoring, and its inertia is
+    read from the factors as soon as they are trusted.  The LAPACK calls,
+    the trust test and `spectral._singular_step` are those of
+    `spectral._count_negative`, so the two agree bit for bit."""
+    w = op.box.strides[0]
+    block = np.triu(op.matrix[:w, :w] - np.diag(op.diagonal[:w]))
+    shifted = sign * (op.diagonal.reshape(-1, w) - E)
+    g = float(np.max(np.abs(shifted))) + 2.0 * op.dimension
+    signed_block = sign * block
+    inverse = np.zeros((w, w), order="F")
+    null = np.zeros((w, 0))
+    negative = 0
+    for d_k in shifted:
+        S = np.subtract(signed_block, inverse, order="F")
+        S.ravel(order="F")[::w + 1] += d_k
+        if not null.shape[1]:
+            factor, pivots, info = spectral._sytrf(S)
+            if not info:
+                single = pivots > 0
+                n_negative = (w - np.count_nonzero(single)) // 2 + \
+                    np.count_nonzero(factor.diagonal()[single] < 0)
+                X, info = spectral._sytri(factor, pivots, overwrite_a=1)
+                if not info and \
+                        g * np.abs(X).max() <= spectral.SCHUR_GROWTH_LIMIT:
+                    negative += n_negative
+                    inverse = X
+                    continue
+        step = spectral._singular_step(S, null, g)
+        if step is None:
+            return None
+        n_negative, inverse, null = step
+        negative += n_negative
+    return negative
+
+
+def slice_recursion_count(op, e1: float, e2: float) -> int:
+    """Eigenvalues in [e1, e2] from `slice_recursion_negative` at both
+    ends (d >= 2, w > 1), or from banded bisection on (the double below
+    e1, e2] at w = 1 and where either end is handed to it."""
+    if op.box.strides[0] > 1:
+        below = slice_recursion_negative(op, e1, 1.0)
+        above = None if below is None else \
+            slice_recursion_negative(op, e2, -1.0)
+        if above is not None:
+            return op.box.count - above - below
+    return len(scipy.linalg.eigvals_banded(
+        op.upper_band(), select="v",
+        select_range=(np.nextafter(e1, -np.inf), e2)))

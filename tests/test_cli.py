@@ -531,6 +531,19 @@ class TestLargeDisorderKind:
         assert summary["contracts"][0]["passed"]
 
 
+    def test_printed_rhs_past_the_doubles_written_as_infinity(self, tmp_path):
+        # m0 l0 = 705: the printed rhs exceeds the largest double, and its
+        # maximal BV norm is subnormal, ~3.8e-313
+        files = run_both_thread_counts(tmp_path, "large-disorder", {
+            "model": {**DELTA0_MODEL, "rho": {"uniform": [0.0, 50.0]}},
+            "params": {"l0": 7.05, "m0": 100, "xi": 1}, "seed": 1,
+        }, expect_rc=0)
+        text = files["large_disorder.json"].decode()
+        assert '"rhs_printed": Infinity,' in text
+        max_bv = json.loads(text)["max_bv_printed"]
+        assert 0.0 < max_bv < sys.float_info.min
+
+
 class TestDensityPieces:
     @pytest.mark.parametrize("command, params", [
         ("decay", {"l": 8.0, "n_lowest": 2, "frac_min": 0.0}),
@@ -916,3 +929,63 @@ class TestRunExperimentAPI:
         b = config_hash({"kind": "wegner", "seed": 1, "threads": 8})
         c = config_hash({"kind": "wegner", "seed": 2, "threads": 1})
         assert a == b and a != c
+
+
+class TestUnusableInputsExit3OneLine:
+    """Inputs the run cannot use exit 3 with one line on stderr, before any
+    trial: an output location that cannot be written, a seed past 64 bits
+    and a capacity that is not a positive integer."""
+
+    @staticmethod
+    def run(tmp_path, capsys, monkeypatch, command, *args, out=None):
+        monkeypatch.setattr(mc, "run_trials", pytest.fail)
+        cfg = write_config(tmp_path, "c.json", admitted_config(command))
+        rc = main([command, "--config", str(cfg),
+                   "--out", str(out or tmp_path / "o"), *args])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_out_under_or_at_a_file(self, tmp_path, capsys, monkeypatch,
+                                    nested):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if nested else afile
+        err = self.run(tmp_path, capsys, monkeypatch, "decay", out=out)
+        assert err.startswith(f"error: cannot create the output directory "
+                              f"{out}: ")
+        assert afile.read_text() == "kept\n"
+
+    def test_report_that_cannot_be_written(self, tmp_path, capsys,
+                                           monkeypatch):
+        out = tmp_path / "o"
+        (out / "positivity.csv").mkdir(parents=True)
+        err = self.run(tmp_path, capsys, monkeypatch, "analyze-potential",
+                       out=out)
+        assert err.startswith(f"error: cannot write {out / 'positivity.csv'}: ")
+
+    @pytest.mark.parametrize("seed", [2**64, 2**65])
+    def test_seed_past_64_bits(self, tmp_path, capsys, monkeypatch, seed):
+        err = self.run(tmp_path, capsys, monkeypatch, "decay",
+                       "--seed", str(seed))
+        assert err.startswith("error: config schema at $.seed: ")
+        config = {**admitted_config("decay"), "seed": seed}
+        cfg = write_config(tmp_path, "s.json", config)
+        assert main(["decay", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", admitted_config("decay"))
+        assert main(["decay", "--config", str(cfg), "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path / "o")]) in (0, 2)
+
+    @pytest.mark.parametrize("cap", ["abc", "-3", "0", "1.5"])
+    def test_capacity_not_a_positive_integer(self, tmp_path, capsys,
+                                             monkeypatch, cap):
+        monkeypatch.setenv("ALLOYMSA_CAPACITY", cap)
+        err = self.run(tmp_path, capsys, monkeypatch, "wegner")
+        assert err == ("error: ALLOYMSA_CAPACITY must be a positive integer, "
+                       f"got {cap!r}\n")

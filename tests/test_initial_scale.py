@@ -3,7 +3,9 @@ large-disorder probes; the closed-form Neumann gap against the dense
 eigensolve."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -281,3 +283,37 @@ class TestLargeDisorderProbe:
         assert rep.satisfies_negative_exponent
         assert rep.max_bv_negative_exponent == math.inf
         assert 0.0 <= rep.max_bv_printed < math.inf
+
+    # m0 l0 = 705 puts the printed rhs past the doubles and its maximal BV
+    # norm below the normal range; at 697.95 both are normal; the target
+    # 7.05^{-400} underflows; so does e^{-1000}, and with it the
+    # sign-corrected rhs per unit BV norm
+    @pytest.mark.parametrize("l0, m0, xi", [
+        (7.05, 100.0, 1.0), (7.05, 99.0, 1.0), (7.05, 100.0, 200.0),
+        (10.0, 100.0, 1.0), (6.0, 5.0, 3.0)])
+    def test_both_variants_against_mpmath(self, l0, m0, xi):
+        u = exact_potential({(0,): 1.0}, 1.0, 1.0)
+        model = uniform_density(0.0, 50.0)
+        rep = large_disorder_probe(u, model, find_leading_index(u), l0, m0, xi)
+        count = make_box((0,), l0).count
+        with mpmath.workdps(60):
+            target = mpmath.mpf(l0) ** (-2 * mpmath.mpf(xi))
+            for sign, rhs, max_bv in [
+                    (1, rep.rhs_printed, rep.max_bv_printed),
+                    (-1, rep.rhs_negative_exponent,
+                     rep.max_bv_negative_exponent)]:
+                eps = 2 * mpmath.exp(sign * mpmath.mpf(m0) * mpmath.mpf(l0))
+                per_unit = count * (eps + 2 * mpmath.mpf(rep.delta0)) \
+                    * mpmath.mpf(rep.chain)
+                assert_double_of(rhs, per_unit * mpmath.mpf(model.bv_norm))
+                assert_double_of(max_bv, target / per_unit)
+
+
+def assert_double_of(value: float, exact) -> None:
+    """`value` is the double nearest `exact` up to rounding: inf past the
+    largest double, subnormal or 0 below the normal range."""
+    if exact > sys.float_info.max:
+        assert value == math.inf
+    else:
+        assert math.isclose(value, float(exact), rel_tol=1e-9,
+                            abs_tol=sys.float_info.min * 1e-9)

@@ -12,11 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloymsa import (Configuration, count_eigenvalues_in, eigensolve,
-                      make_box, restrict_hamiltonian, spectral)
+                      lattice, make_box, restrict_hamiltonian, spectral)
 from alloymsa.errors import ParameterError, SolverError
 from alloymsa.lattice import Box, BoxOperator
 from alloymsa.spectral import RESIDUAL_BLOCK
-from helpers import exact_potential, free_operator, neighbor_counts
+from helpers import (exact_potential, free_operator, neighbor_counts,
+                     slice_recursion_count, slice_recursion_negative)
 
 # twice the largest half side per dimension: boxes have at most 512 sites
 MAX_HALF = {1: 200, 2: 20, 3: 6}
@@ -206,11 +207,15 @@ class TestBuildMemory:
         assert peak < 1_000_000
 
 
-def random_diagonal_operator(box, kind, seed):
+def random_diagonal_operator(box, kind, seed, integer=False):
+    """The diagonal of `kind` plus noise from default_rng(seed), uniform
+    on [-2, 3) or, with `integer`, integers in -2..2, whose degenerate
+    spectra make Schur complements singular at ends on the spectrum."""
     rng = np.random.default_rng(seed)
+    noise = rng.integers(-2, 3, box.count) if integer else \
+        rng.uniform(-2.0, 3.0, box.count)
     return BoxOperator(box, free_operator(box).diagonal
-                       + boundary_shift(box, kind)
-                       + rng.uniform(-2.0, 3.0, box.count))
+                       + boundary_shift(box, kind) + noise)
 
 
 def off_spectrum_intervals(evals, rng, k):
@@ -232,13 +237,34 @@ class TestSliceRecursion:
         op, _ = op_rng
         w = op.box.strides[0]
         M = op.matrix
-        block = op.slice_block()
+        block = op.box.slice_block
+        assert np.array_equal(np.triu(M[:w, :w] - np.diag(op.diagonal[:w])),
+                              block)
         for k in range(op.box.shape[0]):
             here = slice(k * w, (k + 1) * w)
             assert np.array_equal(M[here, here] - np.diag(op.diagonal[here]),
-                                  block)
+                                  block + block.T)
             if k:
                 assert np.array_equal(M[here, (k - 1) * w:k * w], -np.eye(w))
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+
+    def test_slice_block_built_once_per_box(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return real_band(*args)
+
+        real_band = lattice._band
+        monkeypatch.setattr(lattice, "_band", counted)
+        box = Box((0, 0, 0), 2.0)
+        ops = [random_diagonal_operator(box, "dirichlet_truncation", seed)
+               for seed in range(2)]
+        with no_banded():
+            counts = [count_eigenvalues_in(op, (1.9, 2.1)) for op in ops]
+        assert calls == [(1, 5, 5)]
+        assert counts == [slice_recursion_count(op, 1.9, 2.1) for op in ops]
 
     @pytest.mark.parametrize("center,half", [
         ((0.5, 0), 0.5), ((0, 0.5), 0.5), ((0, 0, 0.5), 0.5),
@@ -267,6 +293,72 @@ class TestSliceRecursion:
             with no_banded():
                 assert [count_eigenvalues_in(op, (e1, e2))
                         for e1, e2, _ in cases] == [c for _, _, c in cases]
+
+
+@st.composite
+def slice_operators(draw):
+    """`random_diagonal_operator` on a d = 2 or 3 box of at most 216 sites."""
+    d = draw(st.integers(2, 3))
+    center = tuple(draw(st.sampled_from([0, 0.5])) for _ in range(d))
+    half = draw(st.integers(1, {2: 12, 3: 5}[d])) / 2.0
+    return random_diagonal_operator(
+        Box(center, half), draw(st.sampled_from(KINDS)),
+        draw(st.integers(0, 2**32 - 1)), integer=draw(st.booleans()))
+
+
+def spectrum_ends(op, rng):
+    """Interval ends: the computed eigenvalues, the integers -2..10 and
+    four uniform draws around the spectrum."""
+    evals = np.linalg.eigvalsh(op.matrix)
+    return [float(e) for e in np.concatenate([
+        evals, np.arange(-2.0, 11.0),
+        rng.uniform(evals[0] - 1.0, evals[-1] + 1.0, 4)])]
+
+
+class TestAgainstPerSliceLoop:
+    """The slice recursion, which factors in place and reads the inertia
+    after its loop, against `slice_recursion_negative`, the same LAPACK
+    calls one slice at a time: every count and every hand-over to the
+    banded path agree."""
+
+    @staticmethod
+    def assert_same_counts(op, e1, e2):
+        for E in (e1, e2):
+            for sign in (1.0, -1.0):
+                assert spectral._count_negative(
+                    op, op.box.slice_block, E, sign) == \
+                    slice_recursion_negative(op, E, sign)
+        assert count_eigenvalues_in(op, (e1, e2)) == \
+            slice_recursion_count(op, e1, e2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(slice_operators(), st.data())
+    def test_random_operators(self, op, data):
+        ends = spectrum_ends(op, np.random.default_rng(0))
+        e1, e2 = sorted(data.draw(st.sampled_from(ends)) for _ in range(2))
+        self.assert_same_counts(op, e1, e2)
+
+    def test_singular_and_banded_paths(self, monkeypatch):
+        steps = []
+        real_step = spectral._singular_step
+
+        def recorded(*args):
+            step = real_step(*args)
+            steps.append(step is not None)
+            return step
+
+        monkeypatch.setattr(spectral, "_singular_step", recorded)
+        rng = np.random.default_rng(5)
+        for seed, (center, half) in enumerate([
+                ((0, 0), 2.0), ((0.5, 0), 2.5), ((0, 0), 3.0),
+                ((0, 0, 0), 1.0), ((0.5, 0, 0), 1.5), ((0, 0.5, 0), 1.0)]):
+            op = random_diagonal_operator(Box(center, half), KINDS[seed % 2],
+                                          seed, integer=True)
+            ends = spectrum_ends(op, rng)
+            for e1, e2 in zip(ends[::3], ends[1::3]):
+                self.assert_same_counts(op, *sorted((e1, e2)))
+        # slices redone by eigendecomposition, and counts handed over
+        assert True in steps and False in steps
 
 
 class TestSingularSchurComplement:
