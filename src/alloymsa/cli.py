@@ -264,8 +264,8 @@ def _run_wegner(run: Run) -> None:
 def _run_resonance(run: Run) -> None:
     u, params, trials = run.u, run.params, run.trials
     lead = find_leading_index(u)
-    x = tuple(params.get("x", (0,) * u.dimension))
-    y = tuple(params["y"])
+    x = tuple(int(c) for c in params.get("x", (0,) * u.dimension))
+    y = tuple(int(c) for c in params["y"])
     l1 = float(params["l1"])
     l2 = float(params["l2"])
     eps_list = params.get("eps_list", [1e-3, 1e-2, 1e-1])
@@ -315,9 +315,10 @@ def _run_msa_schedule(run: Run) -> None:
 def _run_msa_singularity(run: Run) -> None:
     params = run.params
     interval = params.get("interval", [-0.1, 0.1])  # checked by the estimator
+    grid = params.get("energy_grid", 101)
     rep = estimate_singularity_probability(
         run.u, run.model, float(params["l"]), float(params["m"]), interval,
-        params.get("energy_grid", 101), run.trials, run.seed,
+        grid if isinstance(grid, list) else int(grid), run.trials, run.seed,
         threads=run.threads)
     run.summary["constants"]["p_hi"] = rep.p_hi
     bound = params.get("p_hi_max")

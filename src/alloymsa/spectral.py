@@ -21,8 +21,9 @@ L = n / w slices); none of the counts forms an n x n array.
   reduction to tridiagonal form and (w + 1) n doubles.
 - Full spectra and eigenvectors come from dense LAPACK working in place
   on one n x n buffer, O(n^3) flops, and every returned eigenpair's
-  residual is checked with the stencil product.  Nothing is cached: a
-  caller asks all its energies in one call.  Two LAPACK solvers serve
+  residual is checked with the stencil product, relative to
+  max(1, max|diagonal|).  Nothing is cached: a caller asks all its
+  energies in one call.  Two LAPACK solvers serve
   two kinds of query.  `eigensolve`, whose callers read eigenvalues or
   the lowest few eigenvectors one by one (`decay` fits each), follows the
   relatively robust representations solver (dsyevr, scipy's default): the
@@ -30,11 +31,11 @@ L = n / w slices); none of the counts forms an n x n array.
   published decay rates.  A values-only solve and a vector solve at
   n <= 512 call dsyevr itself.  Past n = 512 a solve for the lowest k
   eigenvectors runs dsyevr's own steps: dsytrd, then dstemr's (dlarrr,
-  dlarre, dlarrv, called through the function pointers of scipy's Cython
-  LAPACK API), then the back-transform dormtr as dormqr.  dlarrv (MRRR,
-  Dhillon & Parlett 2004) computes only a leading block of the
+  dlarre, dlarrv), then the back-transform dormtr, the last four called
+  through the function pointers of scipy's Cython LAPACK API.  dlarrv
+  (MRRR, Dhillon & Parlett 2004) computes only a leading block of the
   tridiagonal eigenvectors, up to a singleton of its representation tree
-  past the first W, and dormqr back-transforms W = min(n, 256 ceil((k +
+  past the first W, and dormtr back-transforms W = min(n, 256 ceil((k +
   16) / 256)) of them: for `decay`'s benchmark box and k = 3, about 260
   of 1681 vectors and 256 columns.  dsyevr itself also takes the vector
   solves these steps leave out: a matrix it would scale first (max|H|
@@ -82,7 +83,6 @@ _sytrf = scipy.linalg.lapack.dsytrf
 _sytri = scipy.linalg.lapack.dsytri
 _sytrd = scipy.linalg.lapack.dsytrd
 _stemr = scipy.linalg.lapack.dstemr
-_ormqr = scipy.linalg.lapack.dormqr
 _syevr_lwork = scipy.linalg.lapack.dsyevr_lwork
 # dsyevr scales a matrix with max|H| outside [RMIN, RMAX] into it before
 # the reduction; a vector solve leaves such a matrix to dsyevr itself
@@ -129,6 +129,7 @@ def _capsule_routine(name: str):
 _larrr = _capsule_routine("dlarrr")
 _larre = _capsule_routine("dlarre")
 _larrv = _capsule_routine("dlarrv")
+_ormtr = _capsule_routine("dormtr")
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,11 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
     and eigenvectors are bit for bit those of scipy.linalg.eigh (dsyevr,
     every eigenpair); ask for k = n to get the whole spectrum of a vector
     solve.  The residual
-    max_j ||H v_j - lambda_j v_j|| / max(1, |lambda|_max), the maximum over
-    the returned columns and |lambda|_max over the whole spectrum, must not
-    exceed RESIDUAL_CONTRACT."""
+    max_j ||H v_j - lambda_j v_j|| / max(1, max_x |H_xx|), the maximum over
+    the returned columns, must not exceed RESIDUAL_CONTRACT.  Its
+    normaliser needs no eigenvalue past the k returned: max_x |H_xx| <=
+    ||H|| <= 2d + max_x |H_xx|, as every bond is -1, so the gate is at
+    most 2d + 1 times stricter than one relative to max(1, ||H||)."""
     n = op.box.count
     if isinstance(vectors, bool) or not isinstance(vectors, (int, np.integer)) \
             or not 0 <= vectors <= n:
@@ -178,22 +181,20 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
     found = _lowest_eigenpairs(op.matrix.T, int(vectors))
     if found is None:  # n <= 512, a scaled H or a failed dstemr: dsyevr itself
         evals, evecs = scipy.linalg.eigh(op.matrix.T, overwrite_a=True)
-        found = (evals[:vectors].copy(), evecs[:, :vectors].copy(),
-                 max(-evals[0], evals[-1]))
-    evals, evecs, radius = found
+        found = evals[:vectors].copy(), evecs[:, :vectors].copy()
+    evals, evecs = found
     return SpectrumResult(eigenvalues=evals, eigenvectors=evecs,
-                          residual=_checked_residual(op, evals, evecs, radius))
+                          residual=_checked_residual(op, evals, evecs))
 
 
 def _lowest_eigenpairs(H: np.ndarray, k: int
-                       ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The k lowest eigenvalues, their eigenvectors and the spectral radius
-    max |lambda| of the symmetric F-contiguous matrix `H`, which this
-    overwrites, by the steps LAPACK's dsyevr takes for all eigenpairs of a
-    lower triangle.  None, leaving H as it is, at n <= _FULL_WIDTH_MAX =
-    512 and where max|H| lies outside [_RMIN, _RMAX] (dsyevr scales H
-    first); None too where dstemr fails, as dsyevr then falls back to
-    bisection and inverse iteration.
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k lowest eigenvalues and their eigenvectors of the symmetric
+    F-contiguous matrix `H`, which this overwrites, by the steps LAPACK's
+    dsyevr takes for all eigenpairs of a lower triangle.  None, leaving H
+    as it is, at n <= _FULL_WIDTH_MAX = 512 and where max|H| lies outside
+    [_RMIN, _RMAX] (dsyevr scales H first); None too where dstemr fails,
+    as dsyevr then falls back to bisection and inverse iteration.
 
     1. dsytrd reduces H to tridiagonal form in place, with dsyevr's
        workspace (its lwork less 5n), which fixes dsytrd's block size;
@@ -201,9 +202,9 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
        tridiagonal eigenvectors of a leading block that holds the first W;
        where dstemr takes another route, dstemr itself (range 'A') finds
        all n into an n x n array;
-    3. dormtr('L') back-transforms the first W of them, as dormqr with
-       the n - 1 reflectors below the subdiagonal on rows 1..n-1, with the
-       block size dsyevr's workspace gives dormqr.
+    3. dormtr('L') back-transforms the first W of them in place, with
+       the block size dsyevr's workspace (its lwork less 2n, for n
+       columns) gives the dormqr that dormtr calls.
 
     W = min(n, 256 ceil((k + 16) / 256)).  The back-transform of a column
     depends on the block's width through OpenBLAS's GEMM: the last W mod
@@ -214,18 +215,14 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     (k = 3 at 21 of them, in 267..293) and matched them at every n from
     416 to 900, for k = 1, 3, 112 and 240; hence dsyevr itself up to 512,
     where these steps also saved no time.  With more BLAS threads dsyevr's
-    vectors themselves change with the thread count.
-    Rows 1..n-1 of the block are packed into the front of its buffer, so
-    dormqr overwrites them without a copy.  The radius, which only the
-    normaliser of the residual check reads, comes from dlarre's eigenvalues
-    where the eigenvalues past the leading block are never refined.  A
-    nonzero info of dsytrd or dormqr raises SolverError."""
+    vectors themselves change with the thread count.  A nonzero info of
+    dsytrd or dormtr raises SolverError."""
     n = H.shape[0]
     if n <= _FULL_WIDTH_MAX or \
             not _RMIN <= max(float(H.max()), -float(H.min())) <= _RMAX:
         return None
     lwork = int(_syevr_lwork(n, lower=1)[0])
-    _, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
+    H, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
                                 overwrite_a=1)
     _check_info("dsytrd", info)
     # dstemr reads e[n - 1] as workspace
@@ -236,35 +233,27 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
         m, evals, Z, info = _stemr(d, e, 0, 0.0, 0.0, 0, 0)
         if info or m != n:
             return None
-        found = evals, Z, max(-evals[0], evals[-1])
-    evals, Z, radius = found
-    evals = evals[:k].copy()
+    else:
+        evals, Z = found
     block = (lwork - 2 * n - _ORMQR_TSIZE) // n
-    ormqr_lwork = block * width + _ORMQR_TSIZE if block >= 2 else width
-    top = Z[0, :k].copy()
-    z = Z.ravel(order="F")
-    for j in range(width):
-        z[j * (n - 1):(j + 1) * (n - 1)] = z[j * n + 1:(j + 1) * n]
-    # reflector j lies in H[j + 2:, j]: the view starting at H[1, 0]
-    reflectors = H.ravel(order="F")[1:1 + n * (n - 1)].reshape(
-        (n, n - 1), order="F")
-    C, _, info = _ormqr("L", "N", reflectors, tau,
-                        z[:(n - 1) * width].reshape((n - 1, width), order="F"),
-                        ormqr_lwork, overwrite_c=1)
-    _check_info("dormqr", info)
-    evecs = np.empty((n, k))
-    evecs[0] = top
-    evecs[1:] = C[:, :k]
-    return evals, evecs, radius
+    work = np.empty(block * width + _ORMQR_TSIZE if block >= 2 else width)
+    ref = ctypes.byref
+    n_, width_, info = ctypes.c_int(n), ctypes.c_int(width), ctypes.c_int(0)
+    lwork_ = ctypes.c_int(work.size)
+    _ormtr(b"L", b"L", b"N", ref(n_), ref(width_), H.ctypes.data, ref(n_),
+           tau.ctypes.data, Z.ctypes.data, ref(n_), work.ctypes.data,
+           ref(lwork_), ref(info))
+    _check_info("dormtr", info.value)
+    return evals[:k].copy(), Z[:, :k].copy()
 
 
 def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
-                               ) -> tuple[np.ndarray, np.ndarray, float] | None:
+                               ) -> tuple[np.ndarray, np.ndarray] | None:
     """dstemr's eigenvalues and eigenvectors of the symmetric tridiagonal
     matrix with diagonal `d` and subdiagonal e[:n - 1], bit for bit, for
-    its first m >= `width` eigenpairs (m > `width` where m < n), and its
-    spectral radius; None where dstemr would take another route, or a step
-    fails.  `d` and `e` are left as they are.
+    its first m >= `width` eigenpairs (m > `width` where m < n); None
+    where dstemr would take another route, or a step fails.  `d` and `e`
+    are left as they are.
 
     dstemr (range 'A', with vectors, n > 2) scales a matrix with
     max(|d|, |e|) outside [_RMIN, _RMAX].  Then it
@@ -322,8 +311,6 @@ def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
            ref(pivmin), work.ctypes.data, iwork.ctypes.data, ref(info))
     if info.value or nsplit.value != 1 or m.value != n:
         return None
-    # the root shift sits in e[n - 1], the eigenvalues ascend
-    radius = max(-(w[0] + e[-1]), w[-1] + e[-1])
     boundary = wgap[:-1] >= _MINRGP * np.abs(w[:-1])
     singleton = boundary & np.append(True, boundary[:-1])
     after = np.flatnonzero(singleton[width - 1:])
@@ -340,7 +327,7 @@ def _leading_tridiagonal_pairs(d: np.ndarray, e: np.ndarray, width: int
            isuppz.ctypes.data, work.ctypes.data, iwork.ctypes.data, ref(info))
     if info.value:
         return None
-    return w[:m.value], Z, radius
+    return w[:m.value], Z
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -356,23 +343,23 @@ def _green_eigenpairs(op: BoxOperator, H: np.ndarray
     the solve overwrites.  The residual contract of `eigensolve` is checked
     on every column."""
     evals, evecs = scipy.linalg.eigh(H, overwrite_a=True, driver="evd")
-    _checked_residual(op, evals, evecs, max(-evals[0], evals[-1]))
+    _checked_residual(op, evals, evecs)
     return evals, evecs
 
 
 def _checked_residual(op: BoxOperator, evals: np.ndarray,
-                      evecs: np.ndarray, radius: float) -> float:
-    """max_j ||H v_j - lambda_j v_j|| / max(1, radius) over the columns v_j
-    of `evecs`, the eigenvectors of the first eigenvalues in `evals`, with
-    `radius` the largest |lambda| of the whole spectrum, from stencil
-    products on RESIDUAL_BLOCK columns at a time; SolverError when it
-    exceeds RESIDUAL_CONTRACT."""
+                      evecs: np.ndarray) -> float:
+    """max_j ||H v_j - lambda_j v_j|| / max(1, max_x |H_xx|) over the
+    columns v_j of `evecs`, the eigenvectors of the first eigenvalues in
+    `evals`, with H_xx the diagonal of the operator (see `eigensolve`),
+    from stencil products on RESIDUAL_BLOCK columns at a time; SolverError
+    when it exceeds RESIDUAL_CONTRACT."""
     worst = 0.0
     for j in range(0, evecs.shape[1], RESIDUAL_BLOCK):
         V = evecs[:, j:j + RESIDUAL_BLOCK]
         r = op @ V - V * evals[j:j + V.shape[1]]
         worst = max(worst, float(np.max(np.linalg.norm(r, axis=0))))
-    residual = worst / max(1.0, float(radius))
+    residual = worst / max(1.0, float(np.max(np.abs(op.diagonal))))
     if residual > RESIDUAL_CONTRACT:
         raise SolverError(f"eigensolver residual {residual:.3e} exceeds 1e-10")
     return residual

@@ -918,6 +918,44 @@ class TestNonFiniteNumbersRefused:
                 assert not out.exists()
 
 
+def with_integers_as_floats(node):
+    """`node` with every integer in it (bool excepted) made a float, which
+    JSON writes as N.0."""
+    if isinstance(node, dict):
+        return {key: with_integers_as_floats(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [with_integers_as_floats(value) for value in node]
+    if isinstance(node, int) and not isinstance(node, bool):
+        return float(node)
+    return node
+
+
+class TestIntegersWrittenAsFloats:
+    """draft-07 admits N.0 where the schema asks for an integer, and the run
+    treats it as N: the same exit code, stdout, stderr and report bytes.
+    Only the summary differs, as its config hash covers the literal."""
+
+    @pytest.mark.parametrize("command", list(ADMITTED))
+    def test_same_outputs(self, tmp_path, capsys, command):
+        config = admitted_config(command)
+        floats = with_integers_as_floats(config)
+        assert json.dumps(floats) != json.dumps(config)
+        results = []
+        for name, payload in (("int", config), ("float", floats)):
+            cfg, out = write_config(tmp_path, f"{name}.json", payload), \
+                tmp_path / name
+            rc = main([command, "--config", str(cfg), "--out", str(out)])
+            std = capsys.readouterr()
+            reports = {path.name: path.read_bytes()
+                       for path in sorted(out.iterdir())
+                       if not path.name.endswith("_summary.json")}
+            assert reports
+            results.append((rc, std.out.replace(str(out), "<out>"), std.err,
+                            reports))
+        assert results[0] == results[1]
+
+
 class TestRunExperimentAPI:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(Exception):

@@ -169,19 +169,42 @@ class TestClosedInterval:
 class TestResidualContract:
     def test_corrupt_last_eigenvector_raises(self, monkeypatch):
         # n = 601: past the sizes left to dsyevr itself, so the solve runs
-        # dormqr; the last column is in a later block of the residual check
+        # dsyevr's steps; the last column is in a later block of the
+        # residual check
         op = free_operator(make_box((0,), 300.0))
         assert op.box.count > max(RESIDUAL_BLOCK, spectral._FULL_WIDTH_MAX)
-        real_ormqr = spectral._ormqr
+        real_lowest = spectral._lowest_eigenpairs
 
-        def corrupt(*args, **kwargs):
-            C, work, info = real_ormqr(*args, **kwargs)
-            C[:, -1] = np.roll(C[:, -1], 1)
-            return C, work, info
+        def corrupt(H, k):
+            evals, evecs = real_lowest(H, k)
+            evecs[:, -1] = np.roll(evecs[:, -1], 1)
+            return evals, evecs
 
-        monkeypatch.setattr(spectral, "_ormqr", corrupt)
+        monkeypatch.setattr(spectral, "_lowest_eigenpairs", corrupt)
         with pytest.raises(SolverError):
             eigensolve(op, vectors=op.box.count)
+
+    # an eigenvalue moved by delta leaves the residual |delta| on its unit
+    # eigenvector; the gate divides it by max(1, max|diagonal|), not by
+    # ||H||: with diagonal 0 (v = -2d at d = 3, ||H|| = 6 cos(pi/6) = 5.2)
+    # a residual of 3e-10 fails, and at diagonal 1000 a residual of 5e-8
+    # passes as 5e-11
+    @pytest.mark.parametrize("diagonal, delta, fails", [
+        (0.0, 3e-10, True), (0.0, 5e-11, False),
+        (1000.0, 2e-7, True), (1000.0, 5e-8, False)])
+    def test_normaliser_is_the_largest_diagonal_entry(self, diagonal, delta,
+                                                      fails):
+        box = make_box((0, 0, 0), 2.0)
+        op = BoxOperator(box, np.full(box.count, diagonal))
+        evals, evecs = scipy.linalg.eigh(op.matrix)
+        evals[-1] += delta
+        scale = max(1.0, diagonal)
+        if fails:
+            with pytest.raises(SolverError):
+                spectral._checked_residual(op, evals, evecs)
+        else:
+            assert spectral._checked_residual(op, evals, evecs) == \
+                pytest.approx(delta / scale, rel=1e-4)
 
     def test_clean_eigenpairs_pass(self):
         box = make_box((0, 0), 8.0)
