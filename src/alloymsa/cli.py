@@ -30,17 +30,17 @@ import numpy as np
 
 from . import __version__, mc
 from .errors import AlloyMSAError, ParameterError
-from .genfun import (companion_radius, find_leading_index,
-                     positivity_certificate, tail_bound)
+from .genfun import find_leading_index, positivity_certificate, tail_bound
 from .initial_scale import (admissible_lengths, beta_floor,
                             large_disorder_probe, lifshitz_probe)
-from .lattice import (Configuration, DisorderModel, SingleSitePotential,
-                      make_box, restrict_hamiltonian, uniform_density)
+from .lattice import (DisorderModel, SingleSitePotential, make_box,
+                      restrict_hamiltonian, sample_configuration,
+                      uniform_density)
 from .msa import (MSAParameters, estimate_singularity_probability,
                   scale_schedule, schedule_to_json_dict, validate_parameters)
 from .resonance import estimate_resonance_probabilities
-from .spectral import decay_fit, decay_shells, eigensolve
-from .wegner import coupling_domain, estimate_partial_expectation, wegner_bound
+from .spectral import checked_interval, decay_fit, decay_shells, eigensolve
+from .wegner import estimate_partial_expectation, wegner_bound
 
 # draft-07: checking a schema against its metaschema costs a fraction of
 # the latest draft's, and it runs on every validation
@@ -215,8 +215,8 @@ def _run_genfun(run: Run) -> None:
     run.summary["constants"]["C_hat"] = tail_bound(u, 0.0, 0.0)
     run.write_json("leading_index", "leading_index.json", lead.to_json_dict())
     rows = []
-    for l in _scales(run.params, [2.0, 4.0]):
-        cert = positivity_certificate(u, lead, float(l))
+    for l in map(float, _scales(run.params, [2.0, 4.0])):
+        cert = positivity_certificate(u, lead, l)
         rows.append([l, cert.radius, cert.min_value, cert.slack,
                      int(cert.holds), " ".join(map(str, cert.worst_x))])
         run.contract(f"positivity_l={l}", cert.holds, f"min={cert.min_value:.6g}")
@@ -225,25 +225,17 @@ def _run_genfun(run: Run) -> None:
 
 
 def _run_wegner(run: Run) -> None:
-    u, model, seed, trials = run.u, run.model, run.seed, run.trials
+    u, model, trials = run.u, run.model, run.trials
     lead = find_leading_index(u)
-    interval = run.params.get("interval", [1.9, 2.1])  # checked by the estimator
-    n_ext = int(run.params.get("exteriors", 0))
+    interval = checked_interval(run.params.get("interval", [1.9, 2.1]))
     rows = []
     plot = []
-    for l in _scales(run.params, [2, 4, 6, 8]):
-        l = float(l)
-        dom = coupling_domain(u, l, companion_radius(u, lead, l))
+    for l in map(float, _scales(run.params, [2, 4, 6, 8])):
         rep = wegner_bound(u, lead, model, l, interval)
-        for e_idx in range(max(n_ext, 1)):
-            if n_ext == 0:
-                exterior = None
-            else:
-                rng = mc.trial_rng(seed ^ 0xE0, e_idx)
-                exterior = Configuration(dom, model.sample(rng, dom.count))
-            mean, stderr = estimate_partial_expectation(
-                u, lead, model, l, interval, exterior, trials,
-                mc.splitmix64(seed, e_idx), threads=run.threads)
+        estimates = estimate_partial_expectation(
+            u, lead, model, l, interval, int(run.params.get("exteriors", 0)),
+            trials, run.seed, threads=run.threads)
+        for e_idx, (mean, stderr) in enumerate(estimates):
             rows.append([u.dimension, l, rep.radius, interval[0], interval[1],
                          trials, mean, stderr, rep.bound, rep.c_w_chain,
                          rep.bv_norm])
@@ -268,10 +260,10 @@ def _run_resonance(run: Run) -> None:
     y = tuple(int(c) for c in params["y"])
     l1 = float(params["l1"])
     l2 = float(params["l2"])
-    eps_list = params.get("eps_list", [1e-3, 1e-2, 1e-1])
+    eps_list = [float(eps) for eps in params.get("eps_list", [1e-3, 1e-2, 1e-1])]
     reports = estimate_resonance_probabilities(
-        u, lead, run.model, x, y, l1, l2, [float(eps) for eps in eps_list],
-        trials, run.seed, threads=run.threads)
+        u, lead, run.model, x, y, l1, l2, eps_list, trials, run.seed,
+        threads=run.threads)
     rows = []
     for eps, rep in zip(eps_list, reports):
         rows.append([" ".join(map(str, x)), " ".join(map(str, y)), l1, l2,
@@ -286,7 +278,8 @@ def _run_resonance(run: Run) -> None:
 
 
 def _run_msa_schedule(run: Run) -> None:
-    p = MSAParameters(**run.params["msa"])
+    p = MSAParameters(**{key: float(value)
+                         for key, value in run.params["msa"].items()})
     lead = find_leading_index(run.u)
     report = validate_parameters(p, lead, run.u, run.model)
     run.summary["constants"].update({
@@ -318,12 +311,12 @@ def _run_msa_singularity(run: Run) -> None:
     grid = params.get("energy_grid", 101)
     rep = estimate_singularity_probability(
         run.u, run.model, float(params["l"]), float(params["m"]), interval,
-        grid if isinstance(grid, list) else int(grid), run.trials, run.seed,
-        threads=run.threads)
+        list(map(float, grid)) if isinstance(grid, list) else int(grid),
+        run.trials, run.seed, threads=run.threads)
     run.summary["constants"]["p_hi"] = rep.p_hi
-    bound = params.get("p_hi_max")
-    if bound is not None:
-        run.contract("singularity_regression", rep.p_hi <= float(bound),
+    if params.get("p_hi_max") is not None:
+        bound = float(params["p_hi_max"])
+        run.contract("singularity_regression", rep.p_hi <= bound,
                      f"p_hi={rep.p_hi:.4g} cap={bound}")
     rows = [[E, count, run.trials] for E, count in sorted(rep.per_energy.items())]
     run.write_csv("singularity", "singularity.csv",
@@ -390,11 +383,10 @@ def _run_decay(run: Run) -> None:
     if not 1 <= n_lowest <= box.count:
         raise ParameterError(
             f"n_lowest must lie in [1, {box.count}], got {n_lowest}")
-    domain = make_box((0,) * u.dimension, l + u.truncation_radius + 0.25)
 
     def worker(i, rng):
-        cfg = Configuration(domain, model.sample(rng, domain.count))
-        op = restrict_hamiltonian(u, cfg, box)
+        op = restrict_hamiltonian(u, sample_configuration(u, model, box, rng),
+                                  box)
         res = eigensolve(op, vectors=n_lowest)
         good = 0
         fits = []

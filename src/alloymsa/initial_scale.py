@@ -22,9 +22,9 @@ import numpy as np
 from . import mc
 from .errors import ParameterError
 from .genfun import LeadingIndexData, companion_radius
-from .lattice import (Configuration, DisorderModel, SingleSitePotential,
-                      make_box, restrict_hamiltonian)
-from .resonance import perturbation_radius
+from .lattice import (DisorderModel, SingleSitePotential, make_box,
+                      restrict_hamiltonian, sample_configuration)
+from .resonance import enlarged_box, perturbation_radius
 from .spectral import eigensolve
 from .wegner import wegner_constant_chain
 
@@ -126,11 +126,10 @@ def lifshitz_probe(
     chain_bound = n**d * math.exp(-subcube_sites * (11.0 / 12.0) ** 2)
     paper_bound = l ** (-xi)
     threshold = l ** (-2.0 + zeta)
-    domain = make_box((0,) * d, l + u.truncation_radius + 0.25)
 
     def worker(_i: int, rng: np.random.Generator):
-        cfg = Configuration(domain, model.sample(rng, domain.count))
-        op = restrict_hamiltonian(u, cfg, box)
+        op = restrict_hamiltonian(u, sample_configuration(u, model, box, rng),
+                                  box)
         lam1 = float(eigensolve(op).eigenvalues[0])
         return (1.0 if lam1 < threshold else 0.0, lam1)
 
@@ -187,16 +186,15 @@ def large_disorder_probe(
     """
     if not (m0 > 0 and xi > 0):
         raise ParameterError(f"m0 and xi must be positive, got {m0!r}, {xi!r}")
-    d = u.dimension
     notes = []
-    if 4.0 * l0 < companion_radius(u, lead, l0):
-        notes.append(
-            f"4 l0 < R_l0 = {companion_radius(u, lead, l0):.6g}: resonance "
-            "proposition hypothesis fails at this scale"
-        )
+    R = companion_radius(u, lead, l0)
+    box = make_box((0,) * u.dimension, l0)
+    if enlarged_box(box).half_side < R:
+        notes.append(f"4 l0 < R_l0 = {R:.6g}: resonance proposition "
+                     "hypothesis fails at this scale")
     delta0 = perturbation_radius(u, model, l0)
     chain = wegner_constant_chain(u, lead, l0)
-    count = make_box((0,) * d, l0).count
+    count = box.count
     bv = model.bv_norm
     target = l0 ** (-2.0 * xi)
 

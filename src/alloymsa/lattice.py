@@ -13,6 +13,9 @@ on every bond inside the box.
 
 One capacity rule bounds every array built here from a box, checked by
 `check_capacity` before the array is allocated: at most cap^2 entries.
+One geometry rule says which couplings reach a box: `coupling_domain`,
+the only place that reads the truncation radius of u to size a box.
+A trial that draws all of them takes `sample_configuration`.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -132,11 +135,6 @@ class Box:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
-
-    def flat_indices(self, pts: np.ndarray) -> np.ndarray:
-        """Flat indices of points assumed inside the box."""
-        lo = np.asarray(self.lo)
-        return (pts - lo) @ np.asarray(self.strides)
 
     def index_of(self, point: Point) -> int:
         """Flat index of a lattice point of the box."""
@@ -480,11 +478,27 @@ class Configuration:
             )
         vals.flags.writeable = False
 
-    def values_at(self, pts: np.ndarray) -> np.ndarray:
-        inside = self.domain.contains_points(pts)
-        out = np.zeros(len(pts))
-        out[inside] = self.values[self.domain.flat_indices(pts[inside])]
-        return out
+
+def coupling_domain(u: SingleSitePotential, box: Box,
+                    radius: float = 0.0) -> Box:
+    """Lambda_{max(radius, l + r) + 1/4} about the centre of `box`
+    (half side l), with r the truncation radius of u: every coupling w_k
+    whose u(x - k) can be nonzero at a site x of the box, and the whole
+    of Lambda_radius besides.  The Wegner estimator passes radius = R_l,
+    so that the domain also holds Gamma = Lambda_{R_l}; at radius 0 it is
+    Lambda_{l + r + 1/4}, as l + r > 0."""
+    return make_box(box.center,
+                    max(radius, box.half_side + u.truncation_radius) + 0.25)
+
+
+def sample_configuration(u: SingleSitePotential, model: DisorderModel,
+                         box: Box, rng: np.random.Generator) -> Configuration:
+    """Couplings drawn i.i.d. from `model` on `coupling_domain(u, box)`,
+    in its lexicographic order: every coupling that reaches the box, so
+    its operator on the box is the restriction of a whole-lattice
+    realization."""
+    domain = coupling_domain(u, box)
+    return Configuration(domain, model.sample(rng, domain.count))
 
 
 def assemble_potential(u: SingleSitePotential, config: Configuration,

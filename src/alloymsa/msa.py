@@ -26,7 +26,8 @@ from .errors import ParameterError, ScheduleError
 from .genfun import LeadingIndexData
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
                       check_capacity, make_box, restrict_hamiltonian)
-from .resonance import INDETERMINATE, check_enlarged_domain, perturbation_radius
+from .resonance import (INDETERMINATE, check_enlarged_domain, enlarged_box,
+                        perturbation_radius, zeroed_exterior_witness)
 from .spectral import boundary_greens, checked_interval
 from .tails import decay_tail_constant
 from .wegner import chain_formula
@@ -52,13 +53,14 @@ def uniform_regularity_verdicts(
     of the couplings outside Lambda_{4l}(center), at every energy of
     `energies`; returns one verdict string per energy.
 
-    `config` holds the couplings on Lambda_{4l}(center) (checked), zero
-    outside: its operator on `box` is the zeroed-exterior one.  It is
-    irregular at E when E is resonant or |G(E; center, w)| > e^{-m l} for
-    some interior-boundary site w.  If it is irregular, the cube is
-    certainly not uniformly regular when the zeroed exterior is an
-    admissible completion (0 in supp rho) or when no exterior coupling
-    reaches the box (delta = 0); otherwise the verdict is indeterminate.
+    `config` holds the couplings on `resonance.enlarged_box(box)`
+    (checked by `check_enlarged_domain`), zero outside: its operator on
+    `box` is the zeroed-exterior one.  It is irregular at E when E is
+    resonant or |G(E; center, w)| > e^{-m l} for some interior-boundary
+    site w.  If it is irregular, the cube is certified not uniformly
+    regular where `resonance.zeroed_exterior_witness(model, delta)` holds
+    (0 in supp rho, or no exterior coupling reaches the box: delta = 0);
+    otherwise the verdict is indeterminate.
     If it is regular, delta = 0 certifies it, as every completion then
     restricts to the same operator on the box.  Otherwise a first-order
     resolvent bracket of radius delta (the perturbation radius, computed
@@ -85,7 +87,7 @@ def uniform_regularity_verdicts(
             slack = delta * g_norm * g_norm / (1.0 - delta * g_norm)
         regular &= (delta < green.distance) & \
             ~np.any(green.magnitude + slack > threshold, axis=0)
-    witness = CERTIFIED_IRREGULAR if delta == 0.0 or model.in_support(0.0) \
+    witness = CERTIFIED_IRREGULAR if zeroed_exterior_witness(model, delta) \
         else INDETERMINATE
     return np.where(regular, CERTIFIED_REGULAR,
                     np.where(irregular, witness, INDETERMINATE))
@@ -168,10 +170,9 @@ def estimate_singularity_probability(
     for name, value in (("l", l), ("m", m)):
         if not (math.isfinite(value) and value > 0):
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-    d = u.dimension
-    box = make_box((0,) * d, l)
+    box = make_box((0,) * u.dimension, l)
     grid = _energy_grid(interval, energy_grid, box.count)
-    enlarged = make_box((0,) * d, 4 * l)
+    enlarged = enlarged_box(box)
     delta = perturbation_radius(u, model, l)
     energies = np.asarray(grid, dtype=float)
 

@@ -30,6 +30,28 @@ CERTIFIED_OUT_A = "certified_out_A"
 INDETERMINATE = "indeterminate"
 
 
+def enlarged_box(box: Box) -> Box:
+    """Lambda_{4l}(center), the 4l-enlarged box of `box` = Lambda_l(center).
+    A trial draws the couplings on it and sets every coupling outside it
+    to zero, the zeroed exterior; the perturbation radius bounds what the
+    couplings outside it can move on the box, and the resonance and
+    initial-scale hypotheses compare its half side 4l with R_l."""
+    return make_box(box.center, 4.0 * box.half_side)
+
+
+def zeroed_exterior_witness(model: DisorderModel, *radii: float) -> bool:
+    """Whether what holds at the zeroed exterior holds for some exterior
+    completion: the zeroed exterior is itself admissible when 0 lies in
+    supp rho, and when every perturbation radius in `radii` is 0 no
+    coupling outside the enlarged boxes reaches them, so that every
+    completion has the same operators on them.  Where it holds, an
+    irregular box is certified irregular
+    (`msa.uniform_regularity_verdicts`) and a distance d0 < eps of the
+    two spectra certifies the resonance event
+    (`estimate_resonance_probabilities`)."""
+    return model.in_support(0.0) or all(radius == 0.0 for radius in radii)
+
+
 def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
                         l_i: float) -> float:
     """Certified bound on sup_{x in Lambda_l} |v_w(x) - v_w'(x)| over
@@ -45,16 +67,18 @@ def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
     omega_plus = model.omega_plus
     if omega_plus == 0.0:
         return 0.0
-    analytic = tail_bound(u, l_i, 3.0 * l_i)
-    exact = leaked_mass_bound(u, make_box((0,) * u.dimension, l_i), 4.0 * l_i)
+    box = make_box((0,) * u.dimension, l_i)
+    outer = enlarged_box(box).half_side
+    analytic = tail_bound(u, l_i, outer - l_i)
+    exact = leaked_mass_bound(u, box, outer)
     return omega_plus * min(analytic, exact)
 
 
 def check_enlarged_domain(domain: Box, box: Box) -> None:
-    """Raise ParameterError unless `domain` is the 4l-enlarged box
-    Lambda_{4l}(center) of `box`; a configuration on it is then completed
-    by zero couplings outside it, the zeroed exterior."""
-    enlarged = make_box(box.center, 4.0 * box.half_side)
+    """Raise ParameterError unless `domain` holds the lattice points of
+    `enlarged_box(box)`, compared by `lo` and `hi`; a configuration on it
+    is then completed by zero couplings outside it, the zeroed exterior."""
+    enlarged = enlarged_box(box)
     if tuple(domain.lo) != tuple(enlarged.lo) or \
             tuple(domain.hi) != tuple(enlarged.hi):
         raise ParameterError("configuration domain must equal the 4l-enlarged box")
@@ -100,8 +124,11 @@ def estimate_resonance_probabilities(
     one report per eps of `eps_list`, against the proposition's explicit
     chain (2 l1 + 1)^d ||rho||_Var (eps + delta1 + delta2) sum_j ||t_{j,l2}||_1.
 
-    One pass samples the realizations and keeps each trial's d0, from which
-    every eps is classified.  p_lo counts certified_in_A; p_hi adds
+    A trial draws the couplings on both `enlarged_box`es and keeps d0,
+    the distance of the two spectra at the zeroed exterior; one pass
+    samples the realizations, and every eps is classified from their d0.
+    d0 < eps certifies A only where `zeroed_exterior_witness(model,
+    delta1, delta2)` holds.  p_lo counts certified_in_A; p_hi adds
     indeterminate outcomes, so every comparison against the bound stays
     conservative.
     """
@@ -115,20 +142,18 @@ def estimate_resonance_probabilities(
         raise ParameterError(f"x and y must have d={u.dimension} coordinates")
     box1 = make_box(tuple(x), l1)
     box2 = make_box(tuple(y), l2)
-    big1 = make_box(tuple(x), 4.0 * l1)
-    big2 = make_box(tuple(y), 4.0 * l2)
+    big1 = enlarged_box(box1)
+    big2 = enlarged_box(box2)
     if not big1.disjoint_from(big2):
         raise GeometryError("4l-enlarged boxes overlap")
-    if 4.0 * l2 < companion_radius(u, lead, l2):
-        raise ParameterError(
-            f"l2={l2} too small: 4 l2 < R_l2 = {companion_radius(u, lead, l2):.6g}"
-        )
+    R = companion_radius(u, lead, l2)
+    if big2.half_side < R:
+        raise ParameterError(f"l2={l2} too small: 4 l2 < R_l2 = {R:.6g}")
     delta1 = perturbation_radius(u, model, l1)
     delta2 = perturbation_radius(u, model, l2)
     scale = box1.count * model.bv_norm
     chain = wegner_constant_chain(u, lead, l2)
-    # the zeroed exterior is a completion, or nothing outside reaches either box
-    attained = model.in_support(0.0) or delta1 == delta2 == 0.0
+    attained = zeroed_exterior_witness(model, delta1, delta2)
 
     def worker(_i: int, rng: np.random.Generator) -> float:
         cfg1 = Configuration(big1, model.sample(rng, big1.count))

@@ -19,8 +19,8 @@ import numpy as np
 from . import mc
 from .errors import ParameterError
 from .genfun import LeadingIndexData, companion_radius, positivity_certificate
-from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
-                      make_box, restrict_hamiltonian)
+from .lattice import (Configuration, DisorderModel, SingleSitePotential,
+                      coupling_domain, make_box, restrict_hamiltonian)
 from .spectral import checked_interval, count_eigenvalues_in
 
 
@@ -84,53 +84,59 @@ def wegner_constant_chain(u: SingleSitePotential, lead: LeadingIndexData,
     return chain_formula(u, lead, l)
 
 
-def coupling_domain(u: SingleSitePotential, l: float, R: float) -> Box:
-    """The couplings of a Wegner trial at scale l: Lambda_{max(R, l + r) + 1/4},
-    with R = R_l and r the truncation radius of u, holds Gamma = Lambda_R
-    and every coupling that reaches h^l.  A frozen exterior is drawn on it."""
-    return make_box((0,) * u.dimension, max(R, l + u.truncation_radius) + 0.25)
-
-
 def estimate_partial_expectation(
     u: SingleSitePotential,
     lead: LeadingIndexData,
     model: DisorderModel,
     l: float,
     interval: tuple[float, float],
-    exterior: Configuration | None,
+    exteriors: int,
     trials: int,
     seed: int,
     threads: int | None = 1,
-) -> tuple[float, float]:
-    """Monte-Carlo mean of Tr P_I(h^l) resampling only the couplings in
-    Gamma = Lambda_{R_l}; couplings outside Gamma stay frozen to `exterior`,
-    which is zero outside its domain (and everywhere when None).
-    `interval` must be two finite numbers E1 <= E2 (ParameterError)."""
+) -> list[tuple[float, float]]:
+    """Monte-Carlo means of Tr P_I(h^l) resampling only the couplings in
+    Gamma = Lambda_{R_l}, with every other coupling of
+    `lattice.coupling_domain(u, Lambda_l, R_l)` frozen to an exterior:
+    one (mean, stderr) pair per exterior e = 0 .. exteriors - 1, or one
+    pair for the zero exterior when `exteriors` is 0.
+
+    Exterior e is drawn from `model` on the domain by the stream
+    `mc.trial_rng(seed ^ 0xE0, e)`, and its trials run on the master seed
+    `mc.splitmix64(seed, e)`; the zero exterior's trials run on
+    `mc.splitmix64(seed, 0)`.  R_l, the domain and the Gamma mask are
+    computed once.  `exteriors` must be an integer >= 0, `trials` >= 1
+    and `interval` two finite numbers E1 <= E2, all checked before any
+    trial (ParameterError)."""
+    if isinstance(exteriors, bool) or \
+            not isinstance(exteriors, (int, np.integer)) or exteriors < 0:
+        raise ParameterError(
+            f"exteriors must be an integer >= 0, got {exteriors!r}")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     interval = checked_interval(interval)
-    d = u.dimension
-    box_l = make_box((0,) * d, l)
+    origin = (0,) * u.dimension
+    box_l = make_box(origin, l)
     R = companion_radius(u, lead, l)
-    dom = coupling_domain(u, l, R)
-    gamma = make_box((0,) * d, R)
-
-    if exterior is None:
-        base = np.zeros(dom.count)
-    else:
-        base = exterior.values_at(dom.points)
-    gamma_mask = gamma.contains_points(dom.points)
+    dom = coupling_domain(u, box_l, R)
+    gamma_mask = make_box(origin, R).contains_points(dom.points)
     n_gamma = int(gamma_mask.sum())
 
-    def worker(_i: int, rng: np.random.Generator) -> float:
-        vals = base.copy()
-        vals[gamma_mask] = model.sample(rng, n_gamma)
-        cfg = Configuration(dom, vals)
-        op = restrict_hamiltonian(u, cfg, box_l)
-        return float(count_eigenvalues_in(op, interval))
+    def estimate(base: np.ndarray, trial_seed: int) -> tuple[float, float]:
+        def worker(_i: int, rng: np.random.Generator) -> float:
+            vals = base.copy()
+            vals[gamma_mask] = model.sample(rng, n_gamma)
+            op = restrict_hamiltonian(u, Configuration(dom, vals), box_l)
+            return float(count_eigenvalues_in(op, interval))
 
-    counts = mc.run_trials(trials, worker, seed, threads)
-    return mc.mean_and_stderr(counts)
+        counts = mc.run_trials(trials, worker, trial_seed, threads)
+        return mc.mean_and_stderr(counts)
+
+    if exteriors == 0:
+        return [estimate(np.zeros(dom.count), mc.splitmix64(seed, 0))]
+    return [estimate(model.sample(mc.trial_rng(seed ^ 0xE0, e), dom.count),
+                     mc.splitmix64(seed, e))
+            for e in range(exteriors)]
 
 
 def wegner_bound(

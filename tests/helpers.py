@@ -1,7 +1,8 @@
 """Fixtures shared by the test modules: tabulated potentials, the free
 box operator, built from the package's public constructors, the
-neighbour count of each box site, a BLAS pinned to a thread count, and
-the slice recursion one slice at a time, the oracle of the counts."""
+neighbour count of each box site, the flat index of a point and the
+coupling at a point, a BLAS pinned to a thread count, and the slice
+recursion one slice at a time, the oracle of the counts."""
 
 from contextlib import contextmanager
 
@@ -56,6 +57,20 @@ def neighbor_counts(box) -> np.ndarray:
     below = pts > np.asarray(box.lo)
     above = pts < np.asarray(box.hi)
     return (below.sum(axis=1) + above.sum(axis=1)).astype(float)
+
+
+def flat_indices(box, pts: np.ndarray) -> np.ndarray:
+    """Flat indices, in the box's lexicographic order, of points assumed
+    inside the box."""
+    return (pts - np.asarray(box.lo)) @ np.asarray(box.strides)
+
+
+def values_at(config, pts: np.ndarray) -> np.ndarray:
+    """The coupling of `config` at each point, zero outside its domain."""
+    inside = config.domain.contains_points(pts)
+    out = np.zeros(len(pts))
+    out[inside] = config.values[flat_indices(config.domain, pts[inside])]
+    return out
 
 
 @contextmanager

@@ -575,24 +575,50 @@ DELTA0_3D = {  # alpha = 3 keeps R_l = 8, so Gamma holds 4913 couplings
 }
 
 
-def wegner_operators(model, l, seed, trials):
-    """The operators of the trials of wegner.estimate_partial_expectation."""
+def wegner_operators(model, l, seed, trials, exterior=None):
+    """The operators of the trials of wegner.estimate_partial_expectation
+    at the zero exterior (None) or at exterior e: the couplings of the
+    domain Lambda_{max(R_l, l + r) + 1/4} drawn by stream e of
+    seed ^ 0xE0, those of Gamma = Lambda_{R_l} redrawn in each trial, on
+    the master seed splitmix64(seed, e) (e = 0 for the zero exterior)."""
     u, rho = load_model(model)
     origin = (0,) * u.dimension
     R = companion_radius(u, find_leading_index(u), l)
     domain = make_box(origin, max(R, l + u.truncation_radius) + 0.25)
     gamma = make_box(origin, R).contains_points(domain.points)
+    if exterior is None:
+        base, master = np.zeros(domain.count), mc.splitmix64(seed, 0)
+    else:
+        base = rho.sample(mc.trial_rng(seed ^ 0xE0, exterior), domain.count)
+        master = mc.splitmix64(seed, exterior)
     for i in range(trials):
-        values = np.zeros(domain.count)
-        values[gamma] = rho.sample(mc.trial_rng(mc.splitmix64(seed, 0), i),
-                                   int(gamma.sum()))
+        values = base.copy()
+        values[gamma] = rho.sample(mc.trial_rng(master, i), int(gamma.sum()))
         yield restrict_hamiltonian(u, Configuration(domain, values),
                                    make_box(origin, l))
 
 
+def wegner_means(files) -> list[float]:
+    """The `mean` column of wegner.csv, one entry per row."""
+    header, *rows = files["wegner.csv"].decode().splitlines()
+    column = header.split(",").index("mean")
+    return [float(row.split(",")[column]) for row in rows]
+
+
 def wegner_mean(files) -> float:
-    header, row = files["wegner.csv"].decode().splitlines()
-    return float(dict(zip(header.split(","), row.split(",")))["mean"])
+    [mean] = wegner_means(files)
+    return mean
+
+
+def banded_count(op, interval) -> int:
+    return len(scipy.linalg.eigvals_banded(
+        op.upper_band(), select="v",
+        select_range=(np.nextafter(interval[0], -np.inf), interval[1])))
+
+
+def dense_count(op, interval) -> int:
+    evals = np.linalg.eigvalsh(op.matrix)
+    return int(np.sum((evals >= interval[0]) & (evals <= interval[1])))
 
 
 class TestWegnerAgainstBandedCounts:
@@ -607,13 +633,36 @@ class TestWegnerAgainstBandedCounts:
             "model": model, "params": {"ls": [l], "interval": interval},
             "seed": seed, "trials": trials,
         }, expect_rc=0)
-        counts = [len(scipy.linalg.eigvals_banded(
-            op.upper_band(), select="v",
-            select_range=(np.nextafter(interval[0], -np.inf), interval[1])))
-            for op in wegner_operators(model, l, seed, trials)]
+        counts = [banded_count(op, interval)
+                  for op in wegner_operators(model, l, seed, trials)]
         mean = wegner_mean(files)
         assert mean > 0
         assert mean == mc.mean_and_stderr(counts)[0]
+
+    @pytest.mark.parametrize("model,l,interval,exteriors", [
+        (P2_MODEL, 3, [3.0, 5.0], 2),
+        (DELTA0_3D, 2, [5.0, 7.0], 2),
+        # R_3 < l + r: couplings outside Gamma reach the box
+        (neg_tail_model(0.03), 3, [1.0, 3.0], 3),
+    ], ids=["P2", "delta0-3d", "negative-tail-1d"])
+    def test_each_exterior_mean_against_counts(self, tmp_path, model, l,
+                                               interval, exteriors):
+        seed, trials = 5, 12
+        files = run_both_thread_counts(tmp_path, "wegner", {
+            "model": model,
+            "params": {"ls": [l], "interval": interval,
+                       "exteriors": exteriors},
+            "seed": seed, "trials": trials,
+        }, expect_rc=0)
+        means = wegner_means(files)
+        assert len(means) == exteriors
+        # at d = 1 the count runs banded bisection itself: check it densely
+        count = dense_count if model["d"] == 1 else banded_count
+        for e, mean in enumerate(means):
+            counts = [count(op, interval) for op in
+                      wegner_operators(model, l, seed, trials, exterior=e)]
+            assert mean > 0
+            assert mean == mc.mean_and_stderr(counts)[0]
 
 
 class TestCountsPastTheCap:
@@ -636,11 +685,8 @@ class TestCountsPastTheCap:
         err = capsys.readouterr().err
         assert err.startswith("error: a dense matrix") and err.count("\n") == 1
         monkeypatch.delenv("ALLOYMSA_CAPACITY")
-        counts = []
-        for op in wegner_operators(P2_MODEL, 6, seed, trials):
-            evals = np.linalg.eigvalsh(op.matrix)
-            counts.append(int(np.sum((evals >= interval[0])
-                                     & (evals <= interval[1]))))
+        counts = [dense_count(op, interval)
+                  for op in wegner_operators(P2_MODEL, 6, seed, trials)]
         assert wegner_mean(files) == mc.mean_and_stderr(counts)[0] > 0
 
     @pytest.mark.parametrize("command, params", [
@@ -931,6 +977,25 @@ def with_integers_as_floats(node):
     return node
 
 
+def run_spellings(tmp_path, capsys, command, spellings):
+    """Run each config of `spellings` (name -> payload) and return, per
+    run, its exit code, stdout (with the output directory as <out>),
+    stderr and every report but the summary, whose config hash covers the
+    literal."""
+    results = []
+    for name, payload in spellings.items():
+        cfg, out = write_config(tmp_path, f"{name}.json", payload), \
+            tmp_path / name
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        std = capsys.readouterr()
+        reports = {path.name: path.read_bytes()
+                   for path in sorted(out.iterdir())
+                   if not path.name.endswith("_summary.json")}
+        results.append((rc, std.out.replace(str(out), "<out>"), std.err,
+                        reports))
+    return results
+
+
 class TestIntegersWrittenAsFloats:
     """draft-07 admits N.0 where the schema asks for an integer, and the run
     treats it as N: the same exit code, stdout, stderr and report bytes.
@@ -941,19 +1006,69 @@ class TestIntegersWrittenAsFloats:
         config = admitted_config(command)
         floats = with_integers_as_floats(config)
         assert json.dumps(floats) != json.dumps(config)
-        results = []
-        for name, payload in (("int", config), ("float", floats)):
-            cfg, out = write_config(tmp_path, f"{name}.json", payload), \
-                tmp_path / name
-            rc = main([command, "--config", str(cfg), "--out", str(out)])
-            std = capsys.readouterr()
-            reports = {path.name: path.read_bytes()
-                       for path in sorted(out.iterdir())
-                       if not path.name.endswith("_summary.json")}
-            assert reports
-            results.append((rc, std.out.replace(str(out), "<out>"), std.err,
-                            reports))
-        assert results[0] == results[1]
+        first, second = run_spellings(tmp_path, capsys, command,
+                                      {"int": config, "float": floats})
+        assert first[3]
+        assert first == second
+
+
+def with_integral_floats_as_integers(node):
+    """`node` with every float in it that has an integral value made an
+    integer, which JSON writes without a point."""
+    if isinstance(node, dict):
+        return {key: with_integral_floats_as_integers(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [with_integral_floats_as_integers(value) for value in node]
+    if isinstance(node, float) and node.is_integer():
+        return int(node)
+    return node
+
+
+# each spells as N.0 a number that a runner wrote or printed as the config
+# spelled it
+SPELLED_AS_CONFIG = {
+    "analyze-potential-ls": ("analyze-potential", DELTA0_MODEL,
+                             {"ls": [2.0]}),
+    "resonance-eps": ("resonance", P2_MODEL,
+                      {"y": [200, 0], "l1": 3.0, "l2": 10.0,
+                       "eps_list": [1.0]}),
+    "msa-probe-energies": ("msa-probe", DELTA0_MODEL,
+                           {"l": 2.0, "m": 0.3, "interval": [0.0, 1.0],
+                            "energy_grid": [0.0, 1.0]}),
+    "wegner-interval": ("wegner", DELTA0_MODEL,
+                        {"ls": [2.0], "interval": [2.0, 3.0]}),
+    "msa-schedule-xi": ("msa-schedule", P2_MODEL, {"msa": {
+        "xi": 3.0, "kappa": 1.5, "beta": 0.6, "q": 0.5, "m0": 0.5,
+        "l0": 25000.0}}),
+}
+
+
+class TestIntegralFloatsWrittenAsIntegers:
+    """The mirror of `TestIntegersWrittenAsFloats`: a number-typed leaf
+    with an integral value written as an integer, N for N.0, gives the
+    same exit code, stdout, stderr and reports as N.0."""
+
+    @pytest.mark.parametrize("command", list(ADMITTED))
+    def test_same_outputs(self, tmp_path, capsys, command):
+        config = admitted_config(command)
+        integers = with_integral_floats_as_integers(config)
+        assert json.dumps(integers) != json.dumps(config)
+        first, second = run_spellings(tmp_path, capsys, command,
+                                      {"float": config, "int": integers})
+        assert first[3]
+        assert first == second
+
+    @pytest.mark.parametrize("case", list(SPELLED_AS_CONFIG))
+    def test_number_spelled_as_config(self, tmp_path, capsys, case):
+        command, model, params = SPELLED_AS_CONFIG[case]
+        config = {"model": model, "params": params, "seed": 1, "trials": 2,
+                  "threads": 1}
+        integers = with_integral_floats_as_integers(config)
+        first, second = run_spellings(tmp_path, capsys, command,
+                                      {"float": config, "int": integers})
+        assert first[3] or "[FAIL]" in first[1]
+        assert first == second
 
 
 class TestRunExperimentAPI:

@@ -17,6 +17,9 @@ of the package, must be passed at some call in `src/`: one that only
 tests set is a knob the program never turns.  The capacity policy lives
 in `lattice` alone: only `lattice` calls `capacity_cap`, and no other
 module raises `CapacityError`, but for `mc`'s lost worker processes.
+Each trial-geometry rule has one home: only `lattice.coupling_domain`
+sizes a box by the truncation radius of u, and only
+`resonance.zeroed_exterior_witness` calls `DisorderModel.in_support`.
 """
 
 import ast
@@ -318,33 +321,52 @@ def test_every_default_is_passed_in_src():
     assert unpassed_defaults(sources, ["main", *ALLOWED_UNREACHED]) == []
 
 
-def capacity_sites(sources: dict[str, str]) -> dict[str, set[str]]:
-    """Where `sources` (module name -> source) call `capacity_cap` and
-    raise `CapacityError`, as "calls" / "raises" -> {"module.function"},
-    the innermost enclosing function ("module" at module level)."""
-    sites = {"calls": set(), "raises": set()}
+def _name(node) -> str | None:
+    """The name a node spells, bare or as an attribute."""
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def sites(sources: dict[str, str], matches) -> set[str]:
+    """Where in `sources` (module name -> source) a node for which
+    `matches(node)` holds sits, as {"module.function"}, the innermost
+    enclosing function ("module" at module level)."""
+    found = set()
 
     def visit(node, where):
         if isinstance(node, ast.FunctionDef):
             where = f"{where.split('.')[0]}.{node.name}"
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
-            if name == "capacity_cap":
-                sites["calls"].add(where)
-        elif isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.id if isinstance(exc, ast.Name) else \
-                exc.attr if isinstance(exc, ast.Attribute) else None
-            if name == "CapacityError":
-                sites["raises"].add(where)
+        elif matches(node):
+            found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for module, source in sources.items():
         visit(ast.parse(source), module)
-    return sites
+    return found
+
+
+def calls_to(name: str):
+    """A matcher of the calls to `name`, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+
+def raises(name: str):
+    """A matcher of the statements that raise `name` or an instance of it."""
+    def matches(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _name(exc) == name
+    return matches
+
+
+def capacity_sites(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Where `sources` (module name -> source) call `capacity_cap` and
+    raise `CapacityError`, as "calls" / "raises" -> {"module.function"},
+    the innermost enclosing function ("module" at module level)."""
+    return {"calls": sites(sources, calls_to("capacity_cap")),
+            "raises": sites(sources, raises("CapacityError"))}
 
 
 def test_capacity_scanner():
@@ -370,3 +392,47 @@ def test_capacity_policy_in_lattice_alone():
         # mc's: a worker process that cannot be started or that died
         "raises": {"lattice.check_capacity", "mc._fork_share",
                    "mc.run_trials"}}
+
+
+def sizes_box_by_truncation_radius(node) -> bool:
+    """A call to `make_box` with an argument that reads `truncation_radius`."""
+    return calls_to("make_box")(node) and any(
+        _name(sub) == "truncation_radius"
+        for arg in [*node.args, *(k.value for k in node.keywords)]
+        for sub in ast.walk(arg))
+
+
+def test_geometry_scanner():
+    sources = {
+        "lattice": ("def domain(u, box):\n"
+                    "    return make_box(box.center,\n"
+                    "                    box.half_side + u.truncation_radius)\n"
+                    "def plain(l):\n"
+                    "    return make_box((0,), l)\n"),
+        "cli": ("from .lattice import make_box as mb\n"
+                "def run(u, model, l, r):\n"
+                "    box = lattice.make_box((0,), half_side=l + r)\n"
+                "    r = u.truncation_radius\n"
+                "    if model.in_support(0.0):\n"
+                "        return make_box((0,), max(l, truncation_radius))\n"
+                "WITNESS = in_support(0.0)\n"),
+    }
+    assert sites(sources, sizes_box_by_truncation_radius) == {
+        "lattice.domain", "cli.run"}
+    assert sites(sources, calls_to("in_support")) == {"cli.run", "cli"}
+
+
+def test_coupling_domain_in_lattice_alone():
+    # which couplings reach a box: `lattice.coupling_domain` is the one box
+    # sized by the truncation radius of u
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert sites(sources, sizes_box_by_truncation_radius) == {
+        "lattice.coupling_domain"}
+
+
+def test_witness_rule_in_one_predicate():
+    # whether the zeroed exterior witnesses a completion: only
+    # `resonance.zeroed_exterior_witness` asks the density about 0
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert sites(sources, calls_to("in_support")) == {
+        "resonance.zeroed_exterior_witness"}

@@ -15,8 +15,9 @@ from alloymsa.errors import CapacityError, ParameterError
 from alloymsa.lattice import Box, BoxOperator, _bisect_cdf
 from alloymsa.msa import _energy_grid
 from alloymsa.tails import truncation_tail
-from helpers import (exact_potential, free_operator, neighbor_counts,
-                     truncated_exponential_potential)
+from helpers import (exact_potential, flat_indices, free_operator,
+                     neighbor_counts, truncated_exponential_potential,
+                     values_at)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 PAIR = exact_potential({(0,): 1.0, (1,): -1.0}, 2.8, 1.0)  # mean-zero
@@ -87,7 +88,7 @@ class TestMakeBox:
                                               ((0, 2, -1), 1.5)])
     def test_index_of_matches_flat_indices(self, center, half):
         box = make_box(center, half)
-        flat = box.flat_indices(box.points)
+        flat = flat_indices(box, box.points)
         assert [box.index_of(tuple(p)) for p in box.points] == flat.tolist()
         assert [box.index_of(tuple(int(c) for c in p))
                 for p in box.points] == list(range(box.count))
@@ -203,7 +204,7 @@ def per_site_potential(u, config, box):
     pts = box.points
     v = np.zeros(len(pts))
     for j, uj in zip(u.support, u.support_values):
-        v += uj * config.values_at(pts - j)
+        v += uj * values_at(config, pts - j)
     return v
 
 

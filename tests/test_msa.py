@@ -20,8 +20,8 @@ from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
                           mass_loss_series, uniform_regularity_test,
                           uniform_regularity_verdicts)
 from alloymsa.spectral import RESONANCE_GUARD, boundary_greens
-from helpers import (exact_potential, free_operator,
-                     truncated_exponential_potential)
+from helpers import (exact_potential, flat_indices, free_operator,
+                     truncated_exponential_potential, values_at)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -108,7 +108,7 @@ class TestUniformRegularity:
             found += 1
             inner = cfg.domain.contains_points(full.points)
             base = np.zeros(full.count)
-            base[inner] = cfg.values_at(full.points[inner])
+            base[inner] = values_at(cfg, full.points[inner])
             for _ in range(20):
                 vals = base.copy()
                 vals[~inner] = WIDE.sample(rng, int((~inner).sum()))
@@ -254,7 +254,7 @@ def _reference_verdicts(u, model, cfg, box, m, energies, delta):
     n = box.count
     evals = scipy.linalg.eigvalsh(H)
     e_src = np.zeros(n)
-    e_src[box.flat_indices(np.array([box.center]))] = 1.0
+    e_src[flat_indices(box, np.array([box.center]))] = 1.0
     threshold = math.exp(-m * box.half_side)
     verdicts, tight = [], []
     for E in energies:

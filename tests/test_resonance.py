@@ -9,12 +9,12 @@ from alloymsa import (Configuration, eigensolve,
                       uniform_density)
 from alloymsa.errors import GeometryError, ParameterError
 from alloymsa.lattice import DisorderModel, PolynomialPiece
-from alloymsa import resonance
+from alloymsa import msa, resonance
 from alloymsa.resonance import (CERTIFIED_IN_A, CERTIFIED_OUT_A, INDETERMINATE,
                                 _classify_distance)
 from alloymsa.wegner import wegner_constant_chain
 from helpers import (exact_potential, free_operator,
-                     truncated_exponential_potential)
+                     truncated_exponential_potential, values_at)
 
 DELTA0 = exact_potential({(0,): 1.0}, 1.0, 1.0)
 UNIFORM = uniform_density(0.0, 1.0)
@@ -87,7 +87,7 @@ class TestSpectrumBracket:
         full = make_box((0,), l + u.truncation_radius + 0.25)
         inner_mask = enlarged.contains_points(full.points)
         base_vals = np.zeros(full.count)
-        base_vals[inner_mask] = cfg.values_at(full.points[inner_mask])
+        base_vals[inner_mask] = values_at(cfg, full.points[inner_mask])
         violations = 0
         for _ in range(100):
             vals = base_vals.copy()
@@ -257,3 +257,51 @@ class TestZeroOutsideSupport:
         exact = _bracket([1.0], 0.0)
         assert classify(b1, exact, 0.5, attained=True) == CERTIFIED_IN_A
         assert classify(b1, exact, 0.5, attained=False) == INDETERMINATE
+
+
+class TestZeroedExteriorWitness:
+    """The one witness rule: what holds at the zeroed exterior holds for
+    some completion when 0 is in supp rho or every perturbation radius is
+    0.  Both of its users take it from `zeroed_exterior_witness`: a box
+    irregular at the zeroed exterior is certified irregular, and d0 < eps
+    certifies the resonance event, exactly where it holds."""
+
+    OUTSIDE = uniform_density(1.0, 2.0)
+    # (potential, density): delta = 0 or delta > 0, 0 in supp rho or not
+    CASES = {"delta0-zero-in-supp": (DELTA0, UNIFORM, True),
+             "delta0-zero-outside": (DELTA0, OUTSIDE, True),
+             "leaky-zero-in-supp": (leaky_potential(), UNIFORM, True),
+             "leaky-zero-outside": (leaky_potential(), OUTSIDE, False)}
+
+    @staticmethod
+    def verdict_and_p_lo(u, model):
+        """The verdict of a box at an eigenvalue of its zeroed-exterior
+        operator, where it is irregular, and p_lo at an eps above every
+        distance d0."""
+        l = 3.0
+        box = make_box((0,), l)
+        enlarged = resonance.enlarged_box(box)
+        cfg = Configuration(enlarged, model.sample(np.random.default_rng(7),
+                                                   enlarged.count))
+        E = base_spectrum(u, cfg, box)[0]
+        [verdict] = msa.uniform_regularity_verdicts(u, model, cfg, box, 0.4,
+                                                    [E])
+        [rep] = estimate_resonance_probabilities(
+            u, find_leading_index(u), model, (0,), (100,), l, l, [50.0], 4,
+            seed=1)
+        return verdict, rep.p_lo
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_both_users_follow_the_predicate(self, monkeypatch, case):
+        u, model, holds = self.CASES[case]
+        delta = perturbation_radius(u, model, 3.0)
+        assert (delta == 0.0) == (u is DELTA0)
+        assert model.in_support(0.0) == (model is UNIFORM)
+        assert resonance.zeroed_exterior_witness(model, delta, delta) == holds
+        expect = {True: (msa.CERTIFIED_IRREGULAR, 1.0),
+                  False: (INDETERMINATE, 0.0)}
+        assert self.verdict_and_p_lo(u, model) == expect[holds]
+        for module in (msa, resonance):
+            monkeypatch.setattr(module, "zeroed_exterior_witness",
+                                lambda *args: not holds)
+        assert self.verdict_and_p_lo(u, model) == expect[not holds]

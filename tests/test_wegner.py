@@ -131,31 +131,31 @@ class TestAbsMonomialBoxSum:
 class TestPartialExpectation:
     def test_interval_below_spectrum(self):
         lead = find_leading_index(DELTA0)
-        mean, err = estimate_partial_expectation(
-            DELTA0, lead, UNIFORM, 2.0, (-50.0, -10.0), None, 50, seed=1)
+        [(mean, err)] = estimate_partial_expectation(
+            DELTA0, lead, UNIFORM, 2.0, (-50.0, -10.0), 0, 50, seed=1)
         assert mean == 0.0 and err == 0.0
 
     def test_full_range_completeness(self):
         lead = find_leading_index(DELTA0)
-        mean, err = estimate_partial_expectation(
-            DELTA0, lead, UNIFORM, 2.0, (-100.0, 100.0), None, 50, seed=2)
+        [(mean, err)] = estimate_partial_expectation(
+            DELTA0, lead, UNIFORM, 2.0, (-100.0, 100.0), 0, 50, seed=2)
         assert mean == 5.0 and err == 0.0
 
     def test_deterministic_in_seed(self):
         lead = find_leading_index(DELTA0)
         a = estimate_partial_expectation(DELTA0, lead, UNIFORM, 3.0,
-                                         (1.9, 2.1), None, 60, seed=9)
+                                         (1.9, 2.1), 0, 60, seed=9)
         b = estimate_partial_expectation(DELTA0, lead, UNIFORM, 3.0,
-                                         (1.9, 2.1), None, 60, seed=9)
+                                         (1.9, 2.1), 0, 60, seed=9)
         assert a == b
 
     def test_thread_invariance(self):
         lead = find_leading_index(DELTA0)
         a = estimate_partial_expectation(DELTA0, lead, UNIFORM, 3.0,
-                                         (1.9, 2.1), None, 60, seed=9,
+                                         (1.9, 2.1), 0, 60, seed=9,
                                          threads=1)
         b = estimate_partial_expectation(DELTA0, lead, UNIFORM, 3.0,
-                                         (1.9, 2.1), None, 60, seed=9,
+                                         (1.9, 2.1), 0, 60, seed=9,
                                          threads=4)
         assert a == b
 
@@ -172,16 +172,28 @@ class TestIntervalChecked:
         lead = find_leading_index(DELTA0)
         with pytest.raises(ParameterError):
             estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0, interval,
-                                         None, 10, seed=1)
+                                         0, 10, seed=1)
         with pytest.raises(ParameterError):
             wegner_bound(DELTA0, lead, UNIFORM, 2.0, interval)
+
+    @pytest.mark.parametrize("exteriors", [-1, 1.5, 2.0, True, "2", None])
+    def test_exteriors_rejected_before_any_trial(self, exteriors,
+                                                 monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(mc, "run_trials", no_trials)
+        lead = find_leading_index(DELTA0)
+        with pytest.raises(ParameterError, match="exteriors"):
+            estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0,
+                                         (1.9, 2.1), exteriors, 10, seed=1)
 
     def test_integer_endpoints_accepted(self):
         lead = find_leading_index(DELTA0)
         ints = estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0, [1, 3],
-                                            None, 20, seed=1)
+                                            0, 20, seed=1)
         floats = estimate_partial_expectation(DELTA0, lead, UNIFORM, 2.0,
-                                              (1.0, 3.0), None, 20, seed=1)
+                                              (1.0, 3.0), 0, 20, seed=1)
         assert ints == floats
 
 
@@ -206,19 +218,17 @@ class TestBound:
     @pytest.mark.parametrize("u", [DELTA0, PAIR], ids=["delta0", "mean-zero"])
     def test_mc_bound_validity_quick(self, u):
         lead = find_leading_index(u)
-        mean, stderr = estimate_partial_expectation(
-            u, lead, UNIFORM, 3.0, (1.9, 2.1), None, 300, seed=13)
+        [(mean, stderr)] = estimate_partial_expectation(
+            u, lead, UNIFORM, 3.0, (1.9, 2.1), 0, 300, seed=13)
         rep = wegner_bound(u, lead, UNIFORM, 3.0, (1.9, 2.1))
         assert mean - 3 * stderr <= rep.bound
 
     def test_frozen_exterior_uniformity_quick(self):
         lead = find_leading_index(PAIR)
         l = 3.0
-        dom = make_box((0,), companion_radius(PAIR, lead, l) + 2.0)
-        rng = np.random.default_rng(99)
-        for _ in range(3):
-            ext = Configuration(dom, rng.uniform(0, 1, dom.count))
-            mean, stderr = estimate_partial_expectation(
-                PAIR, lead, UNIFORM, l, (1.9, 2.1), ext, 200, seed=14)
-            rep = wegner_bound(PAIR, lead, UNIFORM, l, (1.9, 2.1))
+        estimates = estimate_partial_expectation(
+            PAIR, lead, UNIFORM, l, (1.9, 2.1), 3, 200, seed=14)
+        rep = wegner_bound(PAIR, lead, UNIFORM, l, (1.9, 2.1))
+        assert len(estimates) == 3
+        for mean, stderr in estimates:
             assert mean - 3 * stderr <= rep.bound
