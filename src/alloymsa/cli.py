@@ -296,8 +296,6 @@ def _run_msa_schedule(run: Run) -> None:
                    schedule_to_json_dict(schedule, report))
     masses = schedule.masses
     loss = float(np.sum(masses[:-1] - masses[1:]))
-    run.contract("mass_floor", bool(np.all(masses >= schedule.m_inf)),
-                 f"min m_k = {masses.min():.6g} vs m_inf = {schedule.m_inf:.6g}")
     run.contract("mass_loss_series", loss <= (1 - p.q) * p.m0 + 1e-9,
                  f"loss={loss:.6g} budget={(1 - p.q) * p.m0:.6g}")
     rows = [[k, float(ll), float(mm)]

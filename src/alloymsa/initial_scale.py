@@ -47,21 +47,26 @@ def beta_floor(u: SingleSitePotential) -> float:
     return 65.0 / 32.0 + 8.0 * u.l1_norm / certified_mean(u)
 
 
+def odd_tiling(l: float, zeta: float, beta0: float) -> int | None:
+    """The sub-cube tiling condition: the number n of sub-cubes per axis
+    when the 2 floor(l) + 1 sites per axis of Lambda_l split into an odd
+    number n of cubes of side b = floor(2 l^{1-zeta/2} beta0^{-1/2} + 1),
+    or None when b does not divide them or the quotient is even."""
+    b = math.floor(2.0 * l ** (1.0 - zeta / 2.0) / math.sqrt(beta0) + 1.0)
+    n, rest = divmod(2 * math.floor(l) + 1, b)
+    return n if rest == 0 and n % 2 == 1 else None
+
+
 def admissible_lengths(zeta_lif: float, beta0: float, l_min: float,
                        l_max: float) -> list[int]:
-    """Unit-step scan for l with floor(2l+1) / floor(2 l^{1-zeta/2} beta0^{-1/2} + 1)
-    an odd integer (the sub-cube tiling condition), for zeta in (0, 2)."""
+    """Unit-step scan for the integers l in [l_min, l_max] that pass
+    `odd_tiling`, for zeta in (0, 2)."""
     if not 0.0 < zeta_lif < 2.0:
         raise ParameterError("zeta must lie in (0, 2)")
     if not (math.isfinite(l_min) and math.isfinite(l_max) and l_min < l_max):
         raise ParameterError(f"need finite l_min < l_max, got {l_min!r}, {l_max!r}")
-    out = []
-    for l in range(max(1, math.ceil(l_min)), math.floor(l_max) + 1):
-        a = math.floor(2 * l + 1)
-        b = math.floor(2.0 * l ** (1.0 - zeta_lif / 2.0) / math.sqrt(beta0) + 1.0)
-        if b >= 1 and a % b == 0 and (a // b) % 2 == 1:
-            out.append(l)
-    return out
+    return [l for l in range(max(1, math.ceil(l_min)), math.floor(l_max) + 1)
+            if odd_tiling(l, zeta_lif, beta0) is not None]
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,8 @@ def lifshitz_probe(
     Checks zeta in (0, 2), xi > 0, epsilon0 > 0 and P(w0 < epsilon0) <=
     1/12, then derives beta_0 = `beta_floor(u)` and delta =
     l^{zeta-2} / (8 w+), at which u must have an Assumption-3
-    decomposition (negative mass <= delta), and l must pass the
-    odd-tiling condition of `admissible_lengths`."""
+    decomposition (negative mass <= delta), and l must pass
+    `odd_tiling`, whose n the report carries."""
     beta0 = beta_floor(u)
     # each check is written so that NaN fails it
     if not 0.0 < zeta < 2.0:
@@ -112,16 +117,15 @@ def lifshitz_probe(
             f"P(w0 < {epsilon0}) = {model.cdf(epsilon0):.6g} exceeds 1/12"
         )
     d = u.dimension
-    box = make_box((0,) * d, l)  # before int(l): rejects l <= 0, NaN or inf
+    box = make_box((0,) * d, l)  # before floor(l): rejects l <= 0, NaN or inf
     delta = l ** (zeta - 2.0) / (8.0 * model.omega_plus)
-    l_int = int(l)
-    if l_int not in admissible_lengths(zeta, beta0, l - 0.5, l + 0.5):
+    n = odd_tiling(l, zeta, beta0)
+    if n is None:
         raise ParameterError(f"l={l} violates the odd-tiling condition")
     if u.negative_mass > delta:
         raise ParameterError("Assumption-3 decomposition unavailable at the "
                              f"probe's delta={delta:.3e}")
     l_tilde = l ** (1.0 - zeta / 2.0) / math.sqrt(beta0)
-    n = math.floor(2 * l + 1) // math.floor(2 * l_tilde + 1)
     subcube_sites = (2 * math.floor(l_tilde) + 1) ** d
     chain_bound = n**d * math.exp(-subcube_sites * (11.0 / 12.0) ** 2)
     paper_bound = l ** (-xi)

@@ -23,13 +23,12 @@ import numpy as np
 
 from . import mc
 from .errors import ParameterError, ScheduleError
-from .genfun import LeadingIndexData
+from .genfun import LeadingIndexData, tail_bound
 from .lattice import (Box, Configuration, DisorderModel, SingleSitePotential,
                       check_capacity, make_box, restrict_hamiltonian)
 from .resonance import (INDETERMINATE, check_enlarged_domain, enlarged_box,
                         perturbation_radius, zeroed_exterior_witness)
 from .spectral import boundary_greens, checked_interval
-from .tails import decay_tail_constant
 from .wegner import chain_formula
 
 CERTIFIED_REGULAR = "certified_regular"
@@ -227,9 +226,19 @@ class MSAParameters:
 
 def l_bar(p: MSAParameters) -> float:
     """Anchor scale from the mass-retention bookkeeping:
-    ((1-q) m0 / ((1-q) m0 + m0 + 1))^(-kappa/(1-beta))."""
+    ((1-q) m0 / ((1-q) m0 + m0 + 1))^(-kappa/(1-beta)), inf past the
+    largest double."""
     c = (1.0 - p.q) * p.m0 / ((1.0 - p.q) * p.m0 + p.m0 + 1.0)
-    return c ** (-p.kappa / (1.0 - p.beta))
+    return _anchor_power(c, p)
+
+
+def _anchor_power(x: float, p: MSAParameters) -> float:
+    """x^(-kappa/(1-beta)) for x in [0, 1): the scale l0 at which
+    l0^{-(1-beta)/kappa} = x, inf at x = 0 and past the largest double."""
+    try:
+        return x ** (-p.kappa / (1.0 - p.beta))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def mass_loss_series(x: float, kappa: float) -> float:
@@ -266,10 +275,7 @@ def l_bar_sharp(p: MSAParameters) -> float:
             lo = mid
         else:
             hi = mid
-    x_max = lo
-    if x_max <= 0.0:
-        return float("inf")
-    return x_max ** (-p.kappa / (1.0 - p.beta))
+    return _anchor_power(lo, p)
 
 
 def _smallest_scale(pred) -> float:
@@ -302,10 +308,8 @@ def induction_thresholds(
     d = u.dimension
     xi, kappa, beta = p.xi, p.kappa, p.beta
     zeta = kappa * (5 * d + lead.order + 2 * xi) + 1.0
-    alpha = u.decay_alpha
     bv = model.bv_norm
     omega_plus = model.omega_plus
-    c_hat = decay_tail_constant(u.decay_C, alpha, d)
     gamma = 0.5 * ((1.0 - beta) / kappa + (1.0 - 1.0 / kappa))
 
     def pred1(l: float) -> bool:
@@ -318,7 +322,7 @@ def induction_thresholds(
     def pred3(l: float) -> bool:
         L = l**kappa
         prob = 16.0 * (2 * L + 1) ** (2 * d) * (2 * L + 1) ** d * bv \
-            * (l ** (-zeta) + 2.0 * omega_plus * c_hat * math.exp(-12.0 * l * alpha)) \
+            * (l ** (-zeta) + 2.0 * omega_plus * tail_bound(u, l, 24.0 * l)) \
             * chain_formula(u, lead, L)
         return prob <= (1.0 / 3.0) * L ** (-2 * xi)
 
@@ -425,17 +429,7 @@ def scale_schedule(p: MSAParameters, k_max: int) -> ScaleSchedule:
     """Run l_{k+1} = l_k^kappa and the mass recursion
     m_{k+1} = m_k (1 - l_{k+1}^{-(1-beta)/kappa}) - l_{k+1}^{-(1-beta)/kappa},
     asserting m_k > l_k^{beta-1} and m_k >= q m0 for all k <= k_max.
-
-    Also re-verifies the geometric-series mass-loss bound
-    (m0+1) x / (1-x) <= (1-q) m0 with x = l0^{-(1-beta)/kappa}.
     """
-    x = p.l0 ** (-(1.0 - p.beta) / p.kappa)
-    geo = (p.m0 + 1.0) * x / (1.0 - x)
-    budget = (1.0 - p.q) * p.m0
-    if geo > budget + 1e-12:
-        raise ScheduleError(
-            f"geometric mass-loss bound fails: {geo:.6g} > (1-q) m0 = {budget:.6g}"
-        )
     m_inf = p.q * p.m0
     log_l = math.log(p.l0)
     log_lengths = [log_l]

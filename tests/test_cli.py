@@ -101,6 +101,11 @@ class TestScheduleKind:
         plot = (tmp_path / "o" / "schedule_plot.csv").read_text().splitlines()
         assert plot[0] == "k,l_k,m_k"
         assert len(plot) == 27
+        # m_k >= q m0 is scale_schedule's to enforce: no contract restates it
+        summary = json.loads(
+            (tmp_path / "o" / "msa_schedule_summary.json").read_text())
+        assert [c["name"] for c in summary["contracts"]] == [
+            "parameters_valid", "mass_loss_series"]
 
     def test_invalid_parameters_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {
@@ -110,6 +115,26 @@ class TestScheduleKind:
         })
         assert main(["msa-schedule", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_l_bar_past_the_doubles_fails_parameters_valid(self, tmp_path,
+                                                            capsys):
+        # at beta = 0.9999 the power -kappa/(1-beta) = -15000 takes l_bar
+        # past the largest double: inf, which no l0 reaches
+        cfg = write_config(tmp_path, "s.json", {
+            "model": DELTA0_MODEL,
+            "params": {"msa": {"xi": 8, "kappa": 1.5, "beta": 0.9999,
+                                "q": 0.5, "m0": 2, "l0": 25000}},
+        })
+        assert main(["msa-schedule", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ""
+        summary = json.loads(
+            (tmp_path / "o" / "msa_schedule_summary.json").read_text())
+        assert summary["constants"]["l_bar"] == math.inf
+        assert summary["constants"]["l_bar_sharp"] == math.inf
+        [contract] = summary["contracts"]
+        assert contract["name"] == "parameters_valid"
+        assert not contract["passed"] and "l_bar=inf" in contract["detail"]
 
 
 class TestSingularityKind:

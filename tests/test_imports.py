@@ -20,6 +20,8 @@ module raises `CapacityError`, but for `mc`'s lost worker processes.
 Each trial-geometry rule has one home: only `lattice.coupling_domain`
 sizes a box by the truncation radius of u, and only
 `resonance.zeroed_exterior_witness` calls `DisorderModel.in_support`.
+So does the Lifshitz tiling rule: only `initial_scale.odd_tiling`
+computes a side floor(2x + 1).
 """
 
 import ast
@@ -436,3 +438,39 @@ def test_witness_rule_in_one_predicate():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert sites(sources, calls_to("in_support")) == {
         "resonance.zeroed_exterior_witness"}
+
+
+def floors_a_side(node) -> bool:
+    """A call to `floor` of 2x + 1, x + 1 with x a product or quotient of
+    which 2 is a factor: the side of a cube of half-side x."""
+    if not (calls_to("floor")(node) and len(node.args) == 1):
+        return False
+    arg = node.args[0]
+    if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)):
+        return False
+    for one, twice in ((arg.left, arg.right), (arg.right, arg.left)):
+        while isinstance(twice, ast.BinOp) and \
+                isinstance(twice.op, (ast.Mult, ast.Div)):
+            if any(isinstance(side, ast.Constant) and side.value == 2
+                   for side in (twice.left, twice.right)):
+                return isinstance(one, ast.Constant) and one.value == 1
+            twice = twice.left
+    return False
+
+
+def test_side_scanner():
+    sources = {"lib": ("def tile(l, s):\n"
+                       "    b = math.floor(2.0 * l ** 0.5 / s + 1.0)\n"
+                       "    return floor(1 + l * 2) // b\n"
+                       "def plain(l):\n"
+                       "    return (2 * math.floor(l) + 1, floor(l + 1),\n"
+                       "            floor(3 * l + 1), floor(2 * l + 2))\n"
+                       "SIDE = floor(2 * L / 3 + 1)\n")}
+    assert sites(sources, floors_a_side) == {"lib.tile", "lib"}
+
+
+def test_tiling_rule_in_one_predicate():
+    # the side b of the Lifshitz sub-cubes: only `initial_scale.odd_tiling`
+    # computes it, for `admissible_lengths` and `lifshitz_probe` alike
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert sites(sources, floors_a_side) == {"initial_scale.odd_tiling"}

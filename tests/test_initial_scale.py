@@ -13,7 +13,8 @@ from alloymsa import (Box, Configuration, eigensolve, find_leading_index,
                       make_box, uniform_density)
 from alloymsa.errors import ParameterError
 from alloymsa.initial_scale import (admissible_lengths, beta_floor,
-                                    large_disorder_probe, lifshitz_probe)
+                                    large_disorder_probe, lifshitz_probe,
+                                    odd_tiling)
 from alloymsa.lattice import BoxOperator, SingleSitePotential
 from helpers import exact_potential, neighbor_counts
 
@@ -207,8 +208,7 @@ class TestLifshitzProbe:
     def test_inadmissible_l_rejected(self):
         u, l = self._setup()
         bad = l + 1
-        if int(bad) in admissible_lengths(1.0, beta_floor(u), bad - 0.5,
-                                          bad + 0.5):
+        if odd_tiling(bad, 1.0, beta_floor(u)) is not None:
             bad += 1
         with pytest.raises(ParameterError, match="odd-tiling"):
             lifshitz_probe(u, UNIFORM, float(bad), 1.0, 2.0, 1 / 12,
@@ -229,6 +229,36 @@ class TestLifshitzProbe:
         u, l = self._setup()
         with pytest.raises(ParameterError, match=message):
             lifshitz_probe(u, UNIFORM, l, zeta, xi, epsilon0, trials=5, seed=8)
+
+    def test_non_integer_l_tiles_its_box(self):
+        # Lambda_1.5 has 3 sites per axis, and b = floor(2 sqrt(1.5 / beta0)
+        # + 1) = 1 with beta0 = 65/32 + 8: three unit sub-cubes
+        u = exact_potential({(0,): 1.0}, 1.0, 1.0)
+        assert make_box((0,), 1.5).count == 3
+        rep = lifshitz_probe(u, UNIFORM, 1.5, 1.0, 2.0, 1 / 12, trials=2,
+                             seed=10)
+        assert rep.n_subcubes == 3
+
+    def test_probe_accepts_what_the_predicate_accepts(self):
+        # l in [1, 60] by 0.1: the probe runs exactly where `odd_tiling`
+        # holds, and its n odd sub-cubes of side b fill 2 floor(l) + 1 sites
+        u = exact_potential({(0,): 1.0}, 1.0, 1.0)
+        beta0 = beta_floor(u)
+        verdicts = []
+        for l in (k / 10 for k in range(10, 601)):
+            n = odd_tiling(l, 1.0, beta0)
+            verdicts.append(n is not None)
+            if n is None:
+                with pytest.raises(ParameterError, match="odd-tiling"):
+                    lifshitz_probe(u, UNIFORM, l, 1.0, 2.0, 1 / 12, trials=1,
+                                   seed=11)
+                continue
+            rep = lifshitz_probe(u, UNIFORM, l, 1.0, 2.0, 1 / 12, trials=1,
+                                 seed=11)
+            b = math.floor(2 * math.sqrt(l) / math.sqrt(beta0) + 1)
+            assert rep.n_subcubes == n and n % 2 == 1
+            assert n * b == 2 * math.floor(l) + 1
+        assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("l", [0.0, -2.0, math.inf, math.nan])
     def test_box_rejects_bad_l(self, l):

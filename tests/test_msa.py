@@ -482,6 +482,13 @@ class TestValidateParameters:
         assert l_bar(p) == pytest.approx((0.25 / 1.75) ** (-1.5 / 0.4), rel=1e-12)
         assert l_bar(p) == pytest.approx(1476.106, abs=0.01)
 
+    def test_anchor_scales_past_the_doubles_are_inf(self):
+        # (1/4)^{-15000} and the sharp scale both pass the largest double
+        p = MSAParameters(xi=8.0, kappa=1.5, beta=0.9999, q=0.5, m0=2.0,
+                          l0=25000.0)
+        assert l_bar(p) == math.inf
+        assert l_bar_sharp(p) == math.inf
+
     def test_mass_boundary_strict(self):
         beta = 0.6
         l0 = 25000.0
@@ -509,7 +516,8 @@ class TestScaleSchedule:
     def test_q_near_one_fails(self):
         p = MSAParameters(xi=8.0, kappa=1.5, beta=0.6, q=1.0 - 1e-9, m0=0.5,
                           l0=1e9)
-        with pytest.raises(ScheduleError):
+        # the per-step floor m_k >= q m0 breaks at the first step
+        with pytest.raises(ScheduleError, match="mass floor broken at k=1:"):
             scale_schedule(p, 25)
 
     def test_l0_at_l_bar_geometric_equality(self):
