@@ -16,6 +16,7 @@ fixed by these and the leading index I0, so it is not a parameter:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -279,21 +280,15 @@ def l_bar_sharp(p: MSAParameters) -> float:
 
 
 def _smallest_scale(pred) -> float:
-    """Smallest integer scale >= 2 satisfying an eventually-true predicate,
-    inf when none is found up to 1e12."""
-    hi = 4.0
+    """Smallest integer scale l >= 2 with pred(l), as a float, for a
+    predicate that is false and then true on the integers; inf when pred
+    fails at every power of two up to 1e12."""
+    hi = 4
     while not pred(hi):
-        hi *= 2.0
+        hi *= 2
         if hi > 1e12:
-            return float("inf")
-    lo_b = 2.0
-    while hi - lo_b > 1.0:
-        mid = math.floor((lo_b + hi) / 2.0)
-        if pred(mid):
-            hi = mid
-        else:
-            lo_b = mid + 1.0
-    return hi if pred(hi) else hi + 1.0
+            return math.inf
+    return float(bisect.bisect_left(range(hi + 1), True, lo=2, key=pred))
 
 
 def induction_thresholds(
@@ -304,7 +299,12 @@ def induction_thresholds(
 ) -> dict[str, float]:
     """The proof-internal scale thresholds l1*..l7*, computed numerically
     from the displayed inequalities (with the explicit Wegner chain in
-    place of the opaque constants)."""
+    place of the opaque constants).
+
+    Each threshold is `_smallest_scale` of its inequality: the smallest
+    integer l >= 2 at which it holds, or inf.  pred5 and the m_L display
+    take their powers +zeta in logarithms, so no scale up to 1e12
+    overflows them."""
     d = u.dimension
     xi, kappa, beta = p.xi, p.kappa, p.beta
     zeta = kappa * (5 * d + lead.order + 2 * xi) + 1.0
@@ -333,15 +333,15 @@ def induction_thresholds(
     def pred5(l: float) -> bool:
         m = l ** (beta - 1.0)
         li = 24.0 * l + 2.0
-        z = 2.0 ** (2 * d + 1) * d * d * ((li + 1) * (l + 1)) ** (d - 1) \
-            * li**zeta * math.exp(-m * l)
-        return z < 1.0
+        log_z = (2 * d + 1) * math.log(2.0) + 2.0 * math.log(d) \
+            + (d - 1) * math.log((li + 1) * (l + 1)) + zeta * math.log(li) - m * l
+        return log_z < 0.0
 
     def m_L_display(m: float, L: float) -> float:
         t = 2.0 ** (1.0 / kappa) * L ** (-1.0 / kappa)
         return m * (1.0 - t - 63.0 * L ** (1.0 / kappa - 1.0)) \
             - t * math.log(4.0**d * d * L ** (d / kappa)) \
-            - math.log(2.0 * L**zeta) / L
+            - (math.log(2.0) + zeta * math.log(L)) / L
 
     def pred6(l: float) -> bool:
         m = l ** (beta - 1.0)
@@ -438,14 +438,12 @@ def scale_schedule(p: MSAParameters, k_max: int) -> ScaleSchedule:
     for k in range(1, k_max + 1):
         log_l_next = log_l * p.kappa
         # l_{k+1}^{-(1-beta)/kappa} in logs to dodge double-exponential overflow
-        t_log = -(1.0 - p.beta) / p.kappa * log_l_next
-        t = math.exp(t_log) if t_log > -745.0 else 0.0
+        t = math.exp(-(1.0 - p.beta) / p.kappa * log_l_next)
         m = m * (1.0 - t) - t
         log_l = log_l_next
         log_lengths.append(log_l)
         masses.append(m)
-        floor_log = (p.beta - 1.0) * log_l
-        floor = math.exp(floor_log) if floor_log > -745.0 else 0.0
+        floor = math.exp((p.beta - 1.0) * log_l)
         if not m > floor:
             raise ScheduleError(
                 f"mass window broken at k={k}: m_k={m:.6g} <= l_k^(beta-1)={floor:.6g}"

@@ -101,11 +101,11 @@ class TestScheduleKind:
         plot = (tmp_path / "o" / "schedule_plot.csv").read_text().splitlines()
         assert plot[0] == "k,l_k,m_k"
         assert len(plot) == 27
-        # m_k >= q m0 is scale_schedule's to enforce: no contract restates it
+        # m_k >= q m0 is scale_schedule's to enforce, and the mass lost over
+        # the schedule telescopes to m0 - m_K: no contract restates either
         summary = json.loads(
             (tmp_path / "o" / "msa_schedule_summary.json").read_text())
-        assert [c["name"] for c in summary["contracts"]] == [
-            "parameters_valid", "mass_loss_series"]
+        assert [c["name"] for c in summary["contracts"]] == ["parameters_valid"]
 
     def test_invalid_parameters_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {
@@ -135,6 +135,41 @@ class TestScheduleKind:
         [contract] = summary["contracts"]
         assert contract["name"] == "parameters_valid"
         assert not contract["passed"] and "l_bar=inf" in contract["detail"]
+
+    def test_thresholds_are_the_smallest_integer_scales(self, tmp_path):
+        # written N.0 whatever path the search took; l0 = l5* = l* passes
+        model, params = ADMITTED["msa-schedule"]
+        cfg = write_config(tmp_path, "s.json", {
+            "model": model,
+            "params": {**params, "msa": {**params["msa"], "l0": 24914.0}},
+        })
+        assert main(["msa-schedule", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "msa_schedule_summary.json").read_text()
+        for line in ('"l4": 2.0,', '"l5": 24914.0,', '"l6": 12478.0,',
+                     '"l_star": 24914.0,'):
+            assert line in text
+        [contract] = json.loads(text)["contracts"]
+        assert contract["name"] == "parameters_valid" and contract["passed"]
+
+    def test_thresholds_past_the_doubles_fail_parameters_valid(self, tmp_path,
+                                                               capsys):
+        # near kappa = 1 the search passes 1e12 for l2, l6 and l7 without
+        # overflowing (24 l + 2)^zeta or L^zeta: inf, which no l0 reaches
+        cfg = write_config(tmp_path, "s.json", {
+            "model": P2_MODEL,
+            "params": {"msa": {"xi": 8, "kappa": 1.05, "beta": 0.96,
+                                "q": 0.5, "m0": 0.5, "l0": 1e12}},
+        })
+        assert main(["msa-schedule", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "o" / "msa_schedule_summary.json").read_text()
+        for line in ('"l2": Infinity,', '"l5": 348.0,', '"l6": Infinity,',
+                     '"l7": Infinity,', '"l_star": Infinity,'):
+            assert line in text
+        [contract] = json.loads(text)["contracts"]
+        assert not contract["passed"] and "l*=inf" in contract["detail"]
 
 
 class TestSingularityKind:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,8 +16,9 @@ from alloymsa import (Configuration, SingleSitePotential, eigensolve,
                       validate_parameters)
 from alloymsa.errors import ParameterError, ScheduleError
 from alloymsa.msa import (CERTIFIED_IRREGULAR, CERTIFIED_REGULAR,
-                          INDETERMINATE, MSAParameters,
-                          estimate_singularity_probability, l_bar, l_bar_sharp,
+                          INDETERMINATE, MSAParameters, _smallest_scale,
+                          estimate_singularity_probability,
+                          induction_thresholds, l_bar, l_bar_sharp,
                           mass_loss_series, uniform_regularity_test,
                           uniform_regularity_verdicts)
 from alloymsa.spectral import RESONANCE_GUARD, boundary_greens
@@ -496,6 +498,83 @@ class TestValidateParameters:
                           m0=l0 ** (beta - 1.0), l0=l0)
         rep = validate_parameters(p, U_LEAD, DELTA0, UNIFORM)
         assert any("beta-1" in v for v in rep.violated)
+
+
+THRESHOLD_MODELS = {
+    "delta0-1d": DELTA0,
+    "p2": exact_potential({(0, 0): 1.0, (1, 0): -0.6, (0, 1): -0.3,
+                           (1, 1): 0.05}, 2.0, 1.0),
+    "negative-tail-1d": exact_potential(
+        {(0,): 1.0, **{(k,): -0.01 * math.exp(-4.0 * abs(k))
+                       for k in range(-6, 7) if k}}, 1.0, 4.0),
+    "delta0-3d": exact_potential({(0, 0, 0): 1.0}, 1.0, 1.0),
+}
+
+
+def exact_threshold_predicates(p: MSAParameters, d: int, order: int) -> dict:
+    """The inequalities of l1*, l2* and l4*..l7* at the working precision
+    of mpmath, each in its displayed form (no logarithms taken)."""
+    xi, kappa, beta = (mpmath.mpf(v) for v in (p.xi, p.kappa, p.beta))
+    zeta = kappa * (5 * d + order + 2 * xi) + 1
+    gamma = ((1 - beta) / kappa + (1 - 1 / kappa)) / 2
+    third = mpmath.mpf(1) / 3
+
+    def m_L(m, L):
+        t = 2 ** (1 / kappa) * L ** (-1 / kappa)
+        return m * (1 - t - 63 * L ** (1 / kappa - 1)) \
+            - t * mpmath.log(4**d * d * L ** (d / kappa)) \
+            - mpmath.log(2 * L**zeta) / L
+
+    def pred7(L):
+        return L ** (-(1 - beta) / kappa) - L ** (-gamma - (1 - beta) / kappa) \
+            - L**-gamma > L ** (beta - 1)
+
+    return {
+        "l1": lambda l: 2 ** (4 * d) * (l**kappa) ** (4 * (d - xi / kappa)
+                                                     + 2 * xi) <= third,
+        "l2": lambda l: 24 * l + 2 <= l**kappa,
+        "l4": lambda l: 2**d * d * (l + 1) ** (d - 1)
+        * mpmath.exp(-l**beta) < 1,
+        "l5": lambda l: 2 ** (2 * d + 1) * d * d
+        * ((24 * l + 3) * (l + 1)) ** (d - 1) * (24 * l + 2) ** zeta
+        * mpmath.exp(-l**beta) < 1,
+        "l6": lambda l: m_L(l ** (beta - 1), l**kappa)
+        >= l ** (beta - 1) * (1 - l ** (-kappa * gamma)) - l ** (-kappa * gamma),
+        "l7": lambda l: pred7(l**kappa),
+    }
+
+
+class TestInductionThresholds:
+    def test_smallest_scale_is_the_step_or_inf(self):
+        for t in range(2, 65):
+            got = _smallest_scale(lambda l: l >= t)
+            assert got == t and isinstance(got, float), t
+        assert _smallest_scale(lambda l: False) == math.inf
+
+    @pytest.mark.parametrize("name", list(THRESHOLD_MODELS))
+    def test_thresholds_are_smallest_in_exact_arithmetic(self, name):
+        # each finite threshold holds at its value and fails one below it
+        # (or is 2); an inf one fails at 2^39, the last power of two tried
+        u = THRESHOLD_MODELS[name]
+        d, lead = u.dimension, find_leading_index(u)
+        rng = np.random.default_rng([2027, list(THRESHOLD_MODELS).index(name)])
+        for _ in range(10):
+            xi = 2 * d + rng.uniform(0.1, 10.0)
+            kappa = 1.0 + (2 * xi / (xi + 2 * d) - 1.0) * rng.uniform(0.05, 0.95)
+            beta = 2.0 - kappa + (kappa - 1.0) * rng.uniform(0.05, 0.95)
+            p = MSAParameters(xi=xi, kappa=kappa, beta=beta, q=0.5, m0=1.0,
+                              l0=1e12)
+            assert p.interval_violations(d) == []
+            thresholds = induction_thresholds(p, lead, u, UNIFORM)
+            with mpmath.workdps(60):
+                for key, pred in exact_threshold_predicates(
+                        p, d, lead.order).items():
+                    l = mpmath.mpf(thresholds[key])
+                    if mpmath.isinf(l):
+                        assert not pred(mpmath.mpf(2) ** 39), (key, p)
+                    else:
+                        assert pred(l) and (l == 2 or not pred(l - 1)), \
+                            (key, thresholds[key], p)
 
 
 class TestScaleSchedule:
