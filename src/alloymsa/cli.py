@@ -394,7 +394,7 @@ def _run_decay(run: Run) -> None:
         return good == n_lowest, fits, psi
 
     results = mc.run_trials(run.trials, worker, run.seed, run.threads)
-    frac = sum(1.0 for ok, _, _ in results if ok) / max(len(results), 1)
+    frac = sum(1.0 for ok, _, _ in results if ok) / len(results)
     run.summary["constants"]["fraction_localized"] = frac
     run.contract("decay_regression", frac >= frac_min,
                  f"fraction={frac:.3f} threshold={frac_min}")

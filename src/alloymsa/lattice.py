@@ -548,7 +548,7 @@ class BoxOperator:
     on the box alone and lives on it (`Box.slice_block`, O(w^2) memory,
     built once per box).  Each form must fit the capacity rule: past
     n = cap a count runs while its w x w block fits, and only the dense
-    matrix is refused.  The diagonal is read-only.
+    matrix is refused.  The diagonal is finite and read-only.
     """
 
     box: Box
@@ -561,6 +561,10 @@ class BoxOperator:
             raise ParameterError(
                 f"operator diagonal needs {self.box.count} entries, "
                 f"got shape {diagonal.shape}")
+        if not np.isfinite(diagonal).all():
+            raise ParameterError(
+                "operator diagonal must be finite (a potential past the "
+                f"doubles), got {float(diagonal[~np.isfinite(diagonal)][0])}")
         diagonal.flags.writeable = False
 
     @property
@@ -643,7 +647,10 @@ def restrict_hamiltonian(
     config: Configuration,
     box: Box,
 ) -> BoxOperator:
-    """Dirichlet truncation of h0 + v to `box`."""
-    diagonal = assemble_potential(u, config, box)
-    diagonal += 2.0 * box.dimension
+    """Dirichlet truncation of h0 + v to `box`; ParameterError where v
+    passes the doubles."""
+    # a sum past the doubles is refused by the operator, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = assemble_potential(u, config, box)
+        diagonal += 2.0 * box.dimension
     return BoxOperator(box=box, diagonal=diagonal)

@@ -64,14 +64,11 @@ def perturbation_radius(u: SingleSitePotential, model: DisorderModel,
     """
     if l_i <= 0:
         raise ParameterError("l_i must be positive")
-    omega_plus = model.omega_plus
-    if omega_plus == 0.0:
-        return 0.0
     box = make_box((0,) * u.dimension, l_i)
     outer = enlarged_box(box).half_side
     analytic = tail_bound(u, l_i, outer - l_i)
     exact = leaked_mass_bound(u, box, outer)
-    return omega_plus * min(analytic, exact)
+    return model.omega_plus * min(analytic, exact)
 
 
 def check_enlarged_domain(domain: Box, box: Box) -> None:

@@ -28,20 +28,21 @@ L = n / w slices); none of the counts forms an n x n array.
   the lowest few eigenvectors one by one (`decay` fits each), follows the
   relatively robust representations solver (dsyevr, scipy's default): the
   basis it picks inside a cluster of close eigenvalues fixes the
-  published decay rates.  A values-only solve and a vector solve at
-  n <= 512 call dsyevr itself.  Past n = 512 a solve for the lowest k
-  eigenvectors runs dsyevr's own steps: dsytrd, then dstemr's (dlarrr,
-  dlarre, dlarrv), then the back-transform dormtr, the last four called
-  through the function pointers of scipy's Cython LAPACK API.  dlarrv
+  published decay rates.  `eigensolve` picks the route from the
+  operator, then builds one dense matrix.  A values-only solve calls
+  dsyevr itself, and so does a vector solve at n <= 512 or with
+  max|diagonal| above _RMAX (about 8e76), which dsyevr would scale first.
+  Every other solve for the lowest k eigenvectors runs dsyevr's own
+  steps: dsytrd, then dstemr's (dlarrr, dlarre, dlarrv), then the
+  back-transform dormtr, the last four called through the function
+  pointers of scipy's Cython LAPACK API.  dlarrv
   (MRRR, Dhillon & Parlett 2004) computes only a leading block of the
   tridiagonal eigenvectors, up to a singleton of its representation tree
   past the first W, and dormtr back-transforms W = min(n, 256 ceil((k +
   16) / 256)) of them: for `decay`'s benchmark box and k = 3, about 260
-  of 1681 vectors and 256 columns.  dsyevr itself also takes the vector
-  solves these steps leave out: a matrix it would scale first (max|H|
-  outside [_RMIN, _RMAX], for a box operator only at |v| > 8e76) and a
-  failed dstemr.  With one BLAS thread the k eigenpairs are bit for bit
-  dsyevr's (see `eigensolve`).  The Green's
+  of 1681 vectors and 256 columns.  A failed dstemr hands the solve
+  back to dsyevr itself, on a second dense matrix.  With one BLAS thread
+  the k eigenpairs are bit for bit dsyevr's (see `eigensolve`).  The Green's
   functions use the divide-and-conquer solver (dsyevd, Gu & Eisenstat
   1995), faster at every box size the probes run, with a workspace that
   takes a solve from about 2n^2 to about 3n^2 doubles: G(E) =
@@ -149,17 +150,19 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
     the lowest k = `vectors` (1 <= k <= n) eigenvalues and their
     eigenvectors otherwise.
 
-    The dense matrix is built and handed to LAPACK as its F-contiguous
+    The route is chosen here, from the operator, before the one dense
+    matrix of a solve is built and handed to LAPACK as its F-contiguous
     transpose (equal to it, by symmetry), which the solve overwrites
     without a copy.  With vectors = 0, dsyevr computes the eigenvalues
     alone (by dsterf, so they can differ in the last bits from those of a
-    vector solve).  Otherwise, past n = _FULL_WIDTH_MAX = 512,
-    `_lowest_eigenpairs` runs dsyevr's own steps, computes the tridiagonal
-    eigenvectors of a leading block only and back-transforms W of them.
-    dsyevr itself solves a fresh matrix where `_lowest_eigenpairs` returns
-    None: at n <= 512, where dsyevr would scale the matrix first (every
-    box operator with n >= 2 has a bond, so max|H| >= 1), and where dstemr
-    fails (dsyevr's own fallback).  At one BLAS thread the k eigenvalues
+    vector solve).  Otherwise dsyevr itself solves at n <= _FULL_WIDTH_MAX
+    = 512 and at max|diagonal| > _RMAX, where it would scale the matrix
+    first: every bond is -1, so max|H| = max(1, max|diagonal|) at n >= 2.
+    Every other vector solve runs dsyevr's own steps in
+    `_lowest_eigenpairs`, which computes the tridiagonal eigenvectors of a
+    leading block only and back-transforms W of them; where dstemr fails,
+    dsyevr itself solves a second matrix (dsyevr's own fallback).  At one
+    BLAS thread the k eigenvalues
     and eigenvectors are bit for bit those of scipy.linalg.eigh (dsyevr,
     every eigenpair); ask for k = n to get the whole spectrum of a vector
     solve.  The residual
@@ -178,10 +181,13 @@ def eigensolve(op: BoxOperator, vectors: int = 0) -> SpectrumResult:
                                   overwrite_a=True)
         return SpectrumResult(eigenvalues=np.asarray(evals), eigenvectors=None,
                               residual=0.0)
-    found = _lowest_eigenpairs(op.matrix.T, int(vectors))
-    if found is None:  # n <= 512, a scaled H or a failed dstemr: dsyevr itself
+    k = int(vectors)
+    found = None
+    if n > _FULL_WIDTH_MAX and float(np.max(np.abs(op.diagonal))) <= _RMAX:
+        found = _lowest_eigenpairs(op.matrix.T, k)
+    if found is None:  # dsyevr itself; a second matrix after a failed dstemr
         evals, evecs = scipy.linalg.eigh(op.matrix.T, overwrite_a=True)
-        found = evals[:vectors].copy(), evecs[:, :vectors].copy()
+        found = evals[:k].copy(), evecs[:, :k].copy()
     evals, evecs = found
     return SpectrumResult(eigenvalues=evals, eigenvectors=evecs,
                           residual=_checked_residual(op, evals, evecs))
@@ -191,10 +197,10 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
                        ) -> tuple[np.ndarray, np.ndarray] | None:
     """The k lowest eigenvalues and their eigenvectors of the symmetric
     F-contiguous matrix `H`, which this overwrites, by the steps LAPACK's
-    dsyevr takes for all eigenpairs of a lower triangle.  None, leaving H
-    as it is, at n <= _FULL_WIDTH_MAX = 512 and where max|H| lies outside
-    [_RMIN, _RMAX] (dsyevr scales H first); None too where dstemr fails,
-    as dsyevr then falls back to bisection and inverse iteration.
+    dsyevr takes for all eigenpairs of a lower triangle; None where dstemr
+    fails, as dsyevr then falls back to bisection and inverse iteration.
+    `eigensolve` sends it only the matrices dsyevr would not scale (max|H|
+    in [_RMIN, _RMAX]) past n = _FULL_WIDTH_MAX = 512.
 
     1. dsytrd reduces H to tridiagonal form in place, with dsyevr's
        workspace (its lwork less 5n), which fixes dsytrd's block size;
@@ -218,9 +224,6 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     vectors themselves change with the thread count.  A nonzero info of
     dsytrd or dormtr raises SolverError."""
     n = H.shape[0]
-    if n <= _FULL_WIDTH_MAX or \
-            not _RMIN <= max(float(H.max()), -float(H.min())) <= _RMAX:
-        return None
     lwork = int(_syevr_lwork(n, lower=1)[0])
     H, d, e, tau, info = _sytrd(H, lower=1, lwork=lwork - 5 * n,
                                 overwrite_a=1)
@@ -236,7 +239,7 @@ def _lowest_eigenpairs(H: np.ndarray, k: int
     else:
         evals, Z = found
     block = (lwork - 2 * n - _ORMQR_TSIZE) // n
-    work = np.empty(block * width + _ORMQR_TSIZE if block >= 2 else width)
+    work = np.empty(block * width + _ORMQR_TSIZE)
     ref = ctypes.byref
     n_, width_, info = ctypes.c_int(n), ctypes.c_int(width), ctypes.c_int(0)
     lwork_ = ctypes.c_int(work.size)
@@ -353,14 +356,16 @@ def _checked_residual(op: BoxOperator, evals: np.ndarray,
     columns v_j of `evecs`, the eigenvectors of the first eigenvalues in
     `evals`, with H_xx the diagonal of the operator (see `eigensolve`),
     from stencil products on RESIDUAL_BLOCK columns at a time; SolverError
-    when it exceeds RESIDUAL_CONTRACT."""
+    unless it is at most RESIDUAL_CONTRACT, so a NaN in any column or
+    eigenvalue fails."""
     worst = 0.0
     for j in range(0, evecs.shape[1], RESIDUAL_BLOCK):
         V = evecs[:, j:j + RESIDUAL_BLOCK]
         r = op @ V - V * evals[j:j + V.shape[1]]
-        worst = max(worst, float(np.max(np.linalg.norm(r, axis=0))))
-    residual = worst / max(1.0, float(np.max(np.abs(op.diagonal))))
-    if residual > RESIDUAL_CONTRACT:
+        # np.maximum carries a NaN, which Python's max would drop
+        worst = np.maximum(worst, np.max(np.linalg.norm(r, axis=0)))
+    residual = float(worst) / max(1.0, float(np.max(np.abs(op.diagonal))))
+    if not residual <= RESIDUAL_CONTRACT:
         raise SolverError(f"eigensolver residual {residual:.3e} exceeds 1e-10")
     return residual
 

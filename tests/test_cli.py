@@ -1147,7 +1147,8 @@ class TestRunExperimentAPI:
 class TestUnusableInputsExit3OneLine:
     """Inputs the run cannot use exit 3 with one line on stderr, before any
     trial: an output location that cannot be written, a seed past 64 bits
-    and a capacity that is not a positive integer."""
+    and a capacity that is not a positive integer; and in the first trial,
+    a potential past the doubles."""
 
     @staticmethod
     def run(tmp_path, capsys, monkeypatch, command, *args, out=None):
@@ -1194,6 +1195,25 @@ class TestUnusableInputsExit3OneLine:
         cfg = write_config(tmp_path, "c.json", admitted_config("decay"))
         assert main(["decay", "--config", str(cfg), "--seed", str(2**64 - 1),
                      "--out", str(tmp_path / "o")]) in (0, 2)
+
+    # u(0) w_0 = 1e200 w_0, w_0 uniform on [0, 1e200], passes the doubles
+    @pytest.mark.parametrize("command", ["decay", "wegner", "msa-probe"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_potential_past_the_doubles(self, tmp_path, capsys, command,
+                                        threads):
+        params = {"ls": [5]} if command == "wegner" else {"l": 5.0}
+        model = {"d": 1, "u": {"d": 1, "values": [[[0], 1e200]], "C": 1e201,
+                               "alpha": 1.0, "truncation_radius": 0,
+                               "truncation_residual": 0.0},
+                 "rho": {"uniform": [0.0, 1e200]}}
+        config = {**admitted_config(command), "model": model,
+                  "params": {**ADMITTED[command][1], **params}}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", str(cfg), "--threads", str(threads),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: operator diagonal must be finite (a potential past the "
+            "doubles), got inf\n")
 
     @pytest.mark.parametrize("cap", ["abc", "-3", "0", "1.5"])
     def test_capacity_not_a_positive_integer(self, tmp_path, capsys,

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,28 @@ class TestRestrictHamiltonian:
         cfg = Configuration(dom, rng.uniform(0, 1, dom.count))
         op = restrict_hamiltonian(PAIR_2D, cfg, box)
         assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_diagonal_rejected(self, bad):
+        box = make_box((0,), 2.0)
+        diagonal = np.full(box.count, 2.0)
+        diagonal[3] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            BoxOperator(box, diagonal)
+
+    # 1e200 * 1e200 overflows to inf; 1e200 w_0 - 1e200 w_1, both inf,
+    # is nan; either is refused, with no overflow warning
+    @pytest.mark.parametrize("values, got", [
+        ({(0,): 1e200}, "inf"), ({(0,): 1e200, (1,): -1e200}, "nan")],
+        ids=["inf", "nan"])
+    def test_potential_past_the_doubles(self, values, got):
+        u = exact_potential(values, 1e201, 1.0)
+        box = make_box((0,), 2.0)
+        cfg = constant_configuration(make_box((0,), 4.0), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"finite.*got {got}"):
+                restrict_hamiltonian(u, cfg, box)
 
     def test_capacity(self):
         # the operator itself is 100,001 entries; its dense matrix is refused

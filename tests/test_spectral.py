@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from alloymsa import (Configuration, count_eigenvalues_in, decay_fit,
                       eigensolve, make_box, restrict_hamiltonian,
                       uniform_density)
-from alloymsa import spectral
+from alloymsa import lattice, spectral
 from alloymsa.errors import FitError, ParameterError, ResonantEnergyError
 from alloymsa.lattice import BoxOperator
 from alloymsa.spectral import (RESONANCE_GUARD, _green_eigenpairs,
@@ -85,6 +85,19 @@ def lowest_counts(n):
     return sorted({1, min(n, 3), min(n, 5), n})
 
 
+def dense_spy():
+    """`lattice._dense`, recording in `.sizes` the size of each matrix it
+    builds."""
+    real_dense = lattice._dense
+
+    def dense(band, strides):
+        dense.sizes.append(band.shape[1])
+        return real_dense(band, strides)
+
+    dense.sizes = []
+    return dense
+
+
 class TestLowestEigenvectorsBitwise:
     """eigensolve(op, vectors=k) leaves n <= 512 to dsyevr itself; past it
     it runs dsyevr's steps and back-transforms a block of eigenvectors.  At
@@ -106,11 +119,10 @@ class TestLowestEigenvectorsBitwise:
                 assert np.array_equal(res.eigenvectors, evecs[:, :k])
 
     # sizes no box has (a box has (2 floor(l) + 1)^d sites), n = 512 +
-    # `past`, on dense random symmetric matrices; at scale 1e-160, max|A|
-    # lies below dsyevr's RMIN = 2^-485, so dsyevr would scale A up first:
-    # that solve is left to dsyevr itself
+    # `past`, on dense random symmetric matrices at the one scale (a
+    # matrix dsyevr would scale first never reaches `_lowest_eigenpairs`)
     @pytest.mark.parametrize("past", [2, 200, 300, 500])
-    @pytest.mark.parametrize("scale", [1.0, 1e-160])
+    @pytest.mark.parametrize("scale", [1.0])
     def test_symmetric_matrix(self, past, scale):
         n = spectral._FULL_WIDTH_MAX + past
         A = np.random.default_rng(n).standard_normal((n, n))
@@ -119,43 +131,35 @@ class TestLowestEigenvectorsBitwise:
             evals, evecs = scipy.linalg.eigh(A)
             for k in lowest_counts(n):
                 got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
-                if scale == 1.0:
-                    assert np.array_equal(got[0], evals[:k])
-                    assert np.array_equal(got[1], evecs[:, :k])
-                else:
-                    assert got is None
+                assert np.array_equal(got[0], evals[:k])
+                assert np.array_equal(got[1], evecs[:, :k])
 
-    # sizes at which a 256-wide back-transform block missed dsyevr's bits
-    # (k = 1 at 11 of the n in 267..279, k = 3 at 21 in 267..293, k = 112
-    # and 240 at 101 in 267..415): up to n = 512 dsyevr itself solves
-    @pytest.mark.parametrize("n", [267, 279, 293, 396, 414, 415])
-    def test_full_width_sizes(self, n):
-        A = np.random.default_rng(n).standard_normal((n, n))
-        A = A + A.T
-        for k in (1, 3, 112, 240):
-            H = np.array(A, order="F")
-            assert spectral._lowest_eigenpairs(H, k) is None
-            assert np.array_equal(H, A)
+    # box sizes at which a 256-wide back-transform block missed dsyevr's
+    # bits (k = 1 at 11 of the n in 267..279, k = 3 at 21 in 267..293,
+    # k = 112 and 240 at 101 in 267..415): up to n = 512 dsyevr itself
+    # solves, with no reduction by hand
+    @pytest.mark.parametrize("n", [267, 279, 293, 415])
+    def test_full_width_sizes(self, monkeypatch, n):
+        op = random_operator(np.random.default_rng(n), l=(n - 1) / 2, w=50.0)
+        assert op.box.count == n
+        monkeypatch.setattr(spectral, "_sytrd", pytest.fail)
+        with blas_threads(1):
+            evals, evecs = scipy.linalg.eigh(op.matrix)
+            for k in (1, 3, 112, 240):
+                res = eigensolve(op, vectors=k)
+                assert np.array_equal(res.eigenvalues, evals[:k])
+                assert np.array_equal(res.eigenvectors, evecs[:, :k])
 
-    # n <= 512 (1 and 40) and max|A| above RMAX ~ 8e76 (dsyevr scales A
-    # down first) are left to dsyevr, with A untouched
-    @pytest.mark.parametrize("n, scale", [(1, 1.0), (40, 1e80),
-                                          (600, 1e80)])
-    def test_scaled_or_single_left_to_dsyevr(self, n, scale):
-        A = np.random.default_rng(n).standard_normal((n, n))
-        A = scale * (A + A.T)
-        H = np.array(A, order="F")
-        assert spectral._lowest_eigenpairs(H, 1) is None
-        assert np.array_equal(H, A)
-
-    # max|H| above dsyevr's RMAX ~ 8e76: it scales H down first; on the
-    # third operator dstemr then fails and dsyevr falls back to bisection;
-    # the last one (n = 601) is past the sizes left to dsyevr anyway
+    # max|H| above dsyevr's RMAX ~ 8e76: it scales H down first, so
+    # dsyevr itself solves, with no reduction by hand, also at n = 601,
+    # past 512; on the third operator dstemr then fails and dsyevr falls
+    # back to bisection
     @pytest.mark.parametrize("d, l, seed", [(1, 20.0, 3), (2, 7.0, 0),
                                             (2, 10.0, 0), (1, 300.0, 3)])
-    def test_scaled_box_operator(self, d, l, seed):
+    def test_scaled_box_operator(self, monkeypatch, d, l, seed):
         op = random_operator(np.random.default_rng(seed), l=l, d=d, w=1e80)
         assert np.max(op.diagonal) > spectral._RMAX
+        monkeypatch.setattr(spectral, "_sytrd", pytest.fail)
         with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
             res = eigensolve(op, vectors=3)
@@ -184,23 +188,23 @@ class TestLowestEigenvectorsBitwise:
         monkeypatch.setattr(spectral, "_stemr", stemr)
         with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(op.matrix)
+            monkeypatch.setattr(lattice, "_dense", dense_spy())
             res = eigensolve(op, vectors=5)
         assert stemr_calls == [0]
+        # dsytrd overwrote the first matrix: dsyevr gets a second one
+        assert len(lattice._dense.sizes) == 1 + stemr_fails
         assert np.array_equal(res.eigenvalues, evals[:5])
         assert np.array_equal(res.eigenvectors, evecs[:, :5])
 
-    # dstemr's other routes: n = 2 (its closed form) is left to dsyevr
-    # itself, as every n <= 512; past 512 a tridiagonal matrix that splits
+    # dstemr's other routes past n = 512: a tridiagonal matrix that splits
     # (a block-diagonal matrix reduces to one, and dstemr sorts across the
     # blocks) and one that warrants relatively accurate eigenvalues (a
     # graded diagonal, refined by dlarrj; its max(|d|, |e|) of 2e9 stays
     # under _MRRR_MAX_NORM, so dlarrr decides) are each left to dstemr
-    @pytest.mark.parametrize("case", ["n2", "split", "relative"])
+    @pytest.mark.parametrize("case", ["split", "relative"])
     def test_dstemr_routes(self, monkeypatch, case):
         rng = np.random.default_rng(4)
-        if case == "n2":
-            A = rng.standard_normal((2, 2))
-        elif case == "split":
+        if case == "split":
             A = scipy.linalg.block_diag(rng.standard_normal((300, 300)),
                                         rng.standard_normal((280, 280)))
         else:
@@ -215,17 +219,13 @@ class TestLowestEigenvectorsBitwise:
 
         monkeypatch.setattr(spectral, "_stemr", stemr)
         n = A.shape[0]
-        routed = n > spectral._FULL_WIDTH_MAX
         with blas_threads(1):
             evals, evecs = scipy.linalg.eigh(A)
             for k in lowest_counts(n):
                 got = spectral._lowest_eigenpairs(np.array(A, order="F"), k)
-                if not routed:
-                    assert got is None
-                    continue
                 assert np.array_equal(got[0], evals[:k])
                 assert np.array_equal(got[1], evecs[:, :k])
-        assert stemr_calls == [n] * len(lowest_counts(n)) * routed
+        assert stemr_calls == [n] * len(lowest_counts(n))
 
     def test_main_route_skips_dstemr(self, monkeypatch):
         monkeypatch.setattr(spectral, "_stemr", None)
@@ -277,6 +277,16 @@ class TestLowestEigenvectorsBitwise:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n * n
+
+    # a values-only solve, and k = 3 at n = 441 (dsyevr itself) and at
+    # n = 625 (dsyevr's steps), each build one dense matrix
+    @pytest.mark.parametrize("l, vectors", [(10.0, 0), (10.0, 3),
+                                            (12.0, 3)])
+    def test_one_dense_build_per_solve(self, monkeypatch, l, vectors):
+        op = decay_box_operator(l=l)
+        monkeypatch.setattr(lattice, "_dense", dense_spy())
+        eigensolve(op, vectors=vectors)
+        assert lattice._dense.sizes == [op.box.count]
 
     @pytest.mark.parametrize("vectors", [-1, 10, 2.0, True])
     def test_vector_count_checked(self, vectors):

@@ -206,6 +206,19 @@ class TestResidualContract:
             assert spectral._checked_residual(op, evals, evecs) == \
                 pytest.approx(delta / scale, rel=1e-4)
 
+    # Python's max(worst, nan) is worst: a NaN in column 7, or in its
+    # eigenvalue, of a dsyevd solve at d = 2, l = 10 must not pass
+    @pytest.mark.parametrize("where", ["column", "eigenvalue"])
+    def test_nan_fails(self, where):
+        op = random_diagonal_operator(make_box((0, 0), 10.0), "dirichlet", 0)
+        evals, evecs = spectral._green_eigenpairs(op, op.matrix.T)
+        if where == "column":
+            evecs[:, 7] = np.nan
+        else:
+            evals[7] = np.nan
+        with pytest.raises(SolverError):
+            spectral._checked_residual(op, evals, evecs)
+
     def test_clean_eigenpairs_pass(self):
         box = make_box((0, 0), 8.0)
         op = BoxOperator(box, free_operator(box).diagonal
